@@ -119,7 +119,10 @@ def _terminal_states(cfg: ExperimentConfig, grid: TimeGrid):
         else:
             coeffs, x0 = cfg.system
             sol = integrate_batch(coeffs, x0, batch)
-        yield policy, np.linalg.norm(sol.x, axis=-1)
+        norms = np.linalg.norm(sol.x, axis=-1)
+        # release this policy's paths before the consumer asks for the next
+        del batch, sol
+        yield policy, norms
 
 
 @dataclass

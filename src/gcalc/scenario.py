@@ -180,9 +180,29 @@ def path_noise(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
 
 
 def batch_noise(seed: int, first_index: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
+    """Rows first_index .. first_index + n_paths - 1 of the noise stream,
+    shape (n_paths, n_steps, d); row p equals path_noise(seed, first_index + p).
+
+    One Philox and one Generator serve the whole block.  A freshly keyed
+    Philox has counter 0, the given key and an empty output buffer, and a
+    Generator keeps no state of its own, so writing exactly that state
+    into the bit generator before each row reproduces a new
+    Generator(Philox(key=...)) bit for bit, without the per-path
+    construction cost (which dominates at the usual path lengths).
+    """
     out = np.empty((n_paths, n_steps, d))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    # key words are little-endian: (path index, seed), as in path_noise
+    key = np.array([0, int(seed) & _MASK64], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    first_index = int(first_index)
     for p in range(n_paths):
-        out[p] = path_noise(seed, first_index + p, n_steps, d)
+        key[0] = (first_index + p) & _MASK64
+        bitgen.state = fresh
+        gen.standard_normal(out=out[p])
     return out
 
 
@@ -314,6 +334,56 @@ class PathBatch:
         return (self.path(i) for i in range(len(self)))
 
 
+def _band_choice(policy, k, b_k, aux, unc, n_paths, bang):
+    """Step-k variances (n_paths,), checked against the band."""
+    c = np.broadcast_to(np.asarray(policy.choose(k, b_k, aux), dtype=float), (n_paths,))
+    if bang:
+        if not np.all((c == unc.sigma2_lo) | (c == unc.sigma2_hi)):
+            raise PolicyError(f"bang-bang choice off the extremes at step {k}")
+    elif not np.all(unc.contains(c)):
+        raise PolicyError(f"variance choice outside the band at step {k}")
+    return c
+
+
+def _assemble_band(policy, unc, noise, dt):
+    """B (P, K+1, 1) and the variance choices (P, K) under a SigmaBand."""
+    n_paths, n_steps, _ = noise.shape
+    if type(policy) in (ConstantPolicy, PiecewiseConstantPolicy):
+        # open loop: these choices never look at B or aux, so take them all
+        # first (same calls, same checks, same step order), then B is the
+        # running sum of [0, incr_0, incr_1, ...]; add.accumulate adds left
+        # to right, which are exactly the additions of the stepwise loop
+        cs = [_band_choice(policy, k, None, None, unc, n_paths, False) for k in range(n_steps)]
+        if n_paths and all(c.strides == (0,) for c in cs):
+            # one value per step for every path: take the root on that row
+            row = np.array([c[0] for c in cs])
+            choices = np.broadcast_to(row, (n_paths, n_steps)).copy()
+            scale = np.sqrt(row * dt)
+        else:
+            choices = np.stack(cs, axis=1)
+            scale = np.sqrt(choices * dt)
+        b = np.zeros((n_paths, n_steps + 1, 1))
+        np.multiply(scale, noise[:, :, 0], out=b[:, 1:, 0])
+        np.cumsum(b[:, :, 0], axis=1, out=b[:, :, 0])
+        return b, choices
+    # feedback: step-major scratch, so the rule reads and the update writes
+    # contiguous (P,) rows instead of columns strided by the path length.
+    # The noise is read in place: a transposed copy costs as much as the
+    # strided reads it saves, and a block of memory per thread.
+    bang = isinstance(policy, BangBangPolicy)
+    bk = np.zeros((n_steps + 1, n_paths, 1))
+    ck = np.empty((n_steps, n_paths))
+    aux = policy.init_aux(n_paths)
+    for k in range(n_steps):
+        c = ck[k] = _band_choice(policy, k, bk[k], aux, unc, n_paths, bang)
+        bk[k + 1, :, 0] = bk[k, :, 0] + np.sqrt(c * dt) * noise[:, k, 0]
+        aux = policy.update_aux(k, bk[k + 1], aux)
+    b = np.ascontiguousarray(bk.transpose(1, 0, 2))
+    del bk
+    choices = np.ascontiguousarray(ck.T)
+    return b, choices
+
+
 def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
              seed: int = 0, first_index: int = 0) -> PathBatch:
     """Build paths from an explicit noise block of shape (P, K, d).
@@ -321,6 +391,14 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
     The step recursion is B_{k+1} = B_k + L_k Z_k sqrt(dt) with
     L_k L_k^T = gamma_k, and qvar accumulates gamma_k * dt.  B values up to
     step k depend only on noise before step k (adaptedness by construction).
+
+    Under a SigmaBand, ConstantPolicy and PiecewiseConstantPolicy (exactly
+    those types; a subclass may override choose) skip the per-step update:
+    all choices are taken and checked step by step, then B comes from one
+    cumsum of the increments behind a leading 0, which performs the same
+    floating-point additions in the same order as B_k + incr_k, so both
+    give the same bits.  Feedback policies run the step loop.  At d = 1
+    ``trace`` is a read-only view of ``choices``.
     """
     if isinstance(unc, SigmaBand):
         d = 1
@@ -333,28 +411,21 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
         raise ValueError(f"noise must have shape (P, {grid.n_steps}, {d})")
     n_paths, n_steps, _ = noise.shape
     dt = grid.dt
-    sqdt = np.sqrt(dt)
-
-    b = np.zeros((n_paths, n_steps + 1, d))
-    choices = np.empty((n_paths, n_steps))
-    trace = np.empty((n_paths, n_steps, d, d))
-    aux = policy.init_aux(n_paths)
-    bang = isinstance(policy, BangBangPolicy)
 
     if isinstance(unc, SigmaBand):
-        lo, hi = unc.sigma2_lo, unc.sigma2_hi
-        for k in range(n_steps):
-            c = np.broadcast_to(np.asarray(policy.choose(k, b[:, k, :], aux), dtype=float), (n_paths,))
-            if bang:
-                if not np.all((c == lo) | (c == hi)):
-                    raise PolicyError(f"bang-bang choice off the extremes at step {k}")
-            elif not np.all(unc.contains(c)):
-                raise PolicyError(f"variance choice outside the band at step {k}")
-            choices[:, k] = c
-            b[:, k + 1, 0] = b[:, k, 0] + np.sqrt(c * dt) * noise[:, k, 0]
-            aux = policy.update_aux(k, b[:, k + 1, :], aux)
-        trace[:, :, 0, 0] = choices
+        b, choices = _assemble_band(policy, unc, noise, dt)
+        trace = choices[:, :, None, None]
+        trace.flags.writeable = False
+        qvar = np.zeros((n_paths, n_steps + 1, 1, 1))
+        dqv = qvar[:, 1:, 0, 0]
+        np.multiply(choices, dt, out=dqv)
+        np.cumsum(dqv, axis=1, out=dqv)
     else:
+        sqdt = np.sqrt(dt)
+        b = np.zeros((n_paths, n_steps + 1, d))
+        choices = np.empty((n_paths, n_steps))
+        trace = np.empty((n_paths, n_steps, d, d))
+        aux = policy.init_aux(n_paths)
         members = unc.member_stack()
         factors = np.stack([_sqrt_factor(m) for m in unc.members])
         m = len(unc)
@@ -367,9 +438,8 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
             b[:, k + 1, :] = b[:, k, :] + sqdt * np.einsum("pij,pj->pi", factors[idx], noise[:, k, :])
             aux = policy.update_aux(k, b[:, k + 1, :], aux)
         trace[:] = members[choices.astype(int)]
-
-    qvar = np.zeros((n_paths, n_steps + 1, d, d))
-    np.cumsum(trace * dt, axis=1, out=qvar[:, 1:])
+        qvar = np.zeros((n_paths, n_steps + 1, d, d))
+        np.cumsum(trace * dt, axis=1, out=qvar[:, 1:])
     return PathBatch(grid, unc, b, qvar, trace, choices, noise, seed, first_index, policy.describe())
 
 

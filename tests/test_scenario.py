@@ -1,7 +1,9 @@
+import hashlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcalc import (
     BangBangPolicy,
@@ -20,7 +22,7 @@ from gcalc import (
     simulate_batch,
     threshold_bangbang,
 )
-from gcalc.scenario import UnsupportedDimensionError, assemble, batch_noise
+from gcalc.scenario import UnsupportedDimensionError, _sqrt_factor, assemble, batch_noise
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -51,6 +53,31 @@ class TestNoise:
         block = batch_noise(9, 4, 3, 8, 2)
         for p in range(3):
             assert np.array_equal(block[p], path_noise(9, 4 + p, 8, 2))
+
+    # sha256 of batch_noise(seed, first_index, n_paths, n_steps, d) as
+    # little-endian float64.  A mismatch means the noise stream changed:
+    # every stored result moves, so bump artifact_version with it.
+    GOLDEN = [
+        ((0, 0, 4, 16, 1), "02badf2b81d9610808567b4cafb4b97fa1bbcac82acdad874304f01b395f56ed"),
+        ((20240917, 123, 3, 10, 3), "c47c09044bcdb940f7bed6536a8059b5b3bd899bbce0a0d4038be6812f0d1782"),
+        ((2**63, 7, 2, 12, 1), "80419fe1306c72ab18e818c13e1053916fda5c4fba2d2825143dd8f6c01132d2"),
+        # seed above 2**63 and path indices wrapping past 2**64
+        ((2**64 - 5, 2**64 - 2, 5, 8, 2), "b1f5e9d56d12ddfbea1f554c519cdbadce2af27b382c1f5ffd032a5adec0ccbc"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", GOLDEN)
+    def test_golden_stream(self, args, digest):
+        seed, first, n_paths, n_steps, d = args
+        block = batch_noise(*args)
+        assert block.shape == (n_paths, n_steps, d)
+        raw = np.ascontiguousarray(block, dtype="<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest() == digest
+        for p in range(n_paths):
+            assert np.array_equal(block[p], path_noise(seed, first + p, n_steps, d))
+
+    def test_index_wraps_modulo_2_64(self):
+        block = batch_noise(3, 2**64 - 1, 2, 6, 1)
+        assert np.array_equal(block[1], path_noise(3, 0, 6, 1))
 
 
 class TestSimulate:
@@ -152,6 +179,123 @@ class TestSimulate:
         for k in range(1, grid.n_steps):
             want = BAND.sigma2_lo if run_abs[k] >= 0.5 else BAND.sigma2_hi
             assert p.choices[k] == want
+
+
+def reference_assemble(policy, unc, grid, noise):
+    """The plain stepwise recursion: (b, qvar, trace, choices)."""
+    n_paths, n_steps, d = noise.shape
+    dt = grid.dt
+    b = np.zeros((n_paths, n_steps + 1, d))
+    choices = np.empty((n_paths, n_steps))
+    trace = np.empty((n_paths, n_steps, d, d))
+    aux = policy.init_aux(n_paths)
+    if isinstance(unc, SigmaBand):
+        lo, hi = unc.sigma2_lo, unc.sigma2_hi
+        for k in range(n_steps):
+            c = np.broadcast_to(np.asarray(policy.choose(k, b[:, k, :], aux), dtype=float), (n_paths,))
+            if isinstance(policy, BangBangPolicy):
+                if not np.all((c == lo) | (c == hi)):
+                    raise PolicyError(f"bang-bang choice off the extremes at step {k}")
+            elif not np.all(unc.contains(c)):
+                raise PolicyError(f"variance choice outside the band at step {k}")
+            choices[:, k] = c
+            b[:, k + 1, 0] = b[:, k, 0] + np.sqrt(c * dt) * noise[:, k, 0]
+            aux = policy.update_aux(k, b[:, k + 1, :], aux)
+        trace[:, :, 0, 0] = choices
+    else:
+        members = unc.member_stack()
+        factors = np.stack([_sqrt_factor(m) for m in unc.members])
+        for k in range(n_steps):
+            idx = np.broadcast_to(np.asarray(policy.choose(k, b[:, k, :], aux)), (n_paths,)).astype(int)
+            if np.any((idx < 0) | (idx >= len(unc))):
+                raise PolicyError(f"member index out of range at step {k}")
+            choices[:, k] = idx
+            b[:, k + 1, :] = b[:, k, :] + np.sqrt(dt) * np.einsum("pij,pj->pi", factors[idx], noise[:, k, :])
+            aux = policy.update_aux(k, b[:, k + 1, :], aux)
+        trace[:] = members[choices.astype(int)]
+    qvar = np.zeros((n_paths, n_steps + 1, d, d))
+    np.cumsum(trace * dt, axis=1, out=qvar[:, 1:])
+    return b, qvar, trace, choices
+
+
+class SignSwitchConstant(ConstantPolicy):
+    """A ConstantPolicy whose choose reads B: assemble must run it stepwise."""
+
+    def choose(self, k, b, aux):
+        return np.where(b[:, 0] >= 0.0, self.value, BAND.sigma2_lo)
+
+
+def _running_max_policy():
+    def rule(k, b, aux):
+        return np.where(aux >= 0.5, BAND.sigma2_lo, BAND.sigma2_hi)
+
+    def aux_update(k, b_next, aux):
+        return np.maximum(aux, np.abs(b_next[:, 0]))
+
+    return BangBangPolicy(rule, name="capped", aux0=np.zeros, aux_update=aux_update)
+
+
+def _per_path_schedule(n_paths):
+    # from step 2 on, each path holds its own variance
+    return PiecewiseConstantPolicy([(0, 1.5), (2, np.linspace(1.0, 2.0, n_paths))])
+
+
+CSET = CovarianceSet(2, [np.diag([1.0, 0.5]), np.array([[1.0, 0.3], [0.3, 1.0]])])
+
+# name -> (policy factory taking n_paths, uncertainty set)
+EQUIVALENCE_CASES = {
+    "constant": (lambda n: ConstantPolicy(value=1.5), BAND),
+    "piecewise": (lambda n: PiecewiseConstantPolicy([(0, 1.0), (3, 2.0), (5, 1.25)]), BAND),
+    "piecewise_per_path": (_per_path_schedule, BAND),
+    "threshold": (lambda n: threshold_bangbang(BAND, 0.1), BAND),
+    "aux": (lambda n: _running_max_policy(), BAND),
+    "subclass": (lambda n: SignSwitchConstant(value=2.0), BAND),
+    "covariance_set": (
+        lambda n: BangBangPolicy(lambda k, b, aux: (b[:, 0] >= 0.0).astype(int), name="sign(b1)"),
+        CSET),
+}
+
+
+def _same_bits(x, y):
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes())
+
+
+class TestAssembleEquivalence:
+    """assemble gives the stepwise recursion's bits, fast paths included."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    @given(seed=st.integers(0, 2**64 - 1), n_paths=st.integers(0, 40), n_steps=st.integers(1, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_stepwise_loop(self, case, seed, n_paths, n_steps):
+        make, unc = EQUIVALENCE_CASES[case]
+        grid = TimeGrid(0.7, n_steps)
+        noise = batch_noise(seed, 0, n_paths, n_steps, unc.dim)
+        got = assemble(make(n_paths), unc, grid, noise)
+        want = reference_assemble(make(n_paths), unc, grid, noise)
+        for name, ref in zip(("b", "qvar", "trace", "choices"), want):
+            assert _same_bits(getattr(got, name), ref), name
+
+    @pytest.mark.parametrize("policy", [
+        PiecewiseConstantPolicy([(0, 1.5), (4, 2.5)]),
+        ConstantPolicy(value=0.5),
+        BangBangPolicy(lambda k, b, aux: np.where(b[:, 0] > 0.2, 1.5, 2.0), name="offband"),
+        SignSwitchConstant(value=3.0),
+        PiecewiseConstantPolicy([(0, 1.5), (5, np.array([1.5, 2.5] * 8))]),
+    ], ids=["piecewise", "constant", "bangbang", "subclass", "per_path"])
+    def test_same_policy_error(self, policy):
+        grid = TimeGrid(1.0, 12)
+        noise = batch_noise(4, 0, 16, grid.n_steps, 1)
+        with pytest.raises(PolicyError) as want:
+            reference_assemble(policy, BAND, grid, noise)
+        with pytest.raises(PolicyError) as got:
+            assemble(policy, BAND, grid, noise)
+        assert str(got.value) == str(want.value)
+
+    def test_d1_trace_is_read_only_view(self):
+        batch = simulate_batch(ConstantPolicy(value=1.5), BAND, TimeGrid(1.0, 8), seed=0, n_paths=3)
+        assert np.shares_memory(batch.trace, batch.choices)
+        assert not batch.trace.flags.writeable
 
 
 class TestQvarBounds:
