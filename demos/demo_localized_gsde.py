@@ -24,7 +24,8 @@ for radius, frac in report.exit_fractions.items():
 print("every path settled; largest radius needed:", report.solution.n0_used)
 
 # Truncation is invisible while the clamp is inactive: radii 2 and 4 produce
-# bit-identical states before the exit time.
+# bit-identical states before the exit time.  This is why localization needs
+# only one pass, at the schedule's largest radius.
 sol2 = g.integrate_batch(g.truncate(coeffs, 2.0), [1.0, 0.0], batch)
 sol4 = g.integrate_batch(g.truncate(coeffs, 4.0), [1.0, 0.0], batch)
 exits = sol2.exit_steps(2.0)

@@ -227,6 +227,7 @@ def bt_over_t(unc, family: PolicyFamily, t_values, n_paths: int, seed: int,
         for policy in family.policies(unc):
             batch = assemble(policy, unc, grid, noise, seed=seed)
             ratios.append(np.abs(batch.b[:, -1, 0]) / T)
+            del batch  # release this policy's paths before the next assemble
         ratios = np.concatenate(ratios)
         med = float(np.median(ratios))
         hi = float(np.quantile(ratios, quantile))

@@ -1,12 +1,16 @@
 """Pathwise Euler integration of dX = f dt + h d<B> + g dB with radial
 truncation of locally Lipschitz coefficients and exit-time localization.
 
-The localized construction integrates the truncated system at increasing
-radii N and stops at the first radius whose solution never reaches norm N
-on the grid; while the clamp is inactive the truncated systems perform
-identical floating-point arithmetic, so successive solutions agree bitwise
-up to the exit step.  Exit detection uses grid values only, a
-discretization bias that shrinks with dt.
+Localization integrates the truncated system once, at the schedule's
+largest radius R, and reads each path's settling radius off the running
+maximum of |X|: a path settles at the first radius N0 it never reaches.
+The clamp at R >= N0 is then never active on it, and an inactive clamp
+multiplies by exactly 1.0, so the R-trajectory is bitwise the
+N0-trajectory.  For any r < R the r- and R-trajectories agree up to and
+including the first step with |X| >= r, so whether and when a path exits
+r is the same on both.  A path that reaches R exhausts the schedule.
+Exit detection uses grid values only, a discretization bias that shrinks
+with dt.
 """
 
 from __future__ import annotations
@@ -218,6 +222,15 @@ def truncate(coeffs: CoefficientSet, radius: float) -> CoefficientSet:
     )
 
 
+def _exit_steps(running_max: np.ndarray, radius: float) -> np.ndarray:
+    """First step with |X| >= radius along the last axis, -1 where none.
+
+    Read off the running maximum, so a path that turns non-finite after
+    reaching the radius still counts as exiting it."""
+    hit = running_max >= radius
+    return np.where(hit.any(axis=-1), np.argmax(hit, axis=-1), -1)
+
+
 class SolutionPath:
     """States on the driving path's grid, with exit-time bookkeeping."""
 
@@ -242,8 +255,8 @@ class SolutionPath:
         """First grid step with |X_k| >= radius, or None."""
         if radius in self._exit_steps:
             return self._exit_steps[radius]
-        hit = self.running_max >= radius
-        step = int(np.argmax(hit)) if hit.any() else None
+        step = int(_exit_steps(self.running_max, radius))
+        step = None if step < 0 else step
         self._exit_steps[radius] = step
         return step
 
@@ -273,10 +286,7 @@ class SolutionBatch:
 
     def exit_steps(self, radius: float) -> np.ndarray:
         """Per-path first step with |X| >= radius; -1 where no exit."""
-        hit = self.running_max >= radius
-        steps = np.argmax(hit, axis=1)
-        steps[~hit.any(axis=1)] = -1
-        return steps
+        return _exit_steps(self.running_max, radius)
 
     def path(self, i: int) -> SolutionPath:
         return SolutionPath(self.grid, self.x[i], n0_used=self.n0_used)
@@ -309,11 +319,11 @@ def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid) -> np.ndarray:
     return x
 
 
-def _first_bad_step(x):
-    ok = np.all(np.isfinite(x), axis=-1)
-    if ok.all():
-        return None
-    return int(np.argmax(~ok))
+def _blowup_steps(x: np.ndarray) -> dict:
+    """Row -> first step with a non-finite state, for rows that have one."""
+    bad = ~np.isfinite(x).all(axis=-1)
+    rows = np.flatnonzero(bad.any(axis=1))
+    return {int(i): int(k) for i, k in zip(rows, np.argmax(bad[rows], axis=1))}
 
 
 def integrate(coeffs: CoefficientSet, x0, path: GPath) -> SolutionPath:
@@ -322,52 +332,51 @@ def integrate(coeffs: CoefficientSet, x0, path: GPath) -> SolutionPath:
     Raises BlowUpError with the first non-finite step; for locally
     Lipschitz coefficients that usually means the truncation radius (or
     the schedule) is too small for this scenario."""
-    x = _euler(coeffs, x0, path.b[None], path.policy_trace[None], path.grid)[0]
-    bad = _first_bad_step(x)
-    if bad is not None:
-        raise BlowUpError(bad, path.path_index)
-    return SolutionPath(path.grid, x)
+    x = _euler(coeffs, x0, path.b[None], path.policy_trace[None], path.grid)
+    bad = _blowup_steps(x)
+    if bad:
+        raise BlowUpError(bad[0], path.path_index)
+    return SolutionPath(path.grid, x[0])
 
 
 def integrate_batch(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
     x = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
-    bad = [_first_bad_step(row) for row in x]
-    diag = {}
-    if any(s is not None for s in bad):
-        diag["blowup_steps"] = {i: s for i, s in enumerate(bad) if s is not None}
+    bad = _blowup_steps(x)
+    diag = {"blowup_steps": bad} if bad else {}
     return SolutionBatch(batch.grid, x, diagnostics=diag)
 
 
-def _check_prefix_consistency(x_prev, x_next, upto: int) -> None:
-    # same noise, clamp inactive on [0, exit step]: identical arithmetic
-    if not np.array_equal(x_prev[: upto + 1], x_next[: upto + 1]):
-        raise RuntimeError("localized solutions disagree before the exit time; "
-                           "this indicates a bug in the truncation clamp")
+def _settle(running_max: np.ndarray, radii: tuple):
+    """Exit steps per radius tried and each path's settling radius, read off
+    the running maxima of one pass at radii[-1] (see the module docstring).
+
+    Radii are tried in order up to the first one that no path reaches; a
+    path settles at the first radius it does not reach.  Raises
+    ExplosionSuspectedError when some path reaches every radius."""
+    exits = {}
+    for radius in radii:
+        exits[radius] = _exit_steps(running_max, radius)
+        if (exits[radius] < 0).all():
+            # exits are nested in r, so the count of radii left indexes N0
+            left = sum((e >= 0).astype(int) for e in exits.values())
+            return exits, np.asarray(list(exits))[left]
+    raise ExplosionSuspectedError({r: float(np.mean(e >= 0)) for r, e in exits.items()})
 
 
 def solve_localized(coeffs: CoefficientSet, x0, path: GPath,
                     schedule: TruncationSchedule = None) -> SolutionPath:
-    """Run truncated systems at increasing radii until none exits before T.
+    """Localized solution on one path: one Euler pass at the schedule's
+    largest radius, settled at the first radius the path never reaches.
 
-    Successive solutions are checked for exact agreement up to the smaller
-    radius' exit step.  Raises ExplosionSuspectedError with exit
-    diagnostics if every radius in the schedule is left."""
+    Raises BlowUpError if the kept trajectory turns non-finite, and
+    ExplosionSuspectedError with exit diagnostics if the path reaches
+    every radius in the schedule."""
     schedule = schedule or TruncationSchedule.doubling()
-    prev = None
-    prev_exit = None
-    records = {}
-    for radius in schedule.radii:
-        sol = integrate(truncate(coeffs, radius), x0, path)
-        exit_step = sol.exit_step(radius)
-        records[radius] = exit_step
-        if prev is not None:
-            _check_prefix_consistency(prev.x, sol.x, prev_exit)
-        if exit_step is None:
-            return SolutionPath(path.grid, sol.x, n0_used=radius, exit_steps=records,
-                                diagnostics={"radii_tried": list(records)})
-        prev, prev_exit = sol, exit_step
-    fractions = {r: (0.0 if s is None else 1.0) for r, s in records.items()}
-    raise ExplosionSuspectedError(fractions)
+    sol = integrate(truncate(coeffs, schedule.radii[-1]), x0, path)
+    exits, n0 = _settle(sol.running_max, schedule.radii)
+    records = {r: (None if e < 0 else int(e)) for r, e in exits.items()}
+    return SolutionPath(path.grid, sol.x, n0_used=float(n0), exit_steps=records,
+                        diagnostics={"radii_tried": list(records)})
 
 
 @dataclass
@@ -380,35 +389,19 @@ class LocalizationReport:
 
 def solve_localized_batch(coeffs: CoefficientSet, x0, batch: PathBatch,
                           schedule: TruncationSchedule = None) -> LocalizationReport:
-    """Batch localization with the same per-path semantics as solve_localized."""
+    """Batch localization with the same per-path semantics as
+    solve_localized: one Euler pass of the batch at the schedule's largest
+    radius, each path settled at the first radius it never reaches."""
     schedule = schedule or TruncationSchedule.doubling()
-    P = len(batch)
-    n0 = np.full(P, np.nan)
-    final = np.full((P, batch.grid.n_steps + 1, coeffs.n), np.nan)
-    fractions = {}
-    prev_x = None
-    prev_exits = None
-    radii_used = []
-    for radius in schedule.radii:
-        sol = integrate_batch(coeffs=truncate(coeffs, radius), x0=x0, batch=batch)
-        exits = sol.exit_steps(radius)
-        fractions[radius] = float(np.mean(exits >= 0))
-        radii_used.append(radius)
-        if prev_x is not None:
-            for i in np.nonzero(prev_exits >= 0)[0]:
-                _check_prefix_consistency(prev_x[i], sol.x[i], int(prev_exits[i]))
-        settled = (exits < 0) & np.isnan(n0)
-        n0[settled] = radius
-        final[settled] = sol.x[settled]
-        if not np.isnan(n0).any():
-            return LocalizationReport(
-                solution=SolutionBatch(batch.grid, final, n0_used=float(np.max(n0))),
-                exit_fractions=fractions,
-                n0_per_path=n0,
-                radii_used=radii_used,
-            )
-        prev_x, prev_exits = sol.x, exits
-    raise ExplosionSuspectedError(fractions)
+    sol = integrate_batch(truncate(coeffs, schedule.radii[-1]), x0, batch)
+    exits, n0 = _settle(sol.running_max, schedule.radii)
+    sol.n0_used = float(np.max(n0))
+    return LocalizationReport(
+        solution=sol,
+        exit_fractions={r: float(np.mean(e >= 0)) for r, e in exits.items()},
+        n0_per_path=n0,
+        radii_used=list(exits),
+    )
 
 
 def closed_form_geometric(alpha: float, beta: float, gamma: float, x0: float, path):
@@ -461,6 +454,7 @@ def initial_sensitivity(coeffs: CoefficientSet, x, y, unc, grid: TimeGrid,
         solx = integrate_batch(coeffs, x, batch)
         soly = integrate_batch(coeffs, y, batch)
         sup = np.max(np.linalg.norm(solx.x - soly.x, axis=-1), axis=1)
+        del batch, solx, soly  # release this policy's paths before the next assemble
         vals = sup**p
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / np.sqrt(n_paths))

@@ -398,6 +398,7 @@ def verify_moment_bound(spec: LyapunovSpec, coeffs: CoefficientSet, unc, x0, tim
         vals = spec.value(np.broadcast_to(tarr, states.shape[:2]), states)
         means.append(vals.mean(axis=0))
         ses.append(vals.std(axis=0, ddof=1) / np.sqrt(n_paths))
+        del batch, sol  # release this policy's paths before the next assemble
     means = np.asarray(means)
     ses = np.asarray(ses)
     best = np.argmax(means, axis=0)

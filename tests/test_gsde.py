@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcalc import (
     BlowUpError,
@@ -22,6 +23,7 @@ from gcalc import (
     threshold_bangbang,
     truncate,
 )
+from gcalc.gsde import SolutionBatch, SolutionPath, _euler
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -243,3 +245,242 @@ class TestConfig:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,x1"
         assert len(lines) == 18
+
+
+# ---------------------------------------------------------------------------
+# Localization: one pass at the largest radius against the per-radius loop
+# ---------------------------------------------------------------------------
+
+
+def _ref_first_bad_step(x):
+    ok = np.all(np.isfinite(x), axis=-1)
+    if ok.all():
+        return None
+    return int(np.argmax(~ok))
+
+
+def _ref_solve_localized(coeffs, x0, path, schedule=None):
+    """Reference: the per-radius loop that localization used to run, one
+    full Euler pass per radius until the path stops exiting, with the
+    integrate and exit-step code of that time inlined."""
+    schedule = schedule or TruncationSchedule.doubling()
+    records = {}
+    for radius in schedule.radii:
+        x = _euler(truncate(coeffs, radius), x0, path.b[None], path.policy_trace[None],
+                   path.grid)[0]
+        bad = _ref_first_bad_step(x)
+        if bad is not None:
+            raise BlowUpError(bad, path.path_index)
+        hit = np.maximum.accumulate(np.linalg.norm(x, axis=-1)) >= radius
+        exit_step = int(np.argmax(hit)) if hit.any() else None
+        records[radius] = exit_step
+        if exit_step is None:
+            return SolutionPath(path.grid, x, n0_used=radius, exit_steps=records,
+                                diagnostics={"radii_tried": list(records)})
+    fractions = {r: (0.0 if s is None else 1.0) for r, s in records.items()}
+    raise ExplosionSuspectedError(fractions)
+
+
+def _ref_solve_localized_batch(coeffs, x0, batch, schedule=None):
+    """Reference: the per-radius batch loop, keeping each path's states from
+    the first radius it does not exit."""
+    schedule = schedule or TruncationSchedule.doubling()
+    P = len(batch)
+    n0 = np.full(P, np.nan)
+    final = np.full((P, batch.grid.n_steps + 1, coeffs.n), np.nan)
+    fractions = {}
+    radii_used = []
+    for radius in schedule.radii:
+        x = _euler(truncate(coeffs, radius), x0, batch.b, batch.trace, batch.grid)
+        hit = np.maximum.accumulate(np.linalg.norm(x, axis=-1), axis=1) >= radius
+        exits = np.argmax(hit, axis=1)
+        exits[~hit.any(axis=1)] = -1
+        fractions[radius] = float(np.mean(exits >= 0))
+        radii_used.append(radius)
+        settled = (exits < 0) & np.isnan(n0)
+        n0[settled] = radius
+        final[settled] = x[settled]
+        if not np.isnan(n0).any():
+            return SolutionBatch(batch.grid, final, n0_used=float(np.max(n0))), fractions, n0, radii_used
+    raise ExplosionSuspectedError(fractions)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ExplosionSuspectedError as e:
+        return "explosion", e.exit_fractions
+    except BlowUpError as e:
+        return "blowup", e.step
+
+
+def sqrt_coeffs():
+    # x1 diffuses and its sqrt drift turns NaN once it goes negative
+    return coefficients(2, 1, ["sqrt(x1)", "0"], ["0", "-x2"], ["1", "0"], lipschitz_tag="local")
+
+
+SYSTEMS = {"duffing": duffing_coeffs, "sqrt": sqrt_coeffs}
+SCHEDULES = {
+    "doubling": None,
+    "custom": TruncationSchedule((1.5, 3.0, 6.0, 12.0, 24.0, 1000.0)),
+    "first_settles": TruncationSchedule((100.0,)),
+    "first_of_two_settles": TruncationSchedule((50.0, 100.0)),
+    "exhausts": TruncationSchedule((0.5, 1.0)),
+    "short": TruncationSchedule((1.0, 2.0, 3.0)),
+}
+X0 = st.tuples(st.floats(-11.0, 11.0), st.floats(-11.0, 11.0))
+LOC_GRID = TimeGrid(1.0, 200)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLocalizationEquivalence:
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @given(seed=st.integers(0, 2**63 - 1), n_paths=st.integers(1, 30), x0=X0)
+    @settings(max_examples=10, deadline=None)
+    def test_batch_matches_per_radius_loop(self, system, schedule, seed, n_paths, x0):
+        coeffs = SYSTEMS[system]()
+        sched = SCHEDULES[schedule]
+        batch = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed,
+                               n_paths=n_paths)
+        want = _outcome(_ref_solve_localized_batch, coeffs, list(x0), batch, sched)
+        got = _outcome(solve_localized_batch, coeffs, list(x0), batch, sched)
+        assert got[0] == want[0]
+        if want[0] == "explosion":
+            assert got[1] == want[1]
+            return
+        ref_sol, fractions, n0, radii_used = want[1]
+        rep = got[1]
+        assert _same_bits(rep.solution.x, ref_sol.x)
+        assert _same_bits(rep.n0_per_path, n0)
+        assert rep.exit_fractions == fractions
+        assert list(rep.exit_fractions) == list(fractions)
+        assert rep.radii_used == radii_used
+        assert rep.solution.n0_used == ref_sol.n0_used
+        assert _same_bits(rep.solution.running_max, ref_sol.running_max)
+        bad = {i: s for i, s in enumerate(map(_ref_first_bad_step, ref_sol.x)) if s is not None}
+        assert rep.solution.diagnostics.get("blowup_steps", {}) == bad
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @given(seed=st.integers(0, 2**63 - 1), index=st.integers(0, 1000), x0=X0)
+    @settings(max_examples=10, deadline=None)
+    def test_single_path_matches_per_radius_loop(self, system, schedule, seed, index, x0):
+        coeffs = SYSTEMS[system]()
+        sched = SCHEDULES[schedule]
+        path = simulate(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed, path_index=index)
+        want = _outcome(_ref_solve_localized, coeffs, list(x0), path, sched)
+        got = _outcome(solve_localized, coeffs, list(x0), path, sched)
+        if want[0] == "blowup" and got != want:
+            # the loop also checked the clamped continuation of a radius the
+            # path had already left; the single pass checks only the kept
+            # trajectory, so the loop's blow-up must lie after the first exit
+            radii = (sched or TruncationSchedule.doubling()).radii
+            single = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed,
+                                    n_paths=1, first_index=index)
+            first_exit = integrate_batch(truncate(coeffs, radii[-1]), list(x0),
+                                         single).exit_steps(radii[0])[0]
+            assert 0 <= first_exit < want[1]
+            return
+        assert got[0] == want[0]
+        if want[0] != "ok":
+            assert got[1] == want[1]
+            return
+        ref, sol = want[1], got[1]
+        assert _same_bits(sol.x, ref.x)
+        assert sol.n0_used == ref.n0_used
+        assert sol.diagnostics == ref.diagnostics
+        tried = ref.diagnostics["radii_tried"]
+        assert sol.exit_step_per_radius(tried) == ref.exit_step_per_radius(tried)
+
+    def test_cli_start_outside_first_radii(self):
+        # the oscillator from norm 10 leaves radii 2, 4 and 8 at step 0
+        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 1000), seed=1)
+        ref = _ref_solve_localized(duffing_coeffs(), [0.0, 10.0], path)
+        sol = solve_localized(duffing_coeffs(), [0.0, 10.0], path)
+        assert sol.exit_step_per_radius((2.0, 4.0, 8.0)) == {2.0: 0, 4.0: 0, 8.0: 0}
+        assert sol.n0_used == ref.n0_used == 16.0
+        assert sol.diagnostics == ref.diagnostics == {"radii_tried": [2.0, 4.0, 8.0, 16.0]}
+        assert _same_bits(sol.x, ref.x)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    @given(seed=st.integers(0, 2**63 - 1), x0=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)))
+    @settings(max_examples=10, deadline=None)
+    def test_prefix_agreement_at_every_radius_tried(self, system, seed, x0):
+        # one truncated pass per radius agrees bitwise with the localized
+        # solution up to and including its exit step, and over the whole
+        # grid for the paths that settle at that radius
+        coeffs = SYSTEMS[system]()
+        batch = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed,
+                               n_paths=20)
+        rep = solve_localized_batch(coeffs, list(x0), batch)
+        for radius in rep.radii_used:
+            sol = integrate_batch(truncate(coeffs, radius), list(x0), batch)
+            exits = sol.exit_steps(radius)
+            assert np.array_equal(exits, rep.solution.exit_steps(radius))
+            for i in range(len(batch)):
+                upto = exits[i] if exits[i] >= 0 else LOC_GRID.n_steps
+                assert _same_bits(sol.x[i, : upto + 1], rep.solution.x[i, : upto + 1])
+                if rep.n0_per_path[i] == radius:
+                    assert exits[i] < 0
+
+    def test_continuation_blowup_after_exit_no_longer_raises(self):
+        # x2's drift is 0 * sqrt(y2 - 0.9): zero along the unclamped path
+        # (x2 stays 1), NaN once the radius-2 clamp pulls y2 below 0.9 after
+        # x1 has carried |X| past 2; radius 8 is never reached
+        c = coefficients(2, 1, ["1", "0*sqrt(x2 - 0.9)"], ["0", "0"], ["0", "0"],
+                         lipschitz_tag="local")
+        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=0)
+        sched = TruncationSchedule((2.0, 4.0, 8.0))
+        with pytest.raises(BlowUpError) as ref:
+            _ref_solve_localized(c, [0.0, 1.0], path, sched)
+        sol = solve_localized(c, [0.0, 1.0], path, sched)
+        assert 0 < sol.exit_step(2.0) < ref.value.step
+        assert sol.n0_used == 8.0
+        assert np.all(np.isfinite(sol.x))
+        assert np.array_equal(sol.x[:, 1], np.ones(501))
+
+    def test_blowup_before_exit_raises_at_same_step(self):
+        # x2 turns NaN once x1 > 1.5, before |X| reaches the first radius
+        c = coefficients(2, 1, ["1", "0*sqrt(1.5 - x1)"], ["0", "0"], ["0", "0"],
+                         lipschitz_tag="local")
+        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=0)
+        sched = TruncationSchedule((2.0, 4.0, 8.0))
+        with pytest.raises(BlowUpError) as ref:
+            _ref_solve_localized(c, [0.0, 0.0], path, sched)
+        with pytest.raises(BlowUpError) as got:
+            solve_localized(c, [0.0, 0.0], path, sched)
+        assert got.value.step == ref.value.step > 0
+
+
+class TestBlowupDetection:
+    def test_one_nonfinite_row_reports_reference_step(self):
+        # x1's drift is 0 * sqrt(x2 - t): NaN once t passes the row's x2
+        c = coefficients(2, 1, ["0*sqrt(x2 - t)", "0"], ["0", "0"], ["0", "0"])
+        batch = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 100),
+                               seed=0, n_paths=4)
+        x0 = np.array([[0.0, 10.0], [0.0, 10.0], [0.0, 0.375], [0.0, 10.0]])
+        sol = integrate_batch(c, x0, batch)
+        bad = {i: s for i, s in enumerate(map(_ref_first_bad_step, sol.x)) if s is not None}
+        assert list(bad) == [2]
+        assert sol.diagnostics["blowup_steps"] == bad
+        assert all(type(k) is int and type(v) is int
+                   for k, v in sol.diagnostics["blowup_steps"].items())
+
+    def test_finite_batch_has_no_blowup_entry(self):
+        batch = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 50),
+                               seed=1, n_paths=5)
+        assert integrate_batch(geometric_coeffs(), [1.0], batch).diagnostics == {}
+
+    def test_single_path_raises_at_reference_step(self):
+        c = coefficients(1, 1, ["x1^3"], ["0"], ["0"])
+        batch = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500),
+                               seed=4, n_paths=1)
+        with np.errstate(all="ignore"):
+            x = integrate_batch(c, [2.0], batch).x[0]
+        with pytest.raises(BlowUpError) as exc:
+            integrate(c, [2.0], batch.path(0))
+        assert exc.value.step == _ref_first_bad_step(x) > 0
