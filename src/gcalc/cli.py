@@ -124,7 +124,7 @@ def _policy(cfg, unc, pointer="/policy"):
     raise UsageError(f"unknown policy kind at {pointer}/kind: {kind!r}")
 
 
-def _family(cfg, pointer="/family") -> PolicyFamily:
+def _family(cfg, unc, pointer="/family") -> PolicyFamily:
     spec = _fetch(cfg, pointer, dict)
     kind = _fetch(spec, "/kind", str)
     if kind == "extreme_constants":
@@ -132,6 +132,8 @@ def _family(cfg, pointer="/family") -> PolicyFamily:
     if kind == "constants_only":
         return PolicyFamily.constants_only(int(spec.get("n", 5)))
     if kind == "bangbang_threshold":
+        if not isinstance(unc, SigmaBand):
+            raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
         return PolicyFamily.bangbang_threshold(_fetch(spec, "/thresholds", list))
     raise UsageError(f"unknown family kind at {pointer}/kind: {kind!r}")
 
@@ -188,15 +190,9 @@ def cmd_simulate(args, cfg, comments):
     policy = _policy(cfg, unc)
     n_paths = int(cfg.get("n_paths", 1))
     batch = simulate_batch(policy, unc, grid, args.seed, n_paths)
-    d = batch.d
-    header = (["path", "t"] + [f"b_{i + 1}" for i in range(d)]
-              + [f"qvar_{i + 1}{j + 1}" for i in range(d) for j in range(d)] + ["policy_choice"])
-    rows = []
-    for p in range(n_paths):
-        gp = batch.path(p)
-        choices = np.append(gp.choices, np.nan)
-        for k in range(grid.n_steps + 1):
-            rows.append((p, gp.t[k], *gp.b[k], *gp.qvar[k].ravel(), choices[k]))
+    header, table = batch.table()
+    header = ["path"] + header
+    rows = [(p, *row) for p, block in enumerate(table.tolist()) for row in block]
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
     return 0
 
@@ -204,7 +200,7 @@ def cmd_simulate(args, cfg, comments):
 def cmd_upper(args, cfg, comments):
     unc = _uncertainty(cfg)
     grid = _time_grid(cfg)
-    family = _family(cfg)
+    family = _family(cfg, unc)
     n_paths = _fetch(cfg, "/n_paths", int)
     d = 1 if isinstance(unc, SigmaBand) else unc.dim
     payoff_src = _fetch(cfg, "/payoff", str)
@@ -267,7 +263,7 @@ def cmd_gsde(args, cfg, comments):
     else:
         sol = gsde_mod.integrate(coeffs, x0, path)
     header = ["t"] + expr_mod.state_variables(coeffs.n)
-    rows = [(sol.t[k], *sol.x[k]) for k in range(grid.n_steps + 1)]
+    rows = [(t, *x) for t, x in zip(sol.t, sol.x)]
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
     return 0
 
@@ -352,10 +348,15 @@ def cmd_linstab(args, cfg, comments):
 def cmd_experiment(args, cfg, comments):
     kind = _fetch(cfg, "/kind", str)
     unc = _uncertainty(cfg)
-    family = _family(cfg)
+    family = _family(cfg, unc)
     if kind == "bt_over_t":
-        result = exp_mod.bt_over_t(unc, family, _fetch(cfg, "/t_values", list),
-                                   _fetch(cfg, "/n_paths", int), args.seed)
+        if not isinstance(unc, SigmaBand):
+            raise UsageError("/dim: the |B_t|/t table is defined for d = 1 bands")
+        try:
+            result = exp_mod.bt_over_t(unc, family, _fetch(cfg, "/t_values", list),
+                                       _fetch(cfg, "/n_paths", int), args.seed)
+        except exp_mod.ConfigError as e:
+            raise UsageError(f"/t_values: {e}")
     elif kind in ("moment_decay", "lyapunov_exponent"):
         m = _fetch(cfg, "/model", dict)
         model = exp_mod.GeometricModel(_fetch(m, "/alpha", float), _fetch(m, "/beta", float),

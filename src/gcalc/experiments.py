@@ -15,15 +15,29 @@ import numpy as np
 
 from .gsde import CoefficientSet, closed_form_geometric, integrate_batch
 from .runio import config_hash, standard_comments, write_table
-from .scenario import TimeGrid, assemble, batch_noise
+# assemble and batch_noise are not called here: perfbench/layers.py
+# patches them in this namespace
+from .scenario import TimeGrid, assemble, batch_noise  # noqa: F401
 from .uncertainty import CovarianceSet, SigmaBand
-from .upper_expectation import PolicyFamily
+from .upper_expectation import PolicyFamily, bound_rows, evaluate_family
 
 LOG_FLOOR = 1e-300
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _family_config(family: PolicyFamily) -> dict:
+    """The family's kind with the parameters that choose its policies."""
+    out = {"kind": family.kind}
+    if family.kind == "constants_only":
+        out["n_constants"] = family.n_constants
+    elif family.kind == "bangbang_threshold":
+        out["thresholds"] = list(family.thresholds)
+    elif family.kind == "custom":
+        out["policies"] = [p.describe() for p in family.custom_policies]
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,28 +115,25 @@ class ExperimentConfig:
                     else {"dim": self.unc.dim, "members": [m.tolist() for m in self.unc.members]})
         return {
             "system": sys_desc, "unc": unc_desc, "p": self.p, "T": self.T, "dt": self.dt,
-            "family": self.family.kind, "n_paths": self.n_paths, "seed": self.seed,
+            "family": _family_config(self.family), "n_paths": self.n_paths, "seed": self.seed,
             "lam": self.lam, "times": list(self.times), "slack": self.slack,
         }
 
 
-def _terminal_states(cfg: ExperimentConfig, grid: TimeGrid):
-    """Per policy: solution array (P, K+1) of |X| along the grid."""
-    policies = cfg.family.policies(cfg.unc)
-    d = 1 if isinstance(cfg.unc, SigmaBand) else cfg.unc.dim
-    noise = batch_noise(cfg.seed, 0, cfg.n_paths, grid.n_steps, d)
-    for policy in policies:
-        batch = assemble(policy, cfg.unc, grid, noise, seed=cfg.seed)
+def _terminal_states(cfg: ExperimentConfig, grid: TimeGrid, take):
+    """Policies and, per policy, take(|X|) for the (P, K+1) array of state
+    norms along the grid."""
+
+    def taken(batch):
         if isinstance(cfg.system, GeometricModel):
             m = cfg.system
             sol = closed_form_geometric(m.alpha, m.beta, m.gamma, m.x0, batch)
         else:
             coeffs, x0 = cfg.system
             sol = integrate_batch(coeffs, x0, batch)
-        norms = np.linalg.norm(sol.x, axis=-1)
-        # release this policy's paths before the consumer asks for the next
-        del batch, sol
-        yield policy, norms
+        return take(np.linalg.norm(sol.x, axis=-1))
+
+    return evaluate_family(taken, cfg.family, cfg.unc, grid, cfg.n_paths, cfg.seed)
 
 
 @dataclass
@@ -151,24 +162,11 @@ def moment_decay_curve(cfg: ExperimentConfig) -> ExperimentResult:
     indices = [grid.index_of(t) for t in times]
     c0 = cfg.x0_norm() ** cfg.p
 
-    means, ses = [], []
-    for _, norms in _terminal_states(cfg, grid):
-        vals = norms[:, indices] ** cfg.p
-        means.append(vals.mean(axis=0))
-        ses.append(vals.std(axis=0, ddof=1) / np.sqrt(cfg.n_paths))
-    means = np.asarray(means)
-    ses = np.asarray(ses)
-    best = np.argmax(means, axis=0)
-
-    rows = []
-    passed = True
-    for j, t in enumerate(times):
-        est = float(means[best[j], j])
-        se = float(ses[best[j], j])
-        bound = c0 * float(np.exp(-lam * t))
-        ok = est <= bound * (1.0 + cfg.slack) + 3.0 * se
-        passed &= ok
-        rows.append((t, est, se, bound, ok))
+    # the index list gives a column-major copy; the axis-0 sums of bound_rows
+    # run in that layout's order
+    _, vals = _terminal_states(cfg, grid, lambda norms: norms[:, indices] ** cfg.p)
+    bounds = [c0 * float(np.exp(-lam * t)) for t in times]
+    rows, passed = bound_rows(times, vals, bounds, cfg.slack)
     return ExperimentResult(
         "moment_decay", ["t", "estimate", "std_error", "bound", "ok"], rows, passed,
         config_hash(cfg.config_dict()), cfg.seed, details={"lambda": lam, "p": cfg.p},
@@ -190,8 +188,7 @@ def lyapunov_exponent(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     exponents = []
     floored = 0
-    for policy, norms in _terminal_states(cfg, grid):
-        xt = norms[:, -1]
+    for policy, xt in zip(*_terminal_states(cfg, grid, lambda norms: norms[:, -1].copy())):
         floored += int(np.sum(xt < LOG_FLOOR))
         expo = np.log(np.maximum(xt, LOG_FLOOR)) / cfg.T
         exponents.append(expo)
@@ -222,12 +219,8 @@ def bt_over_t(unc, family: PolicyFamily, t_values, n_paths: int, seed: int,
     highs = []
     for T in t_values:
         grid = TimeGrid(T, max(1, int(round(T * steps_per_unit))))
-        noise = batch_noise(seed, 0, n_paths, grid.n_steps, 1)
-        ratios = []
-        for policy in family.policies(unc):
-            batch = assemble(policy, unc, grid, noise, seed=seed)
-            ratios.append(np.abs(batch.b[:, -1, 0]) / T)
-            del batch  # release this policy's paths before the next assemble
+        _, ratios = evaluate_family(lambda batch: np.abs(batch.b[:, -1, 0]) / T,
+                                    family, unc, grid, n_paths, seed)
         ratios = np.concatenate(ratios)
         med = float(np.median(ratios))
         hi = float(np.quantile(ratios, quantile))
@@ -235,7 +228,7 @@ def bt_over_t(unc, family: PolicyFamily, t_values, n_paths: int, seed: int,
         rows.append((T, med, hi))
     threshold = 0.2 * unc.sigma_hi
     passed = all(b < a for a, b in zip(highs, highs[1:])) and highs[-1] <= threshold
-    cfg = {"t_values": t_values, "n_paths": n_paths, "family": family.kind,
+    cfg = {"t_values": t_values, "n_paths": n_paths, "family": _family_config(family),
            "band": [unc.sigma2_lo, unc.sigma2_hi], "quantile": quantile}
     return ExperimentResult(
         "bt_over_t", ["T", "median", f"q{int(quantile * 100)}"], rows, passed,

@@ -351,38 +351,6 @@ def parse(source: str, variables, constants=None) -> Expression:
     return Expression(root, variables)
 
 
-def differentiate_fd(e: Expression, var: str, point, h: float) -> float:
-    """Central difference (e(p+h) - e(p-h)) / (2h) in the given variable."""
-    hi = dict(point)
-    lo = dict(point)
-    hi[var] = np.asarray(point[var], dtype=float) + h
-    lo[var] = np.asarray(point[var], dtype=float) - h
-    val = (e.eval(hi) - e.eval(lo)) / (2.0 * h)
-    if np.ndim(val) == 0 and not np.isfinite(val):
-        raise ExprError(f"non-finite derivative of {e.to_source()!r} w.r.t. {var}")
-    return float(val) if np.ndim(val) == 0 else val
-
-
-def second_difference_fd(e: Expression, var1: str, var2: str, point, h: float):
-    """Second derivative by 3-point (diagonal) or 4-point (mixed) stencil."""
-    p = {k: np.asarray(v, dtype=float) for k, v in point.items()}
-    if var1 == var2:
-        hi = dict(p)
-        lo = dict(p)
-        hi[var1] = p[var1] + h
-        lo[var1] = p[var1] - h
-        val = (e.eval(hi) - 2.0 * e.eval(p) + e.eval(lo)) / (h * h)
-    else:
-        vals = 0.0
-        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            q = dict(p)
-            q[var1] = p[var1] + s1 * h
-            q[var2] = p[var2] + s2 * h
-            vals = vals + s1 * s2 * e.eval(q)
-        val = vals / (4.0 * h * h)
-    return float(val) if np.ndim(val) == 0 else val
-
-
 def differentiate_symbolic(e: Expression, var: str) -> Expression:
     """Symbolic derivative for the polynomial fragment (+, -, *, ^ with
     integer-constant exponents, unary minus, constants, variables)."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .runio import write_table
 from .uncertainty import SigmaBand, g_scalar
 
 
@@ -112,9 +113,7 @@ class GHeatSolution:
         return float(np.interp(xq, self.x, self.u))
 
     def to_csv(self, target) -> None:
-        from .scenario import _write_csv
-
-        _write_csv(target, ["x", "u"], np.column_stack([self.x, self.u]))
+        write_table(target, ["x", "u"], np.column_stack([self.x, self.u]))
 
 
 def _step(v: np.ndarray, band: SigmaBand, dt: float, dx: float) -> None:

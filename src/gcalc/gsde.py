@@ -15,15 +15,19 @@ with dt.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import expr as expr_mod
-from .scenario import GPath, PathBatch, TimeGrid, batch_noise, _write_csv
+from .runio import write_table
+from .scenario import GPath, PathBatch, TimeGrid
 from .uncertainty import SigmaBand
+from .upper_expectation import _mean_se, evaluate_family
 
 
 class BlowUpError(RuntimeError):
@@ -82,10 +86,12 @@ class CoefficientSet:
         return ("t",) + tuple(expr_mod.state_variables(self.n))
 
     def _env(self, t, x):
+        """Bindings of t and the clamped state, and the state's leading shape."""
+        x = self._clamp(np.asarray(x, dtype=float))
         env = {"t": t}
         for i in range(self.n):
             env[f"x{i + 1}"] = x[..., i]
-        return env
+        return env, x.shape[:-1]
 
     def _clamp(self, x):
         if self.radius is None:
@@ -96,36 +102,32 @@ class CoefficientSet:
         return x * scale
 
     def eval_f(self, t, x):
-        x = self._clamp(np.asarray(x, dtype=float))
-        env = self._env(t, x)
-        shape = x.shape[:-1]
-        out = np.empty(shape + (self.n,))
-        for i, e in enumerate(self.f):
-            out[..., i] = np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
-        return out
+        return _fill(self.f, (self.n,), *self._env(t, x))
 
     def eval_h(self, t, x):
-        x = self._clamp(np.asarray(x, dtype=float))
-        env = self._env(t, x)
-        shape = x.shape[:-1]
-        out = np.empty(shape + (self.n, self.d, self.d))
-        for nu in range(self.n):
-            for i in range(self.d):
-                for j in range(self.d):
-                    val = np.asarray(self.h[nu][i][j].eval(env), dtype=float)
-                    out[..., nu, i, j] = np.broadcast_to(val, shape)
-        return out
+        return _fill(self.h, (self.n, self.d, self.d), *self._env(t, x))
 
     def eval_g(self, t, x):
-        x = self._clamp(np.asarray(x, dtype=float))
-        env = self._env(t, x)
-        shape = x.shape[:-1]
-        out = np.empty(shape + (self.n, self.d))
-        for nu in range(self.n):
-            for j in range(self.d):
-                val = np.asarray(self.g[nu][j].eval(env), dtype=float)
-                out[..., nu, j] = np.broadcast_to(val, shape)
-        return out
+        return _fill(self.g, (self.n, self.d), *self._env(t, x))
+
+    def _eval_fhg(self, t, x):
+        """f, h and g from one clamp of the state: an Euler step's inputs."""
+        env, shape = self._env(t, x)
+        return (_fill(self.f, (self.n,), env, shape),
+                _fill(self.h, (self.n, self.d, self.d), env, shape),
+                _fill(self.g, (self.n, self.d), env, shape))
+
+
+def _fill(exprs, dims, env, shape):
+    """Evaluate nested tuples of expressions, indexed by dims, into an array
+    of shape + dims."""
+    out = np.empty(shape + dims)
+    for idx in itertools.product(*map(range, dims)):
+        e = exprs
+        for i in idx:
+            e = e[i]
+        out[(..., *idx)] = np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
+    return out
 
 
 def coefficients(n: int, d: int, f, h, g, constants=None, lipschitz_tag="global") -> CoefficientSet:
@@ -231,17 +233,55 @@ def _exit_steps(running_max: np.ndarray, radius: float) -> np.ndarray:
     return np.where(hit.any(axis=-1), np.argmax(hit, axis=-1), -1)
 
 
-class SolutionPath:
-    """States on the driving path's grid, with exit-time bookkeeping."""
-
-    def __init__(self, grid: TimeGrid, x: np.ndarray, n0_used=None, exit_steps=None, diagnostics=None):
+class SolutionBatch:
+    def __init__(self, grid: TimeGrid, x: np.ndarray, n0_used=None, diagnostics=None):
         self.grid = grid
-        self.x = x  # (K+1, n)
-        self.norms = np.linalg.norm(x, axis=-1)
-        self.running_max = np.maximum.accumulate(self.norms)
+        self.x = x  # (P, K+1, n)
         self.n0_used = n0_used
-        self._exit_steps = dict(exit_steps or {})
         self.diagnostics = dict(diagnostics or {})
+
+    def __len__(self):
+        return self.x.shape[0]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.grid.t
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.x, axis=-1)
+
+    @cached_property
+    def running_max(self) -> np.ndarray:
+        return np.maximum.accumulate(self.norms, axis=1)
+
+    def exit_steps(self, radius: float) -> np.ndarray:
+        """Per-path first step with |X| >= radius; -1 where no exit."""
+        return _exit_steps(self.running_max, radius)
+
+    def path(self, i: int) -> SolutionPath:
+        i = range(len(self))[i]
+        return SolutionPath(SolutionBatch(self.grid, self.x[i:i + 1], n0_used=self.n0_used))
+
+
+class SolutionPath:
+    """States on the driving path's grid, with exit-time bookkeeping: row 0
+    of a one-path SolutionBatch, seen without its path axis."""
+
+    def __init__(self, batch: SolutionBatch):
+        if len(batch) != 1:
+            raise ValueError("a SolutionPath views a one-path batch")
+        self.batch = batch
+        self.grid, self.n0_used, self.diagnostics = batch.grid, batch.n0_used, batch.diagnostics
+        self.x = batch.x[0]  # (K+1, n)
+
+    @property
+    def norms(self) -> np.ndarray:
+        return self.batch.norms[0]
+
+    @property
+    def running_max(self) -> np.ndarray:
+        return self.batch.running_max[0]
 
     @property
     def n(self) -> int:
@@ -253,43 +293,15 @@ class SolutionPath:
 
     def exit_step(self, radius: float):
         """First grid step with |X_k| >= radius, or None."""
-        if radius in self._exit_steps:
-            return self._exit_steps[radius]
-        step = int(_exit_steps(self.running_max, radius))
-        step = None if step < 0 else step
-        self._exit_steps[radius] = step
-        return step
+        step = int(self.batch.exit_steps(radius)[0])
+        return None if step < 0 else step
 
     def exit_step_per_radius(self, radii) -> dict:
         return {float(r): self.exit_step(float(r)) for r in radii}
 
     def to_csv(self, target) -> None:
         header = ["t"] + expr_mod.state_variables(self.n)
-        _write_csv(target, header, np.column_stack([self.t, self.x]))
-
-
-class SolutionBatch:
-    def __init__(self, grid: TimeGrid, x: np.ndarray, n0_used=None, diagnostics=None):
-        self.grid = grid
-        self.x = x  # (P, K+1, n)
-        self.norms = np.linalg.norm(x, axis=-1)
-        self.running_max = np.maximum.accumulate(self.norms, axis=1)
-        self.n0_used = n0_used
-        self.diagnostics = dict(diagnostics or {})
-
-    def __len__(self):
-        return self.x.shape[0]
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.grid.t
-
-    def exit_steps(self, radius: float) -> np.ndarray:
-        """Per-path first step with |X| >= radius; -1 where no exit."""
-        return _exit_steps(self.running_max, radius)
-
-    def path(self, i: int) -> SolutionPath:
-        return SolutionPath(self.grid, self.x[i], n0_used=self.n0_used)
+        write_table(target, header, np.column_stack([self.t, self.x]))
 
 
 def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid) -> np.ndarray:
@@ -307,9 +319,7 @@ def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid) -> np.ndarray:
     t = grid.t
     for k in range(K):
         xk = x[:, k, :]
-        fv = coeffs.eval_f(t[k], xk)
-        hv = coeffs.eval_h(t[k], xk)
-        gv = coeffs.eval_g(t[k], xk)
+        fv, hv, gv = coeffs._eval_fhg(t[k], xk)
         x[:, k + 1, :] = (
             xk
             + fv * dt
@@ -327,16 +337,13 @@ def _blowup_steps(x: np.ndarray) -> dict:
 
 
 def integrate(coeffs: CoefficientSet, x0, path: GPath) -> SolutionPath:
-    """Euler step along one simulated path (left-endpoint sums).
+    """Euler step along one simulated path (left-endpoint sums): the batch
+    integration of the path's one-path batch.
 
     Raises BlowUpError with the first non-finite step; for locally
     Lipschitz coefficients that usually means the truncation radius (or
     the schedule) is too small for this scenario."""
-    x = _euler(coeffs, x0, path.b[None], path.policy_trace[None], path.grid)
-    bad = _blowup_steps(x)
-    if bad:
-        raise BlowUpError(bad[0], path.path_index)
-    return SolutionPath(path.grid, x[0])
+    return _one_path(integrate_batch(coeffs, x0, path.batch), path)
 
 
 def integrate_batch(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
@@ -363,20 +370,26 @@ def _settle(running_max: np.ndarray, radii: tuple):
     raise ExplosionSuspectedError({r: float(np.mean(e >= 0)) for r, e in exits.items()})
 
 
+def _one_path(sol: SolutionBatch, path: GPath) -> SolutionPath:
+    """The single-path view of a one-path solution; a non-finite state
+    raises BlowUpError naming its step and the path index."""
+    bad = sol.diagnostics.get("blowup_steps")
+    if bad:
+        raise BlowUpError(bad[0], path.path_index)
+    return SolutionPath(sol)
+
+
 def solve_localized(coeffs: CoefficientSet, x0, path: GPath,
                     schedule: TruncationSchedule = None) -> SolutionPath:
-    """Localized solution on one path: one Euler pass at the schedule's
-    largest radius, settled at the first radius the path never reaches.
+    """Localized solution on one path: solve_localized_batch on the path's
+    one-path batch.
 
-    Raises BlowUpError if the kept trajectory turns non-finite, and
-    ExplosionSuspectedError with exit diagnostics if the path reaches
-    every radius in the schedule."""
-    schedule = schedule or TruncationSchedule.doubling()
-    sol = integrate(truncate(coeffs, schedule.radii[-1]), x0, path)
-    exits, n0 = _settle(sol.running_max, schedule.radii)
-    records = {r: (None if e < 0 else int(e)) for r, e in exits.items()}
-    return SolutionPath(path.grid, sol.x, n0_used=float(n0), exit_steps=records,
-                        diagnostics={"radii_tried": list(records)})
+    Raises ExplosionSuspectedError with exit diagnostics if the path
+    reaches every radius in the schedule, and otherwise BlowUpError if the
+    kept trajectory turns non-finite."""
+    rep = solve_localized_batch(coeffs, x0, path.batch, schedule)
+    rep.solution.diagnostics["radii_tried"] = rep.radii_used
+    return _one_path(rep.solution, path)
 
 
 @dataclass
@@ -406,18 +419,14 @@ def solve_localized_batch(coeffs: CoefficientSet, x0, batch: PathBatch,
 
 def closed_form_geometric(alpha: float, beta: float, gamma: float, x0: float, path):
     """x0 * exp(alpha t + (beta - gamma^2/2) <B>_t + gamma B_t) on the grid
-    (n = d = 1)."""
-    if isinstance(path, PathBatch):
-        if path.d != 1:
-            raise ValueError("closed form needs d = 1")
-        t = path.t
-        expo = alpha * t + (beta - 0.5 * gamma * gamma) * path.qv_scalar() + gamma * path.b[:, :, 0]
-        return SolutionBatch(path.grid, (x0 * np.exp(expo))[..., None])
+    (n = d = 1), for a PathBatch or a GPath."""
+    if isinstance(path, GPath):
+        return SolutionPath(closed_form_geometric(alpha, beta, gamma, x0, path.batch))
     if path.d != 1:
         raise ValueError("closed form needs d = 1")
     t = path.t
-    expo = alpha * t + (beta - 0.5 * gamma * gamma) * path.qv_scalar() + gamma * path.b[:, 0]
-    return SolutionPath(path.grid, (x0 * np.exp(expo))[:, None])
+    expo = alpha * t + (beta - 0.5 * gamma * gamma) * path.qv_scalar() + gamma * path.b[:, :, 0]
+    return SolutionBatch(path.grid, (x0 * np.exp(expo))[..., None])
 
 
 @dataclass
@@ -437,29 +446,18 @@ def initial_sensitivity(coeffs: CoefficientSet, x, y, unc, grid: TimeGrid,
     when x == y."""
     if coeffs.lipschitz_tag != "global":
         raise ValueError("initial sensitivity is defined for globally Lipschitz coefficients")
-    from .upper_expectation import PolicyFamily
-
     x = np.asarray(x, dtype=float).reshape(coeffs.n)
     y = np.asarray(y, dtype=float).reshape(coeffs.n)
     denom = float(np.linalg.norm(x - y) ** p)
-    policies = family.policies(unc) if isinstance(family, PolicyFamily) else list(family)
-    d = 1 if isinstance(unc, SigmaBand) else unc.dim
-    noise = batch_noise(seed, 0, n_paths, grid.n_steps, d)
-    table = []
-    best = -np.inf
-    from .scenario import assemble
 
-    for policy in policies:
-        batch = assemble(policy, unc, grid, noise, seed=seed)
+    def sup_gap(batch):
         solx = integrate_batch(coeffs, x, batch)
         soly = integrate_batch(coeffs, y, batch)
-        sup = np.max(np.linalg.norm(solx.x - soly.x, axis=-1), axis=1)
-        del batch, solx, soly  # release this policy's paths before the next assemble
-        vals = sup**p
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
-        table.append((policy.describe(), mean, se))
-        best = max(best, mean)
+        return np.max(np.linalg.norm(solx.x - soly.x, axis=-1), axis=1) ** p
+
+    policies, gaps = evaluate_family(sup_gap, family, unc, grid, n_paths, seed)
+    table = [(policy.describe(), *_mean_se(vals)) for policy, vals in zip(policies, gaps)]
+    best = max([-np.inf] + [mean for _, mean, _ in table])
     if denom == 0.0:
         return SensitivityReport(0.0, 0.0, 0.0, p, table)
     return SensitivityReport(best / denom, best, denom, p, table)

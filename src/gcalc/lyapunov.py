@@ -19,8 +19,9 @@ import numpy as np
 
 from . import expr as expr_mod
 from .gsde import CoefficientSet, integrate_batch
-from .scenario import TimeGrid, assemble, batch_noise
+from .scenario import TimeGrid
 from .uncertainty import SigmaBand, g_matrix, g_scalar
+from .upper_expectation import bound_rows, evaluate_family
 
 
 class RegionError(ValueError):
@@ -368,8 +369,6 @@ def verify_moment_bound(spec: LyapunovSpec, coeffs: CoefficientSet, unc, x0, tim
                         slack: float = 0.05) -> MomentBoundReport:
     """Simulate the system under every policy in the family and check
     max-policy mean of V(t, X_t) <= exp(c_ly t) V(0, x0) (1 + slack) + 3 se."""
-    from .upper_expectation import PolicyFamily
-
     times = sorted(float(t) for t in times)
     if not times or times[0] < 0:
         raise ValueError("times must be nonnegative")
@@ -378,38 +377,22 @@ def verify_moment_bound(spec: LyapunovSpec, coeffs: CoefficientSet, unc, x0, tim
     indices = [grid.index_of(t) for t in times]
     x0 = np.asarray(x0, dtype=float).reshape(coeffs.n)
     v0 = float(spec.value(0.0, x0[None])[0])
+    tarr = np.asarray(times)[None, :]
 
-    policies = family.policies(unc) if isinstance(family, PolicyFamily) else list(family)
-    d = 1 if isinstance(unc, SigmaBand) else unc.dim
-    noise = batch_noise(seed, 0, n_paths, grid.n_steps, d)
-    means = []
-    ses = []
-    excursion = None
-    for policy in policies:
-        batch = assemble(policy, unc, grid, noise, seed=seed)
+    def sample(batch):
+        """V at the reported times, and the largest |X| if X leaves the region."""
         sol = integrate_batch(coeffs, x0, batch)
-        if region is not None:
-            inside = region.contains(sol.x)
-            if not inside.all():
-                worst = float(np.max(sol.norms))
-                excursion = {"policy": policy.describe(), "max_norm": worst}
+        left = region is not None and not region.contains(sol.x).all()
         states = sol.x[:, indices, :]  # (P, m, n)
-        tarr = np.asarray(times)[None, :]
         vals = spec.value(np.broadcast_to(tarr, states.shape[:2]), states)
-        means.append(vals.mean(axis=0))
-        ses.append(vals.std(axis=0, ddof=1) / np.sqrt(n_paths))
-        del batch, sol  # release this policy's paths before the next assemble
-    means = np.asarray(means)
-    ses = np.asarray(ses)
-    best = np.argmax(means, axis=0)
-    rows = []
-    all_ok = True
-    for j, t in enumerate(times):
-        est = float(means[best[j], j])
-        se = float(ses[best[j], j])
-        bound = float(np.exp(c_ly * t) * v0)
-        ok = est <= bound * (1.0 + slack) + 3.0 * se
-        all_ok &= ok
-        rows.append((t, est, se, bound, ok))
+        return vals, (float(np.max(sol.norms)) if left else None)
+
+    policies, samples = evaluate_family(sample, family, unc, grid, n_paths, seed)
+    excursion = None
+    for policy, (_, worst) in zip(policies, samples):
+        if worst is not None:
+            excursion = {"policy": policy.describe(), "max_norm": worst}
+    bounds = [float(np.exp(c_ly * t) * v0) for t in times]
+    rows, all_ok = bound_rows(times, [vals for vals, _ in samples], bounds, slack)
     return MomentBoundReport(rows, all_ok and excursion is None, region_exceeded=excursion,
                              details={"v0": v0, "c_ly": c_ly, "n_paths": n_paths, "seed": seed})

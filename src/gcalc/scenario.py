@@ -12,11 +12,12 @@ Discrete integrals here and downstream are left-endpoint sums.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .runio import write_table
 from .uncertainty import CovarianceSet, SigmaBand, g_matrix, g_scalar
 
 _MASK64 = (1 << 64) - 1
@@ -217,23 +218,24 @@ def _sqrt_factor(m: np.ndarray) -> np.ndarray:
 
 
 class GPath:
-    """One simulated path: time grid, B, quadratic variation, policy trace,
-    and the raw noise record.  A view into a PathBatch; treat as read-only."""
+    """One simulated path: row 0 of a one-path PathBatch, with the batch's
+    arrays seen without their path axis.  Treat as read-only."""
 
-    def __init__(self, grid, b, qvar, policy_trace, choices, noise, seed, path_index, unc=None):
-        self.grid = grid
-        self.unc = unc
-        self.b = b
-        self.qvar = qvar
-        self.policy_trace = policy_trace
-        self.choices = choices
-        self.noise = noise
-        self.seed = seed
-        self.path_index = path_index
+    def __init__(self, batch):
+        if len(batch) != 1:
+            raise ValueError("a GPath views a one-path batch")
+        self.batch = batch
+        self.grid, self.unc, self.seed = batch.grid, batch.unc, batch.seed
+        self.path_index = batch.first_index
+        self.b = batch.b[0]                   # (K+1, d)
+        self.qvar = batch.qvar[0]             # (K+1, d, d)
+        self.policy_trace = batch.trace[0]    # (K, d, d)
+        self.choices = batch.choices[0]       # (K,)
+        self.noise = batch.noise[0]           # (K, d)
 
     @property
     def d(self) -> int:
-        return self.b.shape[-1]
+        return self.batch.d
 
     @property
     def t(self) -> np.ndarray:
@@ -241,49 +243,15 @@ class GPath:
 
     def qv_scalar(self) -> np.ndarray:
         """Quadratic variation as a 1-d series (d = 1 only)."""
-        if self.d != 1:
-            raise UnsupportedDimensionError("scalar quadratic variation needs d = 1")
-        return self.qvar[:, 0, 0]
+        return self.batch.qv_scalar()[0]
 
     def to_csv(self, target) -> None:
         """Columns t, b_1..b_d, qvar_11..qvar_dd, policy_choice."""
-        d = self.d
-        header = (
-            ["t"]
-            + [f"b_{i + 1}" for i in range(d)]
-            + [f"qvar_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
-            + ["policy_choice"]
-        )
-        rows = np.column_stack(
-            [
-                self.t,
-                self.b.reshape(len(self.t), d),
-                self.qvar.reshape(len(self.t), d * d),
-                np.append(self.choices, np.nan),
-            ]
-        )
-        _write_csv(target, header, rows)
+        header, table = self.batch.table()
+        write_table(target, header, table[0])
 
     def __repr__(self):
         return f"GPath(seed={self.seed}, index={self.path_index}, d={self.d}, n_steps={self.grid.n_steps})"
-
-
-def _write_csv(target, header, rows, comments=()):
-    close = False
-    if isinstance(target, (str, Path)):
-        fh = open(target, "w", newline="")
-        close = True
-    else:
-        fh = target
-    try:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 class PathBatch:
@@ -317,18 +285,28 @@ class PathBatch:
             raise UnsupportedDimensionError("scalar quadratic variation needs d = 1")
         return self.qvar[:, :, 0, 0]
 
+    def table(self):
+        """Column names and a (P, K+1, columns) array of t, b_1..b_d,
+        qvar_11..qvar_dd and policy_choice (nan at the final time)."""
+        n_paths, n_times, d = self.b.shape
+        header = (["t"] + [f"b_{i + 1}" for i in range(d)]
+                  + [f"qvar_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
+                  + ["policy_choice"])
+        table = np.empty((n_paths, n_times, len(header)))
+        table[:, :, 0] = self.t
+        table[:, :, 1:1 + d] = self.b
+        table[:, :, 1 + d:-1] = self.qvar.reshape(n_paths, n_times, d * d)
+        table[:, :-1, -1] = self.choices
+        table[:, -1, -1] = np.nan
+        return header, table
+
     def path(self, i: int) -> GPath:
-        return GPath(
-            self.grid,
-            self.b[i],
-            self.qvar[i],
-            self.trace[i],
-            self.choices[i],
-            self.noise[i],
-            self.seed,
-            self.first_index + i,
-            unc=self.unc,
-        )
+        """Path i as a GPath over a one-path view of this batch."""
+        i = range(len(self))[i]
+        rows = slice(i, i + 1)
+        return GPath(PathBatch(self.grid, self.unc, self.b[rows], self.qvar[rows],
+                               self.trace[rows], self.choices[rows], self.noise[rows],
+                               self.seed, self.first_index + i, self.policy_descriptor))
 
     def __iter__(self):
         return (self.path(i) for i in range(len(self)))
@@ -518,10 +496,7 @@ def qvar_bounds_check(path: GPath, band: SigmaBand) -> float:
 
     Evaluated on the quadratic-variation increments gamma_k dt whose partial
     sums are the stored qvar; nonpositive on any simulated path."""
-    if path.d != 1:
-        raise UnsupportedDimensionError("qvar bounds are defined for d = 1")
-    return float(_trace_violation(path.policy_trace[:, 0, 0], path.grid.dt,
-                                  band.sigma2_lo, band.sigma2_hi))
+    return float(qvar_bounds_check_batch(path.batch, band)[0])
 
 
 def qvar_bounds_check_batch(batch: PathBatch, band: SigmaBand) -> np.ndarray:
@@ -566,16 +541,17 @@ def qv_compensation_check(path: GPath, eta, unc=None) -> float:
 
     Nonpositive up to rounding for every scenario path, because each
     increment satisfies tr(eta gamma) <= 2 G(eta) with gamma in the set.
-    ``unc`` defaults to the set the path was simulated under.
+    ``eta`` is a scalar, a per-step series, a (K, d, d) stack or a callable
+    of the step index.  ``unc`` defaults to the set the path was simulated
+    under.
     """
-    if unc is None:
-        unc = path.unc
-    if unc is None:
+    batch = path.batch
+    if unc is not None:
+        batch = copy.copy(batch)
+        batch.unc = unc
+    elif batch.unc is None:
         raise ValueError("pass the uncertainty set the path was simulated under")
-    eta_arr = _eta_array(eta, path.grid.n_steps, path.d)
-    dqv = np.diff(path.qvar, axis=0)
-    m = _m_running(eta_arr, dqv, path.grid.dt, unc)
-    return float(np.max(m))
+    return float(qv_compensation_check_batch(batch, _eta_array(eta, path.grid.n_steps, path.d))[0])
 
 
 def qv_compensation_check_batch(batch: PathBatch, etas) -> np.ndarray:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import (
-    BangBangPolicy,
     ConstantPolicy,
     PathBatch,
     TimeGrid,
@@ -131,20 +130,50 @@ def _mean_se(values: np.ndarray):
     return m, se
 
 
-def _evaluate_policy(policy, unc, grid, noise, seed, payoff):
-    batch = assemble(policy, unc, grid, noise, seed=seed)
-    vals = np.asarray(payoff(batch), dtype=float)
-    if vals.shape[0] != len(batch):
-        raise ValueError("payoff must return one value (or row) per path")
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.all(np.isfinite(vals.reshape(len(batch), -1)), axis=1)))
-        raise PayoffError(
-            f"payoff non-finite on path seed={seed} index={bad} under {policy.describe()}"
-        )
-    return vals
+def evaluate_family(fn, family, unc, grid: TimeGrid, n_paths: int, seed: int, threads: int = 1):
+    """(policies, [fn(batch) for each policy]) in family order.
+
+    Draws one noise block for paths 0 .. n_paths - 1 and assembles every
+    policy of the family on it (common random numbers).  Each batch is
+    dropped once its fn returns, so at most ``threads`` batches are alive
+    at a time."""
+    policies = family.policies(unc) if isinstance(family, PolicyFamily) else list(family)
+    if not policies:
+        raise ValueError("empty policy family")
+    d = 1 if isinstance(unc, SigmaBand) else unc.dim
+    noise = batch_noise(seed, 0, n_paths, grid.n_steps, d)
+
+    def run(policy):
+        return fn(assemble(policy, unc, grid, noise, seed=seed))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return policies, list(pool.map(run, policies))
+    return policies, [run(p) for p in policies]
 
 
-def _assemble_reports(policies, results, n_paths, details=None):
+def bound_rows(times, values, bounds, slack):
+    """Rows (t, estimate, se, bound, ok) and whether every ok holds.
+
+    values holds one (P, m) array per policy, column j sampled at times[j];
+    the estimate is the largest policy mean in each column and se that
+    policy's standard error, and ok is estimate <= bound (1 + slack) + 3 se.
+    """
+    means = np.asarray([v.mean(axis=0) for v in values])
+    ses = np.asarray([v.std(axis=0, ddof=1) / np.sqrt(len(v)) for v in values])
+    best = np.argmax(means, axis=0)
+    rows = []
+    passed = True
+    for j, (t, bound) in enumerate(zip(times, bounds)):
+        est = float(means[best[j], j])
+        se = float(ses[best[j], j])
+        ok = est <= bound * (1.0 + slack) + 3.0 * se
+        passed &= ok
+        rows.append((t, est, se, bound, ok))
+    return rows, passed
+
+
+def _assemble_reports(policies, results, n_paths):
     means = np.array([m for m, _ in results])
     best = int(np.argmax(means))
     table = [PolicyEstimate(p.describe(), m, s) for p, (m, s) in zip(policies, results)]
@@ -154,7 +183,6 @@ def _assemble_reports(policies, results, n_paths, details=None):
         argmax_policy=policies[best],
         n_paths=n_paths,
         table=table,
-        details=dict(details or {}),
     )
 
 
@@ -169,21 +197,19 @@ def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int,
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    policies = family.policies(unc) if isinstance(family, PolicyFamily) else list(family)
-    if not policies:
-        raise ValueError("empty policy family")
-    d = 1 if isinstance(unc, SigmaBand) else unc.dim
-    noise = batch_noise(seed, 0, n_paths, grid.n_steps, d)
 
-    def run(policy):
-        return _evaluate_policy(policy, unc, grid, noise, seed, payoff)
+    def checked(batch):
+        vals = np.asarray(payoff(batch), dtype=float)
+        if vals.shape[0] != len(batch):
+            raise ValueError("payoff must return one value (or row) per path")
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argmax(~np.all(np.isfinite(vals.reshape(len(batch), -1)), axis=1)))
+            raise PayoffError(
+                f"payoff non-finite on path seed={seed} index={bad} under {batch.policy_descriptor}"
+            )
+        return vals
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_vals = list(pool.map(run, policies))
-    else:
-        all_vals = [run(p) for p in policies]
-
+    policies, all_vals = evaluate_family(checked, family, unc, grid, n_paths, seed, threads)
     first = np.asarray(all_vals[0])
     if first.ndim == 1:
         results = [_mean_se(v) for v in all_vals]
@@ -202,13 +228,8 @@ def optimize_bangbang(payoff, unc, grid: TimeGrid, thresholds, n_paths: int, see
     The report's details carry the evaluation trajectory in search order."""
     if not isinstance(unc, SigmaBand):
         raise ValueError("bang-bang threshold search needs a d = 1 band")
-    thetas = [float(t) for t in thresholds]
-    if not thetas:
-        raise ValueError("threshold grid must be nonempty")
     candidates = [ConstantPolicy(value=unc.sigma2_lo), ConstantPolicy(value=unc.sigma2_hi)]
-    for theta in thetas:
-        candidates.append(threshold_bangbang(unc, theta, hi_above=True))
-        candidates.append(threshold_bangbang(unc, theta, hi_above=False))
+    candidates += PolicyFamily.bangbang_threshold(thresholds).policies(unc)
     report = estimate_upper(payoff, PolicyFamily.custom(candidates), unc, grid,
                             n_paths, seed, threads=threads)
     report.details["search_trajectory"] = [

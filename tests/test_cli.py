@@ -71,6 +71,24 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert main(["frobnicate", "--config", "x"]) == 1
 
+    @pytest.mark.parametrize("sub,cfg,pointer", [
+        ("experiment", {"kind": "bt_over_t", "dim": 2, "members": [[[1, 0], [0, 1]]],
+                        "family": {"kind": "extreme_constants"},
+                        "t_values": [10.0, 100.0], "n_paths": 100}, "/dim"),
+        ("experiment", {"kind": "bt_over_t", "band": [1.0, 2.0],
+                        "family": {"kind": "extreme_constants"},
+                        "t_values": [100.0, 10.0], "n_paths": 100}, "/t_values"),
+        ("upper", {"dim": 2, "members": [[[1, 0], [0, 1]]], "payoff": "b1^2",
+                   "family": {"kind": "bangbang_threshold", "thresholds": [0.0]},
+                   "grid": {"t_end": 1.0, "n_steps": 8}, "n_paths": 100}, "/family/kind"),
+    ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set"])
+    def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert main([sub, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcalc {sub}: error: ")
+        assert pointer in err
+
     def test_schema_violation_names_pointer(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
             "band": [1.0, 2.0], "policy": {"kind": "constant", "value": 2.0},

@@ -13,6 +13,7 @@ from gcalc import (
     moment_decay_curve,
     threshold_bangbang,
 )
+from gcalc.runio import config_hash
 
 BAND = SigmaBand(1.0, 2.0)
 MODEL = GeometricModel(alpha=-1.0, beta=0.5, gamma=1.0, x0=1.0)
@@ -165,3 +166,17 @@ class TestEmission:
         r1 = moment_decay_curve(make_cfg(seed=5))
         r2 = moment_decay_curve(make_cfg(seed=6))
         assert r1.cfg_hash != r2.cfg_hash
+
+    @pytest.mark.parametrize("fam_a,fam_b", [
+        (PolicyFamily.bangbang_threshold([0.0]), PolicyFamily.bangbang_threshold([0.5, 1.0])),
+        (PolicyFamily.constants_only(2), PolicyFamily.constants_only(7)),
+        (PolicyFamily.custom([threshold_bangbang(BAND, 0.0)]),
+         PolicyFamily.custom([threshold_bangbang(BAND, 0.5)])),
+    ], ids=["thresholds", "n_constants", "custom"])
+    def test_hash_covers_family_parameters(self, fam_a, fam_b):
+        cfg_a, cfg_b = make_cfg(family=fam_a), make_cfg(family=fam_b)
+        assert config_hash(cfg_a.config_dict()) != config_hash(cfg_b.config_dict())
+        bt_a = bt_over_t(BAND, fam_a, [10.0, 20.0], n_paths=50, seed=1)
+        bt_b = bt_over_t(BAND, fam_b, [10.0, 20.0], n_paths=50, seed=1)
+        assert bt_a.rows != bt_b.rows
+        assert bt_a.cfg_hash != bt_b.cfg_hash

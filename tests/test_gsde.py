@@ -262,7 +262,8 @@ def _ref_first_bad_step(x):
 def _ref_solve_localized(coeffs, x0, path, schedule=None):
     """Reference: the per-radius loop that localization used to run, one
     full Euler pass per radius until the path stops exiting, with the
-    integrate and exit-step code of that time inlined."""
+    integrate and exit-step code of that time inlined.  Returns the
+    solution and the exit step of each radius tried, each from its own pass."""
     schedule = schedule or TruncationSchedule.doubling()
     records = {}
     for radius in schedule.radii:
@@ -275,8 +276,9 @@ def _ref_solve_localized(coeffs, x0, path, schedule=None):
         exit_step = int(np.argmax(hit)) if hit.any() else None
         records[radius] = exit_step
         if exit_step is None:
-            return SolutionPath(path.grid, x, n0_used=radius, exit_steps=records,
-                                diagnostics={"radii_tried": list(records)})
+            sol = SolutionPath(SolutionBatch(path.grid, x[None], n0_used=radius,
+                                             diagnostics={"radii_tried": list(records)}))
+            return sol, records
     fractions = {r: (0.0 if s is None else 1.0) for r, s in records.items()}
     raise ExplosionSuspectedError(fractions)
 
@@ -389,17 +391,17 @@ class TestLocalizationEquivalence:
         if want[0] != "ok":
             assert got[1] == want[1]
             return
-        ref, sol = want[1], got[1]
+        (ref, records), sol = want[1], got[1]
         assert _same_bits(sol.x, ref.x)
         assert sol.n0_used == ref.n0_used
         assert sol.diagnostics == ref.diagnostics
         tried = ref.diagnostics["radii_tried"]
-        assert sol.exit_step_per_radius(tried) == ref.exit_step_per_radius(tried)
+        assert sol.exit_step_per_radius(tried) == records
 
     def test_cli_start_outside_first_radii(self):
         # the oscillator from norm 10 leaves radii 2, 4 and 8 at step 0
         path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 1000), seed=1)
-        ref = _ref_solve_localized(duffing_coeffs(), [0.0, 10.0], path)
+        ref, _ = _ref_solve_localized(duffing_coeffs(), [0.0, 10.0], path)
         sol = solve_localized(duffing_coeffs(), [0.0, 10.0], path)
         assert sol.exit_step_per_radius((2.0, 4.0, 8.0)) == {2.0: 0, 4.0: 0, 8.0: 0}
         assert sol.n0_used == ref.n0_used == 16.0
@@ -484,3 +486,90 @@ class TestBlowupDetection:
         with pytest.raises(BlowUpError) as exc:
             integrate(c, [2.0], batch.path(0))
         assert exc.value.step == _ref_first_bad_step(x) > 0
+
+
+# ---------------------------------------------------------------------------
+# single-path functions are their batch twins on a one-path batch
+# ---------------------------------------------------------------------------
+
+
+class TestSinglePathIsBatchRow:
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    @given(seed=st.integers(0, 2**63 - 1), first=st.integers(0, 2**40),
+           n_paths=st.integers(1, 8), x0=X0, data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_integrate(self, system, seed, first, n_paths, x0, data):
+        coeffs = truncate(SYSTEMS[system](), 8.0)
+        i = data.draw(st.integers(0, n_paths - 1))
+        batch = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed,
+                               n_paths=n_paths, first_index=first)
+        with np.errstate(all="ignore"):
+            sol = integrate_batch(coeffs, list(x0), batch)
+        bad = sol.diagnostics.get("blowup_steps", {})
+        if i in bad:
+            with pytest.raises(BlowUpError) as exc:
+                integrate(coeffs, list(x0), batch.path(i))
+            assert (exc.value.step, exc.value.path_index) == (bad[i], first + i)
+            return
+        one = integrate(coeffs, list(x0), batch.path(i))
+        assert _same_bits(one.x, sol.x[i])
+        assert _same_bits(one.norms, sol.norms[i])
+        assert _same_bits(one.running_max, sol.running_max[i])
+        assert one.diagnostics == {} and one.n0_used is None
+        for radius in (0.5, 2.0, 50.0):
+            step = sol.exit_steps(radius)[i]
+            assert one.exit_step(radius) == (None if step < 0 else step)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @given(seed=st.integers(0, 2**63 - 1), index=st.integers(0, 1000), x0=X0)
+    @settings(max_examples=8, deadline=None)
+    def test_solve_localized(self, system, schedule, seed, index, x0):
+        coeffs = SYSTEMS[system]()
+        sched = SCHEDULES[schedule]
+        radii = (sched or TruncationSchedule.doubling()).radii
+        path = simulate(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed, path_index=index)
+        got = _outcome(solve_localized, coeffs, list(x0), path, sched)
+        twin = _outcome(solve_localized_batch, coeffs, list(x0), path.batch, sched)
+        if twin[0] == "explosion":
+            assert got == twin
+            return
+        rep = twin[1]
+        bad = rep.solution.diagnostics.get("blowup_steps", {})
+        if bad:
+            assert got[0] == "blowup" and got[1] == bad[0]
+            with pytest.raises(BlowUpError) as exc:
+                solve_localized(coeffs, list(x0), path, sched)
+            assert exc.value.path_index == index
+            return
+        sol = got[1]
+        assert _same_bits(sol.x, rep.solution.x[0])
+        assert sol.n0_used == rep.n0_per_path[0] == rep.solution.n0_used
+        assert sol.diagnostics == {"radii_tried": rep.radii_used}
+        assert rep.radii_used == [r for r in radii if r <= sol.n0_used]
+        assert sol.exit_step_per_radius(rep.radii_used) == {
+            r: (None if e < 0 else int(e))
+            for r, e in ((r, rep.solution.exit_steps(r)[0]) for r in rep.radii_used)}
+
+    def test_explosion_fractions_match_batch_twin(self):
+        c = coefficients(1, 1, ["x1^3"], ["0"], ["0"], lipschitz_tag="local")
+        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=11,
+                        path_index=3)
+        sched = TruncationSchedule((2.0, 4.0))
+        with pytest.raises(ExplosionSuspectedError) as one:
+            solve_localized(c, [2.0], path, sched)
+        with pytest.raises(ExplosionSuspectedError) as twin:
+            solve_localized_batch(c, [2.0], path.batch, sched)
+        assert one.value.exit_fractions == twin.value.exit_fractions == {2.0: 1.0, 4.0: 1.0}
+
+    @given(seed=st.integers(0, 2**63 - 1), n_paths=st.integers(1, 8), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_closed_form(self, seed, n_paths, data):
+        i = data.draw(st.integers(0, n_paths - 1))
+        batch = simulate_batch(threshold_bangbang(BAND, 0.3), BAND, LOC_GRID, seed=seed,
+                               n_paths=n_paths)
+        whole = closed_form_geometric(-1.0, 0.5, 1.0, 1.5, batch)
+        one = closed_form_geometric(-1.0, 0.5, 1.0, 1.5, batch.path(i))
+        assert isinstance(one, SolutionPath)
+        assert _same_bits(one.x, whole.x[i])
+        assert _same_bits(whole.path(i).x, whole.x[i])

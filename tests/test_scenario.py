@@ -413,3 +413,92 @@ class TestExport:
         assert len(lines) == 10
         first = [float(v) for v in lines[1].split(",")]
         assert first[:3] == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# single paths are one-path batches
+# ---------------------------------------------------------------------------
+
+
+def _ref_path_csv(path):
+    """Reference: the per-path CSV writer GPath.to_csv used before it read
+    the batch table."""
+    d = path.d
+    header = (["t"] + [f"b_{i + 1}" for i in range(d)]
+              + [f"qvar_{i + 1}{j + 1}" for i in range(d) for j in range(d)] + ["policy_choice"])
+    rows = np.column_stack([path.t, path.b.reshape(len(path.t), d),
+                            path.qvar.reshape(len(path.t), d * d), np.append(path.choices, np.nan)])
+    return ",".join(header) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+SINGLE_CASES = {
+    "threshold": (lambda: threshold_bangbang(BAND, 0.1), BAND),
+    "constant": (lambda: ConstantPolicy(value=1.5), BAND),
+    "covariance_set": (
+        lambda: BangBangPolicy(lambda k, b, aux: (b[:, 0] >= 0.0).astype(int), name="sign(b1)"),
+        CSET),
+}
+
+
+class TestSinglePathIsBatchRow:
+    @pytest.mark.parametrize("case", sorted(SINGLE_CASES))
+    @given(seed=st.integers(0, 2**63 - 1), first=st.integers(0, 2**40), n_paths=st.integers(1, 12),
+           data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_path_views_batch_row(self, case, seed, first, n_paths, data):
+        make, unc = SINGLE_CASES[case]
+        grid = TimeGrid(0.9, 14)
+        i = data.draw(st.integers(0, n_paths - 1))
+        batch = simulate_batch(make(), unc, grid, seed, n_paths, first_index=first)
+        for path in (batch.path(i), simulate(make(), unc, grid, seed, path_index=first + i)):
+            assert path.path_index == first + i and path.seed == seed and path.unc is unc
+            assert len(path.batch) == 1
+            for name, row in (("b", batch.b[i]), ("qvar", batch.qvar[i]),
+                              ("policy_trace", batch.trace[i]), ("choices", batch.choices[i]),
+                              ("noise", batch.noise[i])):
+                assert _same_bits(getattr(path, name), row), name
+            if unc is BAND:
+                assert _same_bits(path.qv_scalar(), batch.qv_scalar()[i])
+                want = qvar_bounds_check_batch(batch, BAND)[i]
+                assert np.float64(qvar_bounds_check(path, BAND)).tobytes() == want.tobytes()
+            buf = io.StringIO()
+            path.to_csv(buf)
+            assert buf.getvalue() == _ref_path_csv(path)
+        assert batch.path(-1).path_index == first + n_paths - 1
+        with pytest.raises(IndexError):
+            batch.path(n_paths)
+
+    @pytest.mark.parametrize("case", sorted(SINGLE_CASES))
+    @given(seed=st.integers(0, 2**63 - 1), n_paths=st.integers(1, 12), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_compensation_check_is_batch_row(self, case, seed, n_paths, data):
+        make, unc = SINGLE_CASES[case]
+        grid = TimeGrid(0.9, 14)
+        d = unc.dim
+        i = data.draw(st.integers(0, n_paths - 1))
+        batch = simulate_batch(make(), unc, grid, seed, n_paths)
+        path = batch.path(i)
+        etas = np.random.default_rng(seed % 1000).uniform(-2, 2, size=(grid.n_steps, d, d))
+        want = qv_compensation_check_batch(batch, etas)[i]
+        for unc_arg in (None, unc):
+            got = qv_compensation_check(path, etas, unc_arg)
+            assert np.float64(got).tobytes() == want.tobytes()
+        per_step = etas[:, 0, 0]
+        got = qv_compensation_check(path, lambda k: np.full((d, d), per_step[k]))
+        want = qv_compensation_check_batch(batch, np.broadcast_to(per_step[:, None, None],
+                                                                  (grid.n_steps, d, d)))[i]
+        assert np.float64(got).tobytes() == want.tobytes()
+
+    def test_compensation_check_against_other_set(self):
+        # against a narrower band than the path's own, M_t = <B>_t - 1.2 t
+        # goes positive once the path has run at variance 2
+        path = simulate(ConstantPolicy(value=2.0), BAND, TimeGrid(1.0, 32), seed=3)
+        assert qv_compensation_check(path, 1.0, SigmaBand(1.0, 1.2)) == pytest.approx(0.8)
+        assert qv_compensation_check(path, 1.0) <= 1e-12
+        assert path.unc is BAND and path.batch.unc is BAND
+
+    def test_qvar_check_dimension_guard(self):
+        path = simulate(ConstantPolicy(index=0), CSET, TimeGrid(1.0, 8), seed=0)
+        with pytest.raises(UnsupportedDimensionError):
+            path.qv_scalar()
