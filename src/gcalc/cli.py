@@ -47,6 +47,7 @@ from . import experiments as exp_mod
 from . import expr as expr_mod
 from . import gheat as gheat_mod
 from . import gsde as gsde_mod
+from .lyapunov import RegionError
 from .runio import config_hash, standard_comments, write_json, write_table
 
 SUBCOMMANDS = ("simulate", "upper", "gheat", "gsde", "lyapunov", "linstab", "experiment")
@@ -202,7 +203,7 @@ def cmd_upper(args, cfg, comments):
     grid = _time_grid(cfg)
     family = _family(cfg, unc)
     n_paths = _fetch(cfg, "/n_paths", int)
-    d = 1 if isinstance(unc, SigmaBand) else unc.dim
+    d = unc.dim
     payoff_src = _fetch(cfg, "/payoff", str)
     variables = ["t"] + [f"b{i + 1}" for i in range(d)] + ["qv"]
     payoff_expr = expr_mod.parse(payoff_src, variables, cfg.get("constants"))
@@ -274,6 +275,8 @@ def cmd_lyapunov(args, cfg, comments):
     except (KeyError, ValueError, expr_mod.ExprError) as e:
         raise UsageError(f"bad config at /system: {e}")
     mode = cfg.get("mode", "finite_difference")
+    if mode not in ("analytic", "finite_difference"):
+        raise UsageError(f"unknown value at /mode: {mode!r}")
     spec_kwargs = {}
     if mode == "analytic":
         spec_kwargs = {
@@ -287,23 +290,36 @@ def cmd_lyapunov(args, cfg, comments):
                             nonneg=bool(cfg.get("nonneg", True)), **spec_kwargs)
     except expr_mod.ExprError as e:
         raise UsageError(f"bad expression at /V: {e}")
+    except ValueError as e:  # a grad or hess table of the wrong shape
+        raise UsageError(f"/dV/{e}")
     reg = _fetch(cfg, "/region", dict)
-    region = CheckRegion(
-        t_end=float(_fetch(reg, "/t", list)[1]),
-        box=[tuple(axis) for axis in _fetch(reg, "/box", list)],
-        exclude_r0=float(reg.get("exclude_r0", 0.0)),
-        nt=int(reg.get("nt", 2)),
-    )
+    t_end = float(_fetch(reg, "/t", list)[1])
+    exclude_r0, nt = float(reg.get("exclude_r0", 0.0)), int(reg.get("nt", 2))
+    try:
+        region = CheckRegion(t_end, [tuple(axis) for axis in _fetch(reg, "/box", list)],
+                             exclude_r0, nt)
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"bad region at /region/box: {e}")
+    if region.n != coeffs.n:
+        raise UsageError(f"/region/box has {region.n} axes but the system has n={coeffs.n}")
     condition = _fetch(cfg, "/condition", str)
     params = cfg.get("params", {})
-    if condition == "growth":
-        report = check_growth_condition(spec, coeffs, unc, region, float(params.get("c_ly", 0.0)))
-    elif condition == "find_cly":
-        report = find_cly_detailed(spec, coeffs, unc, region)
-    elif condition in ("sandwich", "nonpositive", "exp_stable", "exp_unstable"):
-        report = check_stability_conditions(spec, coeffs, unc, region, params, condition)
-    else:
-        raise UsageError(f"unknown value at /condition: {condition!r}")
+    try:
+        if condition == "growth":
+            report = check_growth_condition(spec, coeffs, unc, region,
+                                            float(params.get("c_ly", 0.0)))
+        elif condition == "find_cly":
+            report = find_cly_detailed(spec, coeffs, unc, region)
+        elif condition in ("sandwich", "nonpositive", "exp_stable", "exp_unstable"):
+            report = check_stability_conditions(spec, coeffs, unc, region, params, condition)
+        else:
+            raise UsageError(f"unknown value at /condition: {condition!r}")
+    except (RegionError, expr_mod.ExprError) as e:
+        raise UsageError(f"/V on /region: {e}")
+    except KeyError as e:
+        raise UsageError(f"missing config field at /params/{e.args[0]}")
+    except ValueError as e:
+        raise UsageError(f"bad value at /params: {e}")
     _emit(args, comments, lambda fh, c: _report_out(args, fh, c, report.to_json_dict()))
     if condition != "find_cly" and not report.passed:
         raise CheckFailed(f"{report.condition}: max violation {report.max_violation:.3e} "

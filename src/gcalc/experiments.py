@@ -65,6 +65,22 @@ class GeometricModel:
                 "gamma": self.gamma, "x0": self.x0}
 
 
+def _system_config(system) -> dict:
+    """A GeometricModel's parameters, or a (CoefficientSet, x0) system's
+    dimensions, coefficient sources, Lipschitz tag, radius and x0."""
+    if isinstance(system, GeometricModel):
+        return system.config_dict()
+    coeffs, x0 = system
+
+    def sources(table):
+        return [sources(e) for e in table] if isinstance(table, tuple) else table.to_source()
+
+    return {"model": "coefficients", "n": coeffs.n, "d": coeffs.d, "f": sources(coeffs.f),
+            "h": sources(coeffs.h), "g": sources(coeffs.g),
+            "lipschitz_tag": coeffs.lipschitz_tag, "radius": coeffs.radius,
+            "x0": list(np.atleast_1d(x0))}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: object               # GeometricModel or (CoefficientSet, x0)
@@ -108,13 +124,12 @@ class ExperimentConfig:
         return float(np.linalg.norm(np.asarray(x0, dtype=float)))
 
     def config_dict(self) -> dict:
-        sys_desc = (self.system.config_dict() if isinstance(self.system, GeometricModel)
-                    else {"model": "coefficients", "x0": list(np.atleast_1d(self.system[1]))})
         unc_desc = ({"band": [self.unc.sigma2_lo, self.unc.sigma2_hi]}
                     if isinstance(self.unc, SigmaBand)
                     else {"dim": self.unc.dim, "members": [m.tolist() for m in self.unc.members]})
         return {
-            "system": sys_desc, "unc": unc_desc, "p": self.p, "T": self.T, "dt": self.dt,
+            "system": _system_config(self.system), "unc": unc_desc,
+            "p": self.p, "T": self.T, "dt": self.dt,
             "family": _family_config(self.family), "n_paths": self.n_paths, "seed": self.seed,
             "lam": self.lam, "times": list(self.times), "slack": self.slack,
         }
@@ -229,7 +244,8 @@ def bt_over_t(unc, family: PolicyFamily, t_values, n_paths: int, seed: int,
     threshold = 0.2 * unc.sigma_hi
     passed = all(b < a for a, b in zip(highs, highs[1:])) and highs[-1] <= threshold
     cfg = {"t_values": t_values, "n_paths": n_paths, "family": _family_config(family),
-           "band": [unc.sigma2_lo, unc.sigma2_hi], "quantile": quantile}
+           "band": [unc.sigma2_lo, unc.sigma2_hi], "quantile": quantile,
+           "steps_per_unit": steps_per_unit}
     return ExperimentResult(
         "bt_over_t", ["T", "median", f"q{int(quantile * 100)}"], rows, passed,
         config_hash(cfg), seed, details={"threshold": threshold},

@@ -13,6 +13,7 @@ node for node.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -423,3 +424,41 @@ def _simplify(node):
 def state_variables(n: int) -> list:
     """Variable names x1..xn."""
     return [f"x{i + 1}" for i in range(n)]
+
+
+def table(entries, dims, variables, constants=None, what="table"):
+    """Nested tuples of Expressions indexed by ``dims``, parsed from sources
+    (Expressions pass through); every level must hold exactly its dim."""
+    if not dims:
+        return entries if isinstance(entries, Expression) else parse(str(entries), variables, constants)
+    if isinstance(entries, (str, Expression)):
+        raise ValueError(f"{what} needs {dims[0]} entries, got one expression")
+    entries = list(entries)
+    if len(entries) != dims[0]:
+        raise ValueError(f"{what} needs {dims[0]} entries, got {len(entries)}")
+    return tuple(table(e, dims[1:], variables, constants, what) for e in entries)
+
+
+def bind(t, x):
+    """The environment {t, x1..xn} of states x of shape (..., n)."""
+    env = {"t": t}
+    for i in range(x.shape[-1]):
+        env[f"x{i + 1}"] = x[..., i]
+    return env
+
+
+def evaluate(e: Expression, env, shape):
+    """``e`` at ``env`` as a float array broadcast (a view) to ``shape``."""
+    return np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
+
+
+def fill(exprs, dims, env, shape):
+    """Evaluate a ``table`` of expressions indexed by dims into an array of
+    shape + dims; each entry broadcasts to ``shape`` on assignment."""
+    out = np.empty(shape + dims)
+    for idx in itertools.product(*map(range, dims)):
+        e = exprs
+        for i in idx:
+            e = e[i]
+        out[(..., *idx)] = e.eval(env)
+    return out

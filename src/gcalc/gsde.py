@@ -15,7 +15,6 @@ with dt.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -44,19 +43,6 @@ class ExplosionSuspectedError(RuntimeError):
         desc = ", ".join(f"N={n}: {f:.3f}" for n, f in exit_fractions.items())
         super().__init__(f"truncation schedule exhausted with exits remaining ({desc})")
         self.exit_fractions = exit_fractions
-
-
-def _as_expressions(entries, variables, constants, count, what):
-    entries = list(entries)
-    if len(entries) != count:
-        raise ValueError(f"{what} needs {count} entries, got {len(entries)}")
-    out = []
-    for e in entries:
-        if isinstance(e, expr_mod.Expression):
-            out.append(e)
-        else:
-            out.append(expr_mod.parse(str(e), variables, constants))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -88,10 +74,7 @@ class CoefficientSet:
     def _env(self, t, x):
         """Bindings of t and the clamped state, and the state's leading shape."""
         x = self._clamp(np.asarray(x, dtype=float))
-        env = {"t": t}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = x[..., i]
-        return env, x.shape[:-1]
+        return expr_mod.bind(t, x), x.shape[:-1]
 
     def _clamp(self, x):
         if self.radius is None:
@@ -102,32 +85,20 @@ class CoefficientSet:
         return x * scale
 
     def eval_f(self, t, x):
-        return _fill(self.f, (self.n,), *self._env(t, x))
+        return expr_mod.fill(self.f, (self.n,), *self._env(t, x))
 
     def eval_h(self, t, x):
-        return _fill(self.h, (self.n, self.d, self.d), *self._env(t, x))
+        return expr_mod.fill(self.h, (self.n, self.d, self.d), *self._env(t, x))
 
     def eval_g(self, t, x):
-        return _fill(self.g, (self.n, self.d), *self._env(t, x))
+        return expr_mod.fill(self.g, (self.n, self.d), *self._env(t, x))
 
     def _eval_fhg(self, t, x):
         """f, h and g from one clamp of the state: an Euler step's inputs."""
         env, shape = self._env(t, x)
-        return (_fill(self.f, (self.n,), env, shape),
-                _fill(self.h, (self.n, self.d, self.d), env, shape),
-                _fill(self.g, (self.n, self.d), env, shape))
-
-
-def _fill(exprs, dims, env, shape):
-    """Evaluate nested tuples of expressions, indexed by dims, into an array
-    of shape + dims."""
-    out = np.empty(shape + dims)
-    for idx in itertools.product(*map(range, dims)):
-        e = exprs
-        for i in idx:
-            e = e[i]
-        out[(..., *idx)] = np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
-    return out
+        return (expr_mod.fill(self.f, (self.n,), env, shape),
+                expr_mod.fill(self.h, (self.n, self.d, self.d), env, shape),
+                expr_mod.fill(self.g, (self.n, self.d), env, shape))
 
 
 def coefficients(n: int, d: int, f, h, g, constants=None, lipschitz_tag="global") -> CoefficientSet:
@@ -141,32 +112,20 @@ def coefficients(n: int, d: int, f, h, g, constants=None, lipschitz_tag="global"
 
     def norm_h(entry):
         if isinstance(entry, (str, expr_mod.Expression)):
-            entry = [[entry]]
-        elif entry and isinstance(entry[0], (str, expr_mod.Expression)):
-            entry = [entry] if d == 1 and len(entry) == 1 else [[e] for e in entry]
-        rows = []
-        for row in entry:
-            rows.append(_as_expressions(row, variables, constants, d, "h row"))
-        if len(rows) != d:
-            raise ValueError(f"h entry needs {d} rows")
-        return tuple(rows)
+            return [[entry]]
+        if entry and isinstance(entry[0], (str, expr_mod.Expression)):
+            return [entry] if d == 1 and len(entry) == 1 else [[e] for e in entry]
+        return entry
 
     def norm_g(entry):
-        if isinstance(entry, (str, expr_mod.Expression)):
-            entry = [entry]
-        return _as_expressions(entry, variables, constants, d, "g entry")
+        return [entry] if isinstance(entry, (str, expr_mod.Expression)) else entry
 
-    f_exprs = _as_expressions(f, variables, constants, n, "f")
-    h_list = list(h)
-    g_list = list(g)
-    if len(h_list) != n or len(g_list) != n:
-        raise ValueError(f"h and g need {n} entries")
     return CoefficientSet(
         n=n,
         d=d,
-        f=f_exprs,
-        h=tuple(norm_h(e) for e in h_list),
-        g=tuple(norm_g(e) for e in g_list),
+        f=expr_mod.table(f, (n,), variables, constants, "f"),
+        h=expr_mod.table([norm_h(e) for e in h], (n, d, d), variables, constants, "h"),
+        g=expr_mod.table([norm_g(e) for e in g], (n, d), variables, constants, "g"),
         lipschitz_tag=lipschitz_tag,
     )
 

@@ -28,103 +28,82 @@ class RegionError(ValueError):
     pass
 
 
+# finite-difference step scales: first order and time, second order
+H_FD = 1e-5
+H_FD2 = 1e-4
+
+
 class LyapunovSpec:
     """Candidate V(t, x) with derivatives, analytic or finite-difference.
 
     In analytic mode the caller supplies expressions for dV/dt, the
     gradient, and the Hessian.  In finite-difference mode derivatives use
-    central stencils with per-point steps h1 = h_fd*(1+|x|) for first order
-    and h2 = h_fd2*(1+|x|) for second order.
+    central stencils with per-point steps ht = H_FD*(1+|t|) in time,
+    h1 = H_FD*(1+|x|) for first order and h2 = H_FD2*(1+|x|) for second
+    order, where H_FD = 1e-5 and H_FD2 = 1e-4.
     """
 
     def __init__(self, n, v, mode="finite_difference", dt=None, grad=None, hess=None,
-                 constants=None, nonneg=True, h_fd=1e-5, h_fd2=1e-4):
+                 constants=None, nonneg=True):
         self.n = int(n)
         variables = ("t",) + tuple(expr_mod.state_variables(self.n))
-        self.v = v if isinstance(v, expr_mod.Expression) else expr_mod.parse(str(v), variables, constants)
+        self.v = expr_mod.table(v, (), variables, constants)
         if mode not in ("analytic", "finite_difference"):
             raise ValueError("mode must be 'analytic' or 'finite_difference'")
         self.mode = mode
         self.nonneg = bool(nonneg)
-        self.h_fd = float(h_fd)
-        self.h_fd2 = float(h_fd2)
         self.dt_expr = None
         self.grad_exprs = None
         self.hess_exprs = None
         if mode == "analytic":
             if dt is None or grad is None or hess is None:
                 raise ValueError("analytic mode needs dt, grad, and hess expressions")
-            parse = lambda s: s if isinstance(s, expr_mod.Expression) else expr_mod.parse(str(s), variables, constants)
-            self.dt_expr = parse(dt)
-            self.grad_exprs = tuple(parse(s) for s in grad)
-            if len(self.grad_exprs) != self.n:
-                raise ValueError(f"grad needs {self.n} expressions")
-            self.hess_exprs = tuple(tuple(parse(s) for s in row) for row in hess)
-            if len(self.hess_exprs) != self.n or any(len(r) != self.n for r in self.hess_exprs):
-                raise ValueError(f"hess needs an {self.n}x{self.n} table")
-
-    def _env(self, t, x):
-        env = {"t": t}
-        for i in range(self.n):
-            env[f"x{i + 1}"] = x[..., i]
-        return env
+            self.dt_expr = expr_mod.table(dt, (), variables, constants)
+            self.grad_exprs = expr_mod.table(grad, (self.n,), variables, constants, "grad")
+            self.hess_exprs = expr_mod.table(hess, (self.n, self.n), variables, constants, "hess")
 
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
-        return np.broadcast_to(np.asarray(self.v.eval(self._env(t, x)), dtype=float), shape)
+        return expr_mod.evaluate(self.v, expr_mod.bind(t, x), shape)
 
     def derivatives(self, t, x):
         """(dV/dt, gradient (..., n), Hessian (..., n, n)) at (t, x)."""
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
         if self.mode == "analytic":
-            env = self._env(t, x)
-            vt = np.broadcast_to(np.asarray(self.dt_expr.eval(env), dtype=float), shape)
-            grad = np.empty(shape + (self.n,))
-            for i, e in enumerate(self.grad_exprs):
-                grad[..., i] = np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
-            hess = np.empty(shape + (self.n, self.n))
-            for i in range(self.n):
-                for j in range(self.n):
-                    hess[..., i, j] = np.broadcast_to(
-                        np.asarray(self.hess_exprs[i][j].eval(env), dtype=float), shape
-                    )
-            return vt, grad, hess
+            env = expr_mod.bind(t, x)
+            return (expr_mod.evaluate(self.dt_expr, env, shape),
+                    expr_mod.fill(self.grad_exprs, (self.n,), env, shape),
+                    expr_mod.fill(self.hess_exprs, (self.n, self.n), env, shape))
         return self._derivatives_fd(t, x, shape)
 
     def _derivatives_fd(self, t, x, shape):
         xnorm = np.linalg.norm(x, axis=-1)
-        h1 = self.h_fd * (1.0 + xnorm)
-        h2 = self.h_fd2 * (1.0 + xnorm)
-        ht = self.h_fd * (1.0 + np.abs(np.asarray(t, dtype=float)))
+        h1 = H_FD * (1.0 + xnorm)
+        h2 = H_FD2 * (1.0 + xnorm)
+        ht = H_FD * (1.0 + np.abs(np.asarray(t, dtype=float)))
 
-        def v_at(tt, xx):
-            return np.broadcast_to(np.asarray(self.v.eval(self._env(tt, xx)), dtype=float), shape)
+        def v_at(tt, *moves):
+            """V at tt with x[..., i] moved by h for every (i, h) in moves."""
+            xx = x
+            if moves:
+                xx = x.copy()
+                for i, h in moves:
+                    xx[..., i] = xx[..., i] + h
+            return expr_mod.evaluate(self.v, expr_mod.bind(tt, xx), shape)
 
-        vt = (v_at(np.asarray(t) + ht, x) - v_at(np.asarray(t) - ht, x)) / (2.0 * ht)
+        vt = (v_at(np.asarray(t) + ht) - v_at(np.asarray(t) - ht)) / (2.0 * ht)
         grad = np.empty(shape + (self.n,))
         hess = np.empty(shape + (self.n, self.n))
-        v0 = v_at(t, x)
+        v0 = v_at(t)
         for i in range(self.n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[..., i] = xp[..., i] + h1
-            xm[..., i] = xm[..., i] - h1
-            grad[..., i] = (v_at(t, xp) - v_at(t, xm)) / (2.0 * h1)
-        for i in range(self.n):
-            xp = x.copy()
-            xm = x.copy()
-            xp[..., i] = xp[..., i] + h2
-            xm[..., i] = xm[..., i] - h2
-            hess[..., i, i] = (v_at(t, xp) - 2.0 * v0 + v_at(t, xm)) / (h2 * h2)
+            grad[..., i] = (v_at(t, (i, h1)) - v_at(t, (i, -h1))) / (2.0 * h1)
+            hess[..., i, i] = (v_at(t, (i, h2)) - 2.0 * v0 + v_at(t, (i, -h2))) / (h2 * h2)
             for j in range(i + 1, self.n):
                 acc = 0.0
                 for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    xx = x.copy()
-                    xx[..., i] = xx[..., i] + si * h2
-                    xx[..., j] = xx[..., j] + sj * h2
-                    acc = acc + si * sj * v_at(t, xx)
+                    acc = acc + si * sj * v_at(t, (i, si * h2), (j, sj * h2))
                 hess[..., i, j] = hess[..., j, i] = acc / (4.0 * h2 * h2)
         return vt, grad, hess
 
@@ -209,9 +188,7 @@ def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x):
     """L V at (t, x); broadcasts over stacked points x of shape (..., n)."""
     x = np.asarray(x, dtype=float)
     vt, grad, hess = spec.derivatives(t, x)
-    fv = coeffs.eval_f(t, x)
-    hv = coeffs.eval_h(t, x)
-    gv = coeffs.eval_g(t, x)
+    fv, hv, gv = coeffs._eval_fhg(t, x)
     h_sym = hv + np.swapaxes(hv, -1, -2)
     eta = np.einsum("...n,...nij->...ij", grad, h_sym) + np.einsum(
         "...mn,...mi,...nj->...ij", hess, gv, gv
@@ -249,14 +226,6 @@ def _report(condition, violations, T, X, vscale, region, extra=None):
     return CheckReport(condition, violations[idx], T[idx], X[idx], tol, len(T), diag)
 
 
-def _check_nonneg(spec, T, X):
-    vals = spec.value(T, X)
-    if np.min(vals) < -1e-12:
-        i = int(np.argmin(vals))
-        raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but the nonneg flag is set")
-    return vals
-
-
 def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
                            region: CheckRegion, c_ly: float) -> CheckReport:
     """Grid max of L V - c_ly V; passes when <= 1e-9*(1 + max|V|)."""
@@ -264,8 +233,9 @@ def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
         raise ValueError("c_ly must be >= 0")
     T, X = region.grid()
     v = spec.value(T, X)
-    if spec.nonneg:
-        _check_nonneg(spec, T, X)
+    if spec.nonneg and np.min(v) < -1e-12:
+        i = int(np.argmin(v))
+        raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but the nonneg flag is set")
     lv = eval_L(spec, coeffs, unc, T, X)
     violations = lv - c_ly * v
     return _report(f"LV <= {c_ly:g} V", violations, T, X, float(np.max(np.abs(v))), region)
@@ -324,7 +294,7 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
     lv = eval_L(spec, coeffs, unc, T, X)
     if which == "nonpositive":
         return _report("LV <= 0", lv, T, X, vscale, region)
-    lam = float(params["lambda"] if "lambda" in params else params["lam"])
+    lam = float(params["lam"] if "lam" in params and "lambda" not in params else params["lambda"])
     if lam <= 0:
         raise ValueError("need lambda > 0")
     if which == "exp_stable":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .runio import write_table
-from .uncertainty import CovarianceSet, SigmaBand, g_matrix, g_scalar
+from .uncertainty import CovarianceSet, SigmaBand, g_value
 
 _MASK64 = (1 << 64) - 1
 _EIG_CLAMP = 1e-12
@@ -422,9 +422,8 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
 
 
 def simulate_batch(policy, unc, grid, seed, n_paths, first_index=0, noise=None) -> PathBatch:
-    d = 1 if isinstance(unc, SigmaBand) else unc.dim
     if noise is None:
-        noise = batch_noise(seed, first_index, n_paths, grid.n_steps, d)
+        noise = batch_noise(seed, first_index, n_paths, grid.n_steps, unc.dim)
     return assemble(policy, unc, grid, noise, seed=seed, first_index=first_index)
 
 
@@ -525,11 +524,7 @@ def _eta_array(eta, n_steps, d):
 def _m_running(eta, dqv, dt, unc):
     # increments tr(eta_k dqv_k) - 2 G(eta_k) dt, left-endpoint sums
     traces = np.einsum("...ij,...ij->...", eta, dqv)
-    if isinstance(unc, SigmaBand):
-        g = g_scalar(unc, eta[..., 0, 0])
-    else:
-        g = g_matrix(unc, eta)
-    incr = traces - 2.0 * np.asarray(g) * dt
+    incr = traces - 2.0 * np.asarray(g_value(unc, eta)) * dt
     m = np.zeros(incr.shape[:-1] + (incr.shape[-1] + 1,))
     np.cumsum(incr, axis=-1, out=m[..., 1:])
     return m

@@ -140,8 +140,7 @@ def evaluate_family(fn, family, unc, grid: TimeGrid, n_paths: int, seed: int, th
     policies = family.policies(unc) if isinstance(family, PolicyFamily) else list(family)
     if not policies:
         raise ValueError("empty policy family")
-    d = 1 if isinstance(unc, SigmaBand) else unc.dim
-    noise = batch_noise(seed, 0, n_paths, grid.n_steps, d)
+    noise = batch_noise(seed, 0, n_paths, grid.n_steps, unc.dim)
 
     def run(policy):
         return fn(assemble(policy, unc, grid, noise, seed=seed))

@@ -45,6 +45,15 @@ def duffing_cfg(tmp_path):
     return make
 
 
+LYAPUNOV_OK = {
+    "system": {"n": 2, "d": 1, "band": [1.0, 2.0],
+               "f": ["0", "0"], "h": ["x2", "-x1 - x1^3 - x2"], "g": ["0", "1"]},
+    "V": "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", "mode": "finite_difference",
+    "region": {"t": [0, 1], "box": [[-2, 2, 5], [-2, 2, 5]]},
+    "condition": "growth", "params": {"c_ly": 1.0},
+}
+
+
 class TestExitCodes:
     def test_linstab_derived_passes(self, derived_linstab_cfg, tmp_path, capsys):
         out = tmp_path / "cert.json"
@@ -81,13 +90,32 @@ class TestExitCodes:
         ("upper", {"dim": 2, "members": [[[1, 0], [0, 1]]], "payoff": "b1^2",
                    "family": {"kind": "bangbang_threshold", "thresholds": [0.0]},
                    "grid": {"t_end": 1.0, "n_steps": 8}, "n_paths": 100}, "/family/kind"),
-    ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set"])
+        ("lyapunov", LYAPUNOV_OK | {"region": {"t": [0, 1], "box": [[-1, 1, 1], [-1, 1, 3]]}},
+         "/region/box"),
+        ("lyapunov", LYAPUNOV_OK | {"region": {"t": [0, 1], "box": [[-1, 1, 3]]}},
+         "/region/box"),
+        ("lyapunov", LYAPUNOV_OK | {"V": "x1^2 + x2^2", "condition": "find_cly"}, "/V"),
+        ("lyapunov", LYAPUNOV_OK | {"V": "x1^2 - 1"}, "/V"),
+        ("lyapunov", LYAPUNOV_OK | {"mode": "analytic", "dV": {
+            "grad": ["x1"], "hess": [["1", "0"], ["0", "1"]]}}, "/dV/grad"),
+        ("lyapunov", LYAPUNOV_OK | {"mode": "analytic", "dV": {
+            "grad": ["x1", "x2"], "hess": [["1", "0"], ["0"]]}}, "/dV/hess"),
+        ("lyapunov", LYAPUNOV_OK | {"condition": "sandwich", "params": {"c1": 1, "c2": 2}},
+         "/params/p"),
+        ("lyapunov", LYAPUNOV_OK | {"condition": "exp_stable", "params": {"lambda": 0.0}},
+         "/params"),
+        ("lyapunov", LYAPUNOV_OK | {"mode": "symbolic"}, "/mode"),
+    ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
+            "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
+            "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
+            "lyapunov_missing_p", "lyapunov_lambda", "lyapunov_mode"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"gcalc {sub}: error: ")
         assert pointer in err
+        assert err.count("\n") == 1
 
     def test_schema_violation_names_pointer(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {

@@ -5,6 +5,8 @@ from scipy import stats
 from gcalc import (
     ConfigError,
     ExperimentConfig,
+    coefficients,
+    truncate,
     GeometricModel,
     PolicyFamily,
     SigmaBand,
@@ -180,3 +182,36 @@ class TestEmission:
         bt_b = bt_over_t(BAND, fam_b, [10.0, 20.0], n_paths=50, seed=1)
         assert bt_a.rows != bt_b.rows
         assert bt_a.cfg_hash != bt_b.cfg_hash
+
+    @pytest.mark.parametrize("other", [
+        lambda: (coefficients(1, 1, ["-3*x1"], ["0.5*x1"], ["x1"]), [1.0]),
+        lambda: (coefficients(1, 1, ["-x1"], ["0.5*x1"], ["2*x1"]), [1.0]),
+        lambda: (coefficients(1, 1, ["-x1"], ["0.5*x1"], ["x1"], lipschitz_tag="local"), [1.0]),
+        lambda: (truncate(coefficients(1, 1, ["-x1"], ["0.5*x1"], ["x1"]), 4.0), [1.0]),
+        lambda: (coefficients(1, 1, ["-x1"], ["0.5*x1"], ["x1"]), [2.0]),
+    ], ids=["drift", "diffusion", "lipschitz_tag", "radius", "x0"])
+    def test_hash_covers_coefficient_systems(self, other):
+        base = (coefficients(1, 1, ["-x1"], ["0.5*x1"], ["x1"]), [1.0])
+        same = (coefficients(1, 1, ["-x1"], ["0.5*x1"], ["x1"]), [1.0])
+
+        def cfg(system):
+            return make_cfg(system=system, lam=0.1, n_paths=100, T=1.0, dt=0.05, times=(1.0,))
+
+        assert config_hash(cfg(base).config_dict()) == config_hash(cfg(same).config_dict())
+        assert config_hash(cfg(base).config_dict()) != config_hash(cfg(other()).config_dict())
+
+    def test_coefficient_hash_follows_rows(self):
+        # two drifts once shared a hash while writing different rows
+        def run(drift):
+            system = (coefficients(1, 1, [drift], ["0"], ["x1"]), [1.0])
+            return moment_decay_curve(make_cfg(system=system, lam=0.1, n_paths=100, T=1.0,
+                                               dt=0.05, times=(1.0,)))
+
+        a, b = run("-x1"), run("-3*x1")
+        assert a.rows != b.rows and a.cfg_hash != b.cfg_hash
+
+    def test_bt_hash_covers_steps_per_unit(self):
+        a = bt_over_t(BAND, family(), [10.0, 20.0], n_paths=50, seed=1, steps_per_unit=1.0)
+        b = bt_over_t(BAND, family(), [10.0, 20.0], n_paths=50, seed=1, steps_per_unit=4.0)
+        assert a.rows != b.rows
+        assert a.cfg_hash != b.cfg_hash

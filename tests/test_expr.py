@@ -105,6 +105,40 @@ def _central_difference(e, var, point, h):
     return float((e.eval(hi) - e.eval(lo)) / (2.0 * h))
 
 
+class TestTable:
+    VARS = ("t", "x1", "x2")
+
+    def test_nested_shape_and_passthrough(self):
+        e = parse("x1 * t", self.VARS)
+        tab = expr.table([[e, "x2"], ["1", 2]], (2, 2), self.VARS)
+        assert tab[0][0] is e
+        assert tab[0][1] == parse("x2", self.VARS) and tab[1][1] == parse("2", self.VARS)
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = expr.fill(tab, (2, 2), expr.bind(0.5, x), (3,))
+        assert out.shape == (3, 2, 2)
+        assert np.array_equal(out[:, 0, 0], 0.5 * x[:, 0]) and np.array_equal(out[:, 1, 1], [2.0] * 3)
+
+    @pytest.mark.parametrize("entries,dims,message", [
+        (["x1"], (2,), "needs 2 entries, got 1"),
+        (["x1", "x2", "t"], (2,), "needs 2 entries, got 3"),
+        ([["x1", "x2"], ["t"]], (2, 2), "needs 2 entries, got 1"),
+        ([["x1"], ["x2"]], (2, 2), "needs 2 entries, got 1"),
+        ("x1", (1,), "needs 1 entries, got one expression"),
+        ([[]], (1, 1), "needs 1 entries, got 0"),
+    ], ids=["short", "long", "ragged_row", "narrow", "bare_expression", "empty_row"])
+    def test_shape_errors(self, entries, dims, message):
+        with pytest.raises(ValueError, match=f"grad {message}"):
+            expr.table(entries, dims, self.VARS, what="grad")
+
+    def test_leaf_parse_errors_keep_their_type(self):
+        with pytest.raises(ExprNameError):
+            expr.table(["x1", "y"], (2,), self.VARS)
+
+    def test_evaluate_broadcasts_a_view(self):
+        out = expr.evaluate(parse("2", self.VARS), expr.bind(0.0, np.zeros((4, 2))), (4,))
+        assert out.shape == (4,) and not out.flags.writeable
+
+
 class TestSymbolicAgainstFD:
     def test_polynomial_gradients_match(self):
         rng = np.random.default_rng(7)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcalc import (
     CheckRegion,
+    CovarianceSet,
     LyapunovSpec,
     PolicyFamily,
     SigmaBand,
@@ -12,10 +14,12 @@ from gcalc import (
     eval_L,
     find_cly,
     find_cly_detailed,
+    g_matrix,
     g_scalar,
     threshold_bangbang,
     verify_moment_bound,
 )
+from gcalc.expr import Expression
 from gcalc.lyapunov import RegionError
 
 BAND = SigmaBand(1.0, 2.0)
@@ -278,3 +282,160 @@ class TestMomentBound:
                                   n_paths=100, seed=3, c_ly=1.0, n_steps=200, region=tiny)
         assert rep.verdict == "region_exceeded"
         assert rep.region_exceeded["max_norm"] > 0.5
+
+
+# --- references: the per-expression loops that LyapunovSpec and eval_L replaced
+
+
+def _ref_env(n, t, x):
+    env = {"t": t}
+    for i in range(n):
+        env[f"x{i + 1}"] = x[..., i]
+    return env
+
+
+def ref_derivatives(spec, t, x, h_fd=1e-5, h_fd2=1e-4):
+    """The analytic loops and the copy-and-shift stencil, one entry at a time."""
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
+    n = spec.n
+    if spec.mode == "analytic":
+        env = _ref_env(n, t, x)
+        vt = np.broadcast_to(np.asarray(spec.dt_expr.eval(env), dtype=float), shape)
+        grad = np.empty(shape + (n,))
+        for i, e in enumerate(spec.grad_exprs):
+            grad[..., i] = np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
+        hess = np.empty(shape + (n, n))
+        for i in range(n):
+            for j in range(n):
+                hess[..., i, j] = np.broadcast_to(
+                    np.asarray(spec.hess_exprs[i][j].eval(env), dtype=float), shape)
+        return vt, grad, hess
+    xnorm = np.linalg.norm(x, axis=-1)
+    h1 = h_fd * (1.0 + xnorm)
+    h2 = h_fd2 * (1.0 + xnorm)
+    ht = h_fd * (1.0 + np.abs(np.asarray(t, dtype=float)))
+
+    def v_at(tt, xx):
+        return np.broadcast_to(np.asarray(spec.v.eval(_ref_env(n, tt, xx)), dtype=float), shape)
+
+    vt = (v_at(np.asarray(t) + ht, x) - v_at(np.asarray(t) - ht, x)) / (2.0 * ht)
+    grad = np.empty(shape + (n,))
+    hess = np.empty(shape + (n, n))
+    v0 = v_at(t, x)
+    for i in range(n):
+        xp = x.copy()
+        xm = x.copy()
+        xp[..., i] = xp[..., i] + h1
+        xm[..., i] = xm[..., i] - h1
+        grad[..., i] = (v_at(t, xp) - v_at(t, xm)) / (2.0 * h1)
+    for i in range(n):
+        xp = x.copy()
+        xm = x.copy()
+        xp[..., i] = xp[..., i] + h2
+        xm[..., i] = xm[..., i] - h2
+        hess[..., i, i] = (v_at(t, xp) - 2.0 * v0 + v_at(t, xm)) / (h2 * h2)
+        for j in range(i + 1, n):
+            acc = 0.0
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                xx = x.copy()
+                xx[..., i] = xx[..., i] + si * h2
+                xx[..., j] = xx[..., j] + sj * h2
+                acc = acc + si * sj * v_at(t, xx)
+            hess[..., i, j] = hess[..., j, i] = acc / (4.0 * h2 * h2)
+    return vt, grad, hess
+
+
+def ref_eval_L(spec, coeffs, unc, t, x):
+    """L V from the reference derivatives and three separate eval_* calls."""
+    x = np.asarray(x, dtype=float)
+    vt, grad, hess = ref_derivatives(spec, t, x)
+    fv = coeffs.eval_f(t, x)
+    hv = coeffs.eval_h(t, x)
+    gv = coeffs.eval_g(t, x)
+    h_sym = hv + np.swapaxes(hv, -1, -2)
+    eta = np.einsum("...n,...nij->...ij", grad, h_sym) + np.einsum(
+        "...mn,...mi,...nj->...ij", hess, gv, gv)
+    gval = g_scalar(unc, eta[..., 0, 0]) if isinstance(unc, SigmaBand) else g_matrix(unc, eta)
+    out = vt + np.einsum("...n,...n->...", grad, fv) + gval
+    return float(out) if np.ndim(out) == 0 else out
+
+
+COV = CovarianceSet(2, [np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
+# t-dependent and non-polynomial terms; x{k} stands for a state variable
+TERMS = ("exp(-t)*x{a}^2", "sin(x{a})*x{b}", "log(1 + x{a}^2)", "sqrt(1 + t + x{b}^2)",
+         "tanh(x{a})*t", "abs(x{a})^1.5", "cos(t*x{b}) + 2", "x{a}*x{b}^3")
+
+
+@st.composite
+def candidates(draw):
+    """(n, V source, grad sources, hess sources, coefficients, uncertainty)."""
+    n = draw(st.integers(1, 3))
+
+    def term():
+        src = draw(st.sampled_from(TERMS))
+        return src.format(a=draw(st.integers(1, n)), b=draw(st.integers(1, n)))
+
+    def terms(k):
+        return " + ".join(term() for _ in range(k))
+
+    v = terms(draw(st.integers(1, 3)))
+    grad = [term() for _ in range(n)]
+    hess = [[term() for _ in range(n)] for _ in range(n)]
+    unc = draw(st.sampled_from([BAND, COV]))
+    d = unc.dim
+    coeffs = coefficients(n, d, [term() for _ in range(n)],
+                          [[[term() for _ in range(d)] for _ in range(d)] for _ in range(n)],
+                          [[term() for _ in range(d)] for _ in range(n)])
+    return n, v, grad, hess, coeffs, unc
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+class TestReferenceEquivalence:
+    @given(candidates(), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_derivatives_and_L_bitwise(self, cand, seed, scalar_t):
+        n, v, grad, hess, coeffs, unc = cand
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.0, 2.0, size=(17, n))
+        t = 0.7 if scalar_t else rng.uniform(0.0, 3.0, size=17)
+        specs = (LyapunovSpec(n, v, mode="finite_difference"),
+                 LyapunovSpec(n, v, mode="analytic", dt=v, grad=grad, hess=hess))
+        for spec in specs:
+            for got, want in zip(spec.derivatives(t, x), ref_derivatives(spec, t, x)):
+                assert got.shape == want.shape and _bits(got) == _bits(want)
+            assert _bits(eval_L(spec, coeffs, unc, t, x)) == _bits(ref_eval_L(spec, coeffs, unc, t, x))
+
+    def test_unshifted_points_reuse_x(self, monkeypatch):
+        # the centre point and the time stencil bind x itself, not a copy
+        spec = LyapunovSpec(2, "t*x1^2 + x2", mode="finite_difference")
+        x = np.ones((5, 2))
+        bound = []
+        original = Expression.eval
+
+        def spy(self, env):
+            bound.append(env["x1"].base is x)
+            return original(self, env)
+
+        monkeypatch.setattr(Expression, "eval", spy)
+        spec.derivatives(np.zeros(5), x)
+        assert sum(bound) == 3  # t + ht, t - ht and the centre
+
+
+class TestOneVPass:
+    def test_growth_check_evaluates_v_once(self, monkeypatch):
+        coeffs, spec = duffing()
+        region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)])
+        calls = []
+        original = Expression.eval
+
+        def counting(self, env):
+            calls.append(self is spec.v)
+            return original(self, env)
+
+        monkeypatch.setattr(Expression, "eval", counting)
+        check_growth_condition(spec, coeffs, BAND, region, c_ly=1.0)
+        assert sum(calls) == 1

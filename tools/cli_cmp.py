@@ -1,0 +1,189 @@
+"""Compare the gcalc CLI of a git ref with the working tree, byte for byte.
+
+    python3 tools/cli_cmp.py BASE_REF
+
+BASE_REF is extracted with ``git archive`` into a temporary directory.  Every
+subcommand runs on a built-in set of small configs (valid ones and config
+errors) with seeds 1 and 7, once with BASE_REF's ``src`` and once with the
+working tree's, writing to stdout.  Any difference in stdout, stderr or exit
+code is reported with the first differing lines.  Exits 0 when every run
+matches and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 7)
+
+BAND = [1.0, 2.0]
+COV = {"dim": 2, "members": [[1.0, 0.0, 0.0, 1.0], [2.0, 0.5, 0.5, 1.0]]}
+DUFFING = {"n": 2, "d": 1, "band": BAND, "f": ["0", "0"],
+           "h": ["x2", "-x1 - x1^3 - x2"], "g": ["0", "1"]}
+COV_SYSTEM = {"n": 2, "d": 2, **COV, "f": ["-x1", "-2*x2"],
+              "h": [[["0.1*x1", "0"], ["0", "0"]], [["0", "0"], ["0", "0.1*x2"]]],
+              "g": [["x1", "0"], ["0.5*x2", "x2"]]}
+EXACT = {"n": 1, "d": 1, "band": BAND, "f": ["-3*x1"], "h": ["0.5*x1"], "g": ["x1"]}
+# (system, V, analytic derivatives, region)
+CANDIDATES = {
+    "band": (DUFFING, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4",
+             {"dt": "0", "grad": ["x1 + x1^3", "x2"], "hess": [["1 + 3*x1^2", "0"], ["0", "1"]]},
+             {"t": [0, 2], "box": [[-3, 3, 13], [-3, 3, 13]], "nt": 2}),
+    "cov": (COV_SYSTEM, "x1^2 + x2^2",
+            {"dt": "0", "grad": ["2*x1", "2*x2"], "hess": [["2", "0"], ["0", "2"]]},
+            {"t": [0, 1], "box": [[-2, 2, 9], [-2, 2, 9]], "exclude_r0": 0.25}),
+}
+CONDITIONS = {"growth": {"c_ly": 1.0}, "find_cly": {}, "sandwich": {"p": 2.0, "c1": 0.5, "c2": 3.0},
+              "nonpositive": {}, "exp_stable": {"lambda": 0.5}, "exp_unstable": {"lambda": 0.5}}
+
+
+def lyapunov_cfg(which, mode, condition, **override):
+    system, v, dv, region = CANDIDATES[which]
+    cfg = {"system": system, "V": v, "mode": mode, "region": region,
+           "condition": condition, "params": CONDITIONS[condition]}
+    if mode == "analytic":
+        cfg["dV"] = dv
+    return {**cfg, **override}
+
+
+def cases() -> dict:
+    """name -> (subcommand, config)."""
+    out = {}
+    for which in CANDIDATES:
+        for mode in ("finite_difference", "analytic"):
+            for condition in CONDITIONS:
+                out[f"lyapunov_{which}_{mode}_{condition}"] = (
+                    "lyapunov", lyapunov_cfg(which, mode, condition))
+    out["lyapunov_exact_fd"] = ("lyapunov", {
+        "system": EXACT, "V": "x1^2", "region": {"t": [0, 1], "box": [[-50, 50, 101]]},
+        "condition": "exp_stable", "params": {"lambda": 2.0}})
+    duffing_band = lyapunov_cfg("band", "analytic", "growth")
+    errors = {
+        "axis_count": {"region": {"t": [0, 1], "box": [[-1, 1, 1], [-1, 1, 3]]}},
+        "axis_number": {"region": {"t": [0, 1], "box": [[-1, 1, 3]]}},
+        "v_min": {"V": "x1^2 + x2^2", "mode": "finite_difference", "condition": "find_cly"},
+        "negative_v": {"V": "x1^2 - 1", "mode": "finite_difference"},
+        "grad_shape": {"dV": {"dt": "0", "grad": ["x1"], "hess": [["1", "0"], ["0", "1"]]}},
+        "hess_shape": {"dV": {"dt": "0", "grad": ["x1", "x2"], "hess": [["1", "0"], ["0"]]}},
+        "missing_p": {"condition": "sandwich", "params": {"c1": 1.0, "c2": 2.0}},
+        "lambda": {"condition": "exp_stable", "params": {"lambda": 0.0}},
+    }
+    for name, override in errors.items():
+        out[f"lyapunov_error_{name}"] = ("lyapunov", {**duffing_band, **override})
+
+    oscillator = {**DUFFING, "lipschitz_tag": "local", "f": ["x2", "-x1 - x1^3"],
+                  "h": ["0", "-0.2*x2"], "g": ["0", "0.5*x1"]}
+    constant = {"kind": "constant", "value": 1.5}
+    out["gsde_localized"] = ("gsde", {**oscillator, "x0": [1.0, 0.0], "policy": constant,
+                                      "grid": {"t_end": 2.0, "n_steps": 200}})
+    out["gsde_global"] = ("gsde", {**EXACT, "x0": [1.0], "policy": constant,
+                                   "grid": {"t_end": 1.0, "n_steps": 100}})
+    out["gsde_cov"] = ("gsde", {**COV_SYSTEM, "x0": [1.0, -0.5],
+                                "policy": {"kind": "constant", "index": 1},
+                                "grid": {"t_end": 1.0, "n_steps": 50}})
+
+    extremes = {"kind": "extreme_constants"}
+    grid = {"t_end": 1.0, "n_steps": 20}
+    out["upper_band"] = ("upper", {"band": BAND, "family": extremes, "payoff": "b1^2",
+                                   "grid": grid, "n_paths": 2000})
+    out["upper_bangbang"] = ("upper", {"band": BAND, "payoff": "pos(b1) + 0.1*qv",
+                                       "family": {"kind": "bangbang_threshold",
+                                                  "thresholds": [-0.5, 0.0, 0.5]},
+                                       "grid": grid, "n_paths": 1000})
+    out["upper_cov"] = ("upper", {**COV, "family": extremes, "payoff": "b1^2 + b1*b2",
+                                  "grid": grid, "n_paths": 1000})
+    out["simulate_band"] = ("simulate", {"band": BAND, "policy": constant,
+                                         "grid": {"t_end": 1.0, "n_steps": 10}, "n_paths": 3})
+    out["simulate_bangbang"] = ("simulate", {"band": BAND, "n_paths": 2,
+                                             "policy": {"kind": "bangbang_threshold", "theta": 0.0},
+                                             "grid": {"t_end": 1.0, "n_steps": 10}})
+    out["simulate_cov"] = ("simulate", {**COV, "policy": {"kind": "constant", "index": 0},
+                                        "grid": {"t_end": 1.0, "n_steps": 5}, "n_paths": 2})
+    model = {"alpha": -1.0, "beta": 0.2, "gamma": 0.5, "x0": 1.0}
+    out["experiment_moment_decay"] = ("experiment", {
+        "kind": "moment_decay", "band": BAND, "family": extremes, "model": model,
+        "p": 2.0, "T": 1.0, "dt": 0.05, "n_paths": 500})
+    out["experiment_lyapunov_exponent"] = ("experiment", {
+        "kind": "lyapunov_exponent", "band": BAND, "family": extremes, "model": model,
+        "p": 2.0, "T": 2.0, "dt": 0.05, "n_paths": 200})
+    out["experiment_bt_over_t"] = ("experiment", {
+        "kind": "bt_over_t", "band": BAND, "family": extremes,
+        "t_values": [10.0, 100.0], "n_paths": 200})
+    out["gheat_square"] = ("gheat", {"band": BAND, "payoff": "x^2",
+                                     "grid": {"x_lo": -8.0, "x_hi": 8.0, "nx": 161, "T": 1.0}})
+    out["linstab_stable"] = ("linstab", {"n": 1, "F": [-3.0], "H": [-1.0], "C": [1.0],
+                                         "band": BAND, "P": [1.0], "mode": "stable"})
+    out["linstab_unstable"] = ("linstab", {"n": 1, "F": [3.0], "H": [-1.0], "C": [1.0],
+                                           "band": BAND, "P": [1.0], "mode": "unstable"})
+    out["linstab_search"] = ("linstab", {"n": 2, "F": [-10.0, 0.0, 0.0, -0.6], "H": [0.0] * 4,
+                                         "C": [0.0, 3.0, 0.0, 0.0], "band": [1.0, 1.0],
+                                         "mode": "search"})
+    return out
+
+
+def extract(ref: str, dest: Path) -> None:
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run(src: Path, sub: str, config: Path, seed: int, cwd: Path):
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    p = subprocess.run([sys.executable, "-m", "gcalc.cli", sub, "--config", str(config),
+                        "--seed", str(seed)], capture_output=True, env=env, cwd=cwd)
+    return p.stdout, p.stderr, p.returncode
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    la, lb = a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines()
+    for i in range(max(len(la), len(lb))):
+        x = la[i] if i < len(la) else "<end>"
+        y = lb[i] if i < len(lb) else "<end>"
+        if x != y:
+            return f"line {i + 1}:\n      base: {x[:200]}\n      tree: {y[:200]}"
+    return "same lines, different bytes (line endings?)"
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="cli_cmp_") as tmp:
+        tmp = Path(tmp)
+        extract(argv[0], tmp / "base")
+        (tmp / "configs").mkdir()
+        differ = 0
+        table = cases()
+        for name, (sub, cfg) in table.items():
+            config = tmp / "configs" / f"{name}.json"
+            config.write_text(json.dumps(cfg))
+            for seed in SEEDS:
+                base = run(tmp / "base" / "src", sub, config, seed, tmp)
+                tree = run(ROOT / "src", sub, config, seed, tmp)
+                if base == tree:
+                    print(f"same  {name} seed={seed} exit={tree[2]}")
+                    continue
+                differ += 1
+                print(f"DIFF  {name} seed={seed}")
+                if base[2] != tree[2]:
+                    print(f"    exit code: base {base[2]}, tree {tree[2]}")
+                for label, a, b in (("stdout", base[0], tree[0]), ("stderr", base[1], tree[1])):
+                    if a != b:
+                        print(f"    {label} {first_difference(a, b)}")
+        runs = len(table) * len(SEEDS)
+        print(f"{runs - differ} of {runs} runs identical, {differ} differ ({argv[0]} vs working tree)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
