@@ -42,9 +42,8 @@ from .upper_expectation import (
     estimate_upper,
     optimize_bangbang,
     stochastic_exponential_payoff,
-    terminal_payoff,
 )
-from .gheat import CFLError, GHeatSolution, SpaceTimeGrid, TerminalPayoff, solve_terminal, solve_two_step
+from .gheat import CFLError, GHeatSolution, SpaceTimeGrid, solve_terminal, solve_two_step
 from .expr import Expression, ExprError, ExprNameError, ExprSyntaxError, parse
 from .gsde import (
     BlowUpError,

@@ -216,7 +216,7 @@ def cmd_upper(args, cfg, comments):
             env[f"b{i + 1}"] = batch.b[:, -1, i]
         return np.broadcast_to(np.asarray(payoff_expr.eval(env), dtype=float), (len(batch),))
 
-    report = estimate_upper(payoff, family, unc, grid, n_paths, args.seed, threads=args.threads)
+    report = estimate_upper(payoff, family, unc, grid, n_paths, args.seed)
 
     _emit(args, comments, lambda fh, c: _report_out(args, fh, c, report.to_json_dict()))
     return 0
@@ -277,21 +277,26 @@ def cmd_lyapunov(args, cfg, comments):
     mode = cfg.get("mode", "finite_difference")
     if mode not in ("analytic", "finite_difference"):
         raise UsageError(f"unknown value at /mode: {mode!r}")
+    n = coeffs.n
+    variables = ["t"] + expr_mod.state_variables(n)
+
+    def parsed(pointer, kind, dims=(), default=None):
+        """The expression table at pointer; errors name the pointer."""
+        src = _fetch(cfg, pointer, kind, required=default is None, default=default)
+        try:
+            return expr_mod.table(src, dims, variables, cfg.get("constants"), pointer)
+        except expr_mod.ExprError as e:
+            raise UsageError(f"bad expression at {pointer}: {e}")
+        except ValueError as e:  # a table of the wrong shape
+            raise UsageError(str(e))
+
     spec_kwargs = {}
     if mode == "analytic":
-        spec_kwargs = {
-            "dt": _fetch(cfg, "/dV/dt", str, required=False, default="0"),
-            "grad": _fetch(cfg, "/dV/grad", list),
-            "hess": _fetch(cfg, "/dV/hess", list),
-        }
-    try:
-        spec = LyapunovSpec(coeffs.n, _fetch(cfg, "/V", str), mode=mode,
-                            constants=cfg.get("constants"),
-                            nonneg=bool(cfg.get("nonneg", True)), **spec_kwargs)
-    except expr_mod.ExprError as e:
-        raise UsageError(f"bad expression at /V: {e}")
-    except ValueError as e:  # a grad or hess table of the wrong shape
-        raise UsageError(f"/dV/{e}")
+        spec_kwargs = {"dt": parsed("/dV/dt", str, default="0"),
+                       "grad": parsed("/dV/grad", list, (n,)),
+                       "hess": parsed("/dV/hess", list, (n, n))}
+    spec = LyapunovSpec(n, parsed("/V", str), mode=mode,
+                        nonneg=bool(cfg.get("nonneg", True)), **spec_kwargs)
     reg = _fetch(cfg, "/region", dict)
     t_end = float(_fetch(reg, "/t", list)[1])
     exclude_r0, nt = float(reg.get("exclude_r0", 0.0)), int(reg.get("nt", 2))
@@ -300,8 +305,8 @@ def cmd_lyapunov(args, cfg, comments):
                              exclude_r0, nt)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad region at /region/box: {e}")
-    if region.n != coeffs.n:
-        raise UsageError(f"/region/box has {region.n} axes but the system has n={coeffs.n}")
+    if region.n != n:
+        raise UsageError(f"/region/box has {region.n} axes but the system has n={n}")
     condition = _fetch(cfg, "/condition", str)
     params = cfg.get("params", {})
     try:
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
         p.add_argument("--force", action="store_true", help="allow overwriting --out")
         p.add_argument("--emit-plot-data", action="store_true",
                        help="tidy long-format CSV instead of the wide table")

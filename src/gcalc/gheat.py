@@ -83,23 +83,6 @@ class SpaceTimeGrid:
         return cls(x_lo, x_hi, nx, T, nt)
 
 
-@dataclass(frozen=True)
-class TerminalPayoff:
-    """Terminal data phi; growth is 'bounded' or 'polynomial'.  Polynomial
-    payoffs are accepted with a domain-truncation caveat: pad the grid to
-    several diffusion standard deviations past the evaluation region."""
-
-    phi: object
-    growth: str = "polynomial"
-
-    def __post_init__(self):
-        if self.growth not in ("bounded", "polynomial"):
-            raise ValueError("growth must be 'bounded' or 'polynomial'")
-
-    def __call__(self, x):
-        return np.asarray(self.phi(np.asarray(x, dtype=float)), dtype=float)
-
-
 class GHeatSolution:
     """Value function u(0, .) sampled on the spatial grid."""
 
@@ -127,14 +110,14 @@ def _step(v: np.ndarray, band: SigmaBand, dt: float, dx: float) -> None:
 
 
 def solve_terminal(band: SigmaBand, payoff, grid: SpaceTimeGrid) -> GHeatSolution:
-    """March the terminal data back to time 0.
+    """March the terminal data payoff, a vectorised callable, back to time 0.
 
-    payoff may be a TerminalPayoff or a plain vectorised callable.
+    Polynomially growing payoffs carry a domain-truncation caveat: pad the
+    grid to several diffusion standard deviations past the evaluation region.
     """
     grid.check_cfl(band)
-    phi = payoff if isinstance(payoff, TerminalPayoff) else TerminalPayoff(phi=payoff)
     with np.errstate(all="ignore"):
-        v = np.asarray(phi(grid.x), dtype=float).copy()
+        v = np.asarray(payoff(grid.x), dtype=float).copy()
     if v.shape != grid.x.shape:
         raise ValueError("payoff must evaluate elementwise on the grid")
     if not np.all(np.isfinite(v)):

@@ -93,7 +93,10 @@ class LyapunovSpec:
                     xx[..., i] = xx[..., i] + h
             return expr_mod.evaluate(self.v, expr_mod.bind(tt, xx), shape)
 
-        vt = (v_at(np.asarray(t) + ht) - v_at(np.asarray(t) - ht)) / (2.0 * ht)
+        if "t" in self.v.free_variables:
+            vt = (v_at(np.asarray(t) + ht) - v_at(np.asarray(t) - ht)) / (2.0 * ht)
+        else:  # the quotient would be exactly +0.0 wherever V is finite
+            vt = np.zeros(shape)
         grad = np.empty(shape + (self.n,))
         hess = np.empty(shape + (self.n, self.n))
         v0 = v_at(t)
@@ -139,9 +142,6 @@ class CheckRegion:
         T = np.repeat(tvals, len(pts))
         X = np.tile(pts, (len(tvals), 1))
         return T, X
-
-    def spacings(self):
-        return [(hi - lo) / (count - 1) for lo, hi, count in self.box]
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

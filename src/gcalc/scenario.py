@@ -308,9 +308,6 @@ class PathBatch:
                                self.trace[rows], self.choices[rows], self.noise[rows],
                                self.seed, self.first_index + i, self.policy_descriptor))
 
-    def __iter__(self):
-        return (self.path(i) for i in range(len(self)))
-
 
 def _band_choice(policy, k, b_k, aux, unc, n_paths, bang):
     """Step-k variances (n_paths,), checked against the band."""
@@ -470,15 +467,6 @@ def _gap_scan(increments):
     s = np.zeros(increments.shape[:-1] + (increments.shape[-1] + 1,))
     np.cumsum(increments, axis=-1, out=s[..., 1:])
     return np.max(s - np.minimum.accumulate(s, axis=-1), axis=-1)
-
-
-def _pairwise_violation(qv, t, lo, hi):
-    """Worst two-sided bound violation over all grid pairs of a raw series.
-
-    Subject to the rounding drift of comparing two running sums; prefer the
-    increment-based check for simulated paths."""
-    return np.maximum(_gap_scan(np.diff(qv, axis=-1) - hi * np.diff(t)),
-                      _gap_scan(lo * np.diff(t) - np.diff(qv, axis=-1)))
 
 
 def _trace_violation(trace_scalar, dt, lo, hi):

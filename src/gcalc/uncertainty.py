@@ -58,10 +58,6 @@ class SigmaBand:
     def sigma_hi(self) -> float:
         return float(np.sqrt(self.sigma2_hi))
 
-    @property
-    def sigma_lo(self) -> float:
-        return float(np.sqrt(self.sigma2_lo))
-
     def contains(self, sigma2, tol: float = 1e-12):
         s = np.asarray(sigma2, dtype=float)
         return (s >= self.sigma2_lo - tol) & (s <= self.sigma2_hi + tol)

@@ -12,7 +12,6 @@ selection bias of taking a max is absorbed by test tolerances.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,25 +129,18 @@ def _mean_se(values: np.ndarray):
     return m, se
 
 
-def evaluate_family(fn, family, unc, grid: TimeGrid, n_paths: int, seed: int, threads: int = 1):
+def evaluate_family(fn, family, unc, grid: TimeGrid, n_paths: int, seed: int):
     """(policies, [fn(batch) for each policy]) in family order.
 
     Draws one noise block for paths 0 .. n_paths - 1 and assembles every
-    policy of the family on it (common random numbers).  Each batch is
-    dropped once its fn returns, so at most ``threads`` batches are alive
-    at a time."""
+    policy of the family on it (common random numbers).  Policies run one
+    after another and each batch is dropped once its fn returns, so only
+    one batch is alive at a time."""
     policies = family.policies(unc) if isinstance(family, PolicyFamily) else list(family)
     if not policies:
         raise ValueError("empty policy family")
     noise = batch_noise(seed, 0, n_paths, grid.n_steps, unc.dim)
-
-    def run(policy):
-        return fn(assemble(policy, unc, grid, noise, seed=seed))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return policies, list(pool.map(run, policies))
-    return policies, [run(p) for p in policies]
+    return policies, [fn(assemble(p, unc, grid, noise, seed=seed)) for p in policies]
 
 
 def bound_rows(times, values, bounds, slack):
@@ -185,8 +177,7 @@ def _assemble_reports(policies, results, n_paths):
     )
 
 
-def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int,
-                   threads: int = 1):
+def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int):
     """sup over the family of Monte Carlo means of payoff(paths).
 
     payoff maps a PathBatch to a (P,) array; it may instead return (P, m)
@@ -208,7 +199,7 @@ def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int,
             )
         return vals
 
-    policies, all_vals = evaluate_family(checked, family, unc, grid, n_paths, seed, threads)
+    policies, all_vals = evaluate_family(checked, family, unc, grid, n_paths, seed)
     first = np.asarray(all_vals[0])
     if first.ndim == 1:
         results = [_mean_se(v) for v in all_vals]
@@ -220,8 +211,8 @@ def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int,
     return reports
 
 
-def optimize_bangbang(payoff, unc, grid: TimeGrid, thresholds, n_paths: int, seed: int,
-                      threads: int = 1) -> EstimateReport:
+def optimize_bangbang(payoff, unc, grid: TimeGrid, thresholds, n_paths: int,
+                      seed: int) -> EstimateReport:
     """Grid search over threshold bang-bang rules (both orientations),
     with the two extreme constants included so constant optima are exact.
     The report's details carry the evaluation trajectory in search order."""
@@ -229,21 +220,11 @@ def optimize_bangbang(payoff, unc, grid: TimeGrid, thresholds, n_paths: int, see
         raise ValueError("bang-bang threshold search needs a d = 1 band")
     candidates = [ConstantPolicy(value=unc.sigma2_lo), ConstantPolicy(value=unc.sigma2_hi)]
     candidates += PolicyFamily.bangbang_threshold(thresholds).policies(unc)
-    report = estimate_upper(payoff, PolicyFamily.custom(candidates), unc, grid,
-                            n_paths, seed, threads=threads)
+    report = estimate_upper(payoff, PolicyFamily.custom(candidates), unc, grid, n_paths, seed)
     report.details["search_trajectory"] = [
         {"policy": e.descriptor, "mean": e.mean, "se": e.se} for e in report.table
     ]
     return report
-
-
-def terminal_payoff(fn):
-    """Lift a function of the terminal state: fn(B_T (P,d), qv_T (P,d,d)) -> (P,)."""
-
-    def payoff(batch: PathBatch):
-        return fn(batch.b[:, -1, :], batch.qvar[:, -1, :, :])
-
-    return payoff
 
 
 def stochastic_exponential_payoff(rate: float, at_time: float):

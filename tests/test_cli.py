@@ -105,10 +105,17 @@ class TestExitCodes:
         ("lyapunov", LYAPUNOV_OK | {"condition": "exp_stable", "params": {"lambda": 0.0}},
          "/params"),
         ("lyapunov", LYAPUNOV_OK | {"mode": "symbolic"}, "/mode"),
+        ("lyapunov", LYAPUNOV_OK | {"mode": "analytic", "dV": {
+            "dt": "s", "grad": ["x1", "x2"], "hess": [["1", "0"], ["0", "1"]]}}, "/dV/dt"),
+        ("lyapunov", LYAPUNOV_OK | {"mode": "analytic", "dV": {
+            "grad": ["2*y1", "x2"], "hess": [["1", "0"], ["0", "1"]]}}, "/dV/grad"),
+        ("lyapunov", LYAPUNOV_OK | {"mode": "analytic", "dV": {
+            "grad": ["x1", "x2"], "hess": [["1", "0"], ["0", "1 +"]]}}, "/dV/hess"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
-            "lyapunov_missing_p", "lyapunov_lambda", "lyapunov_mode"])
+            "lyapunov_missing_p", "lyapunov_lambda", "lyapunov_mode",
+            "lyapunov_dt_expression", "lyapunov_grad_expression", "lyapunov_hess_expression"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
@@ -223,6 +230,19 @@ class TestSimulateAndGsde:
         doc = json.loads(out.read_text())
         assert doc["value"] == pytest.approx(2.0, rel=0.05)
         assert len(doc["policies"]) == 2
+
+    def test_upper_ignores_threads(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "bb.json", {
+            "band": [1.0, 2.0], "grid": {"t_end": 1.0, "n_steps": 16},
+            "payoff": "pos(1 - abs(b1))",
+            "family": {"kind": "bangbang_threshold", "thresholds": [-0.5, 0.0, 0.5]},
+            "n_paths": 500,
+        })
+        outs = []
+        for flags in ([], ["--threads", "2"]):
+            assert main(["upper", "--config", cfg, "--seed", "3", *flags]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_experiment_pass_and_plot_data(self, tmp_path):
         cfg = write_cfg(tmp_path, "exp.json", {

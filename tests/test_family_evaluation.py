@@ -275,13 +275,13 @@ def _payoffs(unc):
 class TestEstimateUpper:
     @pytest.mark.parametrize("payoff", ["square", "butterfly", "two_columns"])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @given(seed=SEEDS, n_paths=st.integers(2, 40), threads=st.sampled_from([1, 2]))
+    @given(seed=SEEDS, n_paths=st.integers(2, 40))
     @settings(max_examples=8, deadline=None)
-    def test_matches_per_policy_loop(self, family, payoff, seed, n_paths, threads):
+    def test_matches_per_policy_loop(self, family, payoff, seed, n_paths):
         make, unc = FAMILIES[family]
         fn = _payoffs(unc)[payoff]
         want = _ref_estimate_upper(fn, make(), unc, GRID, n_paths, seed)
-        got = estimate_upper(fn, make(), unc, GRID, n_paths, seed, threads=threads)
+        got = estimate_upper(fn, make(), unc, GRID, n_paths, seed)
         reports = got if isinstance(got, list) else [got]
         assert len(reports) == len(want)
         for rep, table in zip(reports, want):
@@ -308,22 +308,6 @@ class TestEstimateUpper:
 
 
 class TestEvaluateFamily:
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @given(seed=SEEDS, n_paths=st.integers(1, 30))
-    @settings(max_examples=8, deadline=None)
-    def test_threads_give_identical_arrays(self, family, seed, n_paths):
-        make, unc = FAMILIES[family]
-
-        def arrays(batch):
-            return batch.b, batch.qvar, batch.choices
-
-        pol1, one = evaluate_family(arrays, make(), unc, GRID, n_paths, seed, threads=1)
-        pol2, two = evaluate_family(arrays, make(), unc, GRID, n_paths, seed, threads=2)
-        assert [p.describe() for p in pol1] == [p.describe() for p in pol2]
-        for a, b in zip(one, two):
-            for x, y in zip(a, b):
-                assert x.shape == y.shape and _bits(x) == _bits(y)
-
     def test_policies_in_family_order_on_common_noise(self):
         fam = PolicyFamily.constants_only(4)
         policies, noises = evaluate_family(lambda batch: batch.noise, fam, BAND, GRID, 6, 5)

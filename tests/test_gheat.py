@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gcalc import CFLError, SigmaBand, SpaceTimeGrid, TerminalPayoff, solve_terminal, solve_two_step
+from gcalc import CFLError, SigmaBand, SpaceTimeGrid, solve_terminal, solve_two_step
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -47,12 +47,6 @@ class TestSolveTerminal:
     def test_non_finite_payoff_rejected(self):
         with pytest.raises(ValueError):
             solve_terminal(BAND, lambda x: np.log(x), default_grid())
-
-    def test_payoff_growth_tag(self):
-        p = TerminalPayoff(lambda x: np.tanh(x), growth="bounded")
-        solve_terminal(BAND, p, default_grid(nx=101))
-        with pytest.raises(ValueError):
-            TerminalPayoff(lambda x: x, growth="huge")
 
 
 class TestProperties:

@@ -19,7 +19,7 @@ from gcalc import (
     threshold_bangbang,
     verify_moment_bound,
 )
-from gcalc.expr import Expression
+from gcalc.expr import Expression, ExprError
 from gcalc.lyapunov import RegionError
 
 BAND = SigmaBand(1.0, 2.0)
@@ -439,3 +439,29 @@ class TestOneVPass:
         monkeypatch.setattr(Expression, "eval", counting)
         check_growth_condition(spec, coeffs, BAND, region, c_ly=1.0)
         assert sum(calls) == 1
+
+    def test_time_free_candidate_skips_time_stencil(self, monkeypatch):
+        # dV/dt of a V without t is exactly +0.0, so the stencil's two t-shifted
+        # evaluations are left out and the derivatives keep their bits
+        spec = LyapunovSpec(2, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", mode="finite_difference")
+        rng = np.random.default_rng(5)
+        t, x = rng.uniform(0.0, 3.0, size=11), rng.uniform(-3.0, 3.0, size=(11, 2))
+        want = ref_derivatives(spec, t, x)
+        calls = []
+        original = Expression.eval
+
+        def counting(self, env):
+            calls.append(self is spec.v)
+            return original(self, env)
+
+        monkeypatch.setattr(Expression, "eval", counting)
+        got = spec.derivatives(t, x)
+        assert sum(calls) == 13  # 15 with the time stencil
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and _bits(g) == _bits(w)
+
+    def test_time_free_candidate_non_finite_still_rejected(self):
+        coeffs = coefficients(1, 1, ["0"], ["0"], ["0"])
+        spec = LyapunovSpec(1, "1 / x1", mode="finite_difference")
+        with pytest.raises(ExprError):
+            eval_L(spec, coeffs, BAND, 0.0, np.array([[0.0]]))

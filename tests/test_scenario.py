@@ -22,7 +22,8 @@ from gcalc import (
     simulate_batch,
     threshold_bangbang,
 )
-from gcalc.scenario import UnsupportedDimensionError, _sqrt_factor, assemble, batch_noise
+from gcalc.scenario import (UnsupportedDimensionError, _gap_scan, _sqrt_factor, assemble,
+                            batch_noise)
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -334,9 +335,13 @@ class TestQvarBounds:
 
 
 def _violation(qv, t):
-    from gcalc.scenario import _pairwise_violation
+    """Worst two-sided bound violation over all grid pairs of a raw series.
 
-    return float(_pairwise_violation(qv, t, BAND.sigma2_lo, BAND.sigma2_hi))
+    Subject to the rounding drift of comparing two running sums; the library
+    checks the increments of simulated paths instead."""
+    lo, hi = BAND.sigma2_lo, BAND.sigma2_hi
+    return float(np.maximum(_gap_scan(np.diff(qv) - hi * np.diff(t)),
+                            _gap_scan(lo * np.diff(t) - np.diff(qv))))
 
 
 class TestCompensationCheck:

@@ -106,12 +106,6 @@ class TestEstimateUpper:
         assert len(reports) == 2
         assert reports[0].value > reports[1].value
 
-    def test_threads_do_not_change_result(self):
-        r1 = estimate_upper(terminal_square, mixed_family(), BAND, GRID, 2_000, seed=11, threads=1)
-        r4 = estimate_upper(terminal_square, mixed_family(), BAND, GRID, 2_000, seed=11, threads=4)
-        assert r1.value == r4.value
-        assert [e.mean for e in r1.table] == [e.mean for e in r4.table]
-
     def test_n_paths_validated(self):
         with pytest.raises(ValueError):
             estimate_upper(terminal_square, mixed_family(), BAND, GRID, 1, seed=0)

@@ -5,9 +5,10 @@
 BASE_REF is extracted with ``git archive`` into a temporary directory.  Every
 subcommand runs on a built-in set of small configs (valid ones and config
 errors) with seeds 1 and 7, once with BASE_REF's ``src`` and once with the
-working tree's, writing to stdout.  Any difference in stdout, stderr or exit
-code is reported with the first differing lines.  Exits 0 when every run
-matches and 1 otherwise.
+working tree's, writing to stdout; ``upper`` cases run once more with
+``--threads 2``.  Any difference in stdout, stderr or exit code is reported
+with the first differing lines.  Exits 0 when every run matches and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ def extract(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(src: Path, sub: str, config: Path, seed: int, cwd: Path):
+def run(src: Path, sub: str, config: Path, seed: int, cwd: Path, flags=()):
     env = {**os.environ, "PYTHONPATH": str(src)}
     p = subprocess.run([sys.executable, "-m", "gcalc.cli", sub, "--config", str(config),
-                        "--seed", str(seed)], capture_output=True, env=env, cwd=cwd)
+                        "--seed", str(seed), *flags], capture_output=True, env=env, cwd=cwd)
     return p.stdout, p.stderr, p.returncode
 
 
@@ -162,25 +163,26 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         extract(argv[0], tmp / "base")
         (tmp / "configs").mkdir()
-        differ = 0
-        table = cases()
-        for name, (sub, cfg) in table.items():
+        differ = runs = 0
+        for name, (sub, cfg) in cases().items():
             config = tmp / "configs" / f"{name}.json"
             config.write_text(json.dumps(cfg))
-            for seed in SEEDS:
-                base = run(tmp / "base" / "src", sub, config, seed, tmp)
-                tree = run(ROOT / "src", sub, config, seed, tmp)
+            variants = [()] + ([("--threads", "2")] if sub == "upper" else [])
+            for flags, seed in [(f, s) for f in variants for s in SEEDS]:
+                case = " ".join([name, f"seed={seed}", *flags])
+                runs += 1
+                base = run(tmp / "base" / "src", sub, config, seed, tmp, flags)
+                tree = run(ROOT / "src", sub, config, seed, tmp, flags)
                 if base == tree:
-                    print(f"same  {name} seed={seed} exit={tree[2]}")
+                    print(f"same  {case} exit={tree[2]}")
                     continue
                 differ += 1
-                print(f"DIFF  {name} seed={seed}")
+                print(f"DIFF  {case}")
                 if base[2] != tree[2]:
                     print(f"    exit code: base {base[2]}, tree {tree[2]}")
                 for label, a, b in (("stdout", base[0], tree[0]), ("stderr", base[1], tree[1])):
                     if a != b:
                         print(f"    {label} {first_difference(a, b)}")
-        runs = len(table) * len(SEEDS)
         print(f"{runs - differ} of {runs} runs identical, {differ} differ ({argv[0]} vs working tree)")
     return 1 if differ else 0
 
