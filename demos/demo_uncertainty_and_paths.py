@@ -18,20 +18,22 @@ cs = g.CovarianceSet(2, [np.diag([1.0, 0.5]), np.diag([0.5, 1.0])])
 print("matrix G on diag(4,-4):", g.g_matrix(cs, np.diag([4.0, -4.0])))
 
 # A bang-bang policy switches between the extremes on the sign of B.
+# A single path is a batch of one: here path 0 of seed 7.
 grid = g.TimeGrid(1.0, 1000)
 policy = g.threshold_bangbang(band, 0.0)
-path = g.simulate(policy, band, grid, seed=7)
+path = g.simulate_batch(policy, band, grid, seed=7, n_paths=1)
 print("\nsimulated", grid.n_steps, "steps; policy used extremes:",
-      sorted(set(path.choices)))
-print("terminal B =", round(path.b[-1, 0], 4), " terminal <B> =", round(path.qv_scalar()[-1], 4))
+      sorted(set(path.choices[0])))
+print("terminal B =", round(path.b[0, -1, 0], 4),
+      " terminal <B> =", round(path.qv_scalar()[0, -1], 4))
 print("worst two-sided qvar bound violation over all grid pairs:",
-      g.qvar_bounds_check(path, band), "(<= 0 by construction)")
+      float(g.qvar_bounds_check_batch(path, band)[0]), "(<= 0 by construction)")
 
 # The pathwise inequality: integral of eta d<B> never beats 2 G(eta) dt.
 for eta in (1.0, -1.0):
-    m = g.qv_compensation_check(path, eta)
+    m = g.qv_compensation_check_batch(path, eta)[0]
     print(f"max_t M_t with eta={eta:+.0f}: {m:.3e} (nonpositive)")
 
 # Same seed, same path, bit for bit.
-again = g.simulate(policy, band, grid, seed=7)
+again = g.simulate_batch(policy, band, grid, seed=7, n_paths=1)
 print("\nreproducible:", np.array_equal(path.b, again.b))

@@ -18,20 +18,16 @@ from .uncertainty import (
 from .scenario import (
     BangBangPolicy,
     ConstantPolicy,
-    GPath,
     PathBatch,
     PiecewiseConstantPolicy,
     PolicyError,
     TimeGrid,
     VolatilityPolicy,
-    qv_compensation_check,
     qv_compensation_check_batch,
     batch_noise,
     path_noise,
-    qvar_bounds_check,
     qvar_bounds_check_batch,
     restrict,
-    simulate,
     simulate_batch,
     threshold_bangbang,
 )
@@ -50,7 +46,6 @@ from .gsde import (
     CoefficientSet,
     ExplosionSuspectedError,
     SolutionBatch,
-    SolutionPath,
     TruncationSchedule,
     closed_form_geometric,
     coefficients,

@@ -252,19 +252,19 @@ def cmd_gsde(args, cfg, comments):
     grid = _time_grid(cfg)
     policy = _policy(cfg, unc)
     x0 = np.asarray(_fetch(cfg, "/x0", list), dtype=float)
-    path = simulate_batch(policy, unc, grid, args.seed, 1).path(0)
+    batch = simulate_batch(policy, unc, grid, args.seed, 1)
     if "schedule" in cfg or coeffs.lipschitz_tag == "local":
         radii = cfg.get("schedule")
         schedule = TruncationSchedule(tuple(radii)) if radii else TruncationSchedule.doubling()
         try:
-            sol = solve_localized(coeffs, x0, path, schedule)
+            sol = solve_localized(coeffs, x0, batch, schedule)
         except gsde_mod.ExplosionSuspectedError as e:
             raise CheckFailed(str(e))
         print(f"localization settled at radius {sol.n0_used:g}", file=sys.stderr)
     else:
-        sol = gsde_mod.integrate(coeffs, x0, path)
+        sol = gsde_mod.integrate(coeffs, x0, batch)
     header = ["t"] + expr_mod.state_variables(coeffs.n)
-    rows = [(t, *x) for t, x in zip(sol.t, sol.x)]
+    rows = [(t, *x) for t, x in zip(sol.t, sol.x[0])]
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
     return 0
 

@@ -11,6 +11,11 @@ including the first step with |X| >= r, so whether and when a path exits
 r is the same on both.  A path that reaches R exhausts the schedule.
 Exit detection uses grid values only, a discretization bias that shrinks
 with dt.
+
+Solvers take a PathBatch and return a SolutionBatch; a single path is a
+one-path batch.  integrate_batch and solve_localized_batch record
+non-finite states per row in diagnostics["blowup_steps"], while integrate
+and solve_localized raise BlowUpError for the lowest such row.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as expr_mod
-from .runio import write_table
-from .scenario import GPath, PathBatch, TimeGrid
+from .scenario import PathBatch, TimeGrid
 from .uncertainty import SigmaBand
 from .upper_expectation import _mean_se, evaluate_family
 
@@ -218,50 +222,6 @@ class SolutionBatch:
         """Per-path first step with |X| >= radius; -1 where no exit."""
         return _exit_steps(self.running_max, radius)
 
-    def path(self, i: int) -> SolutionPath:
-        i = range(len(self))[i]
-        return SolutionPath(SolutionBatch(self.grid, self.x[i:i + 1], n0_used=self.n0_used))
-
-
-class SolutionPath:
-    """States on the driving path's grid, with exit-time bookkeeping: row 0
-    of a one-path SolutionBatch, seen without its path axis."""
-
-    def __init__(self, batch: SolutionBatch):
-        if len(batch) != 1:
-            raise ValueError("a SolutionPath views a one-path batch")
-        self.batch = batch
-        self.grid, self.n0_used, self.diagnostics = batch.grid, batch.n0_used, batch.diagnostics
-        self.x = batch.x[0]  # (K+1, n)
-
-    @property
-    def norms(self) -> np.ndarray:
-        return self.batch.norms[0]
-
-    @property
-    def running_max(self) -> np.ndarray:
-        return self.batch.running_max[0]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[-1]
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.grid.t
-
-    def exit_step(self, radius: float):
-        """First grid step with |X_k| >= radius, or None."""
-        step = int(self.batch.exit_steps(radius)[0])
-        return None if step < 0 else step
-
-    def exit_step_per_radius(self, radii) -> dict:
-        return {float(r): self.exit_step(float(r)) for r in radii}
-
-    def to_csv(self, target) -> None:
-        header = ["t"] + expr_mod.state_variables(self.n)
-        write_table(target, header, np.column_stack([self.t, self.x]))
-
 
 def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid) -> np.ndarray:
     P = b.shape[0]
@@ -295,14 +255,22 @@ def _blowup_steps(x: np.ndarray) -> dict:
     return {int(i): int(k) for i, k in zip(rows, np.argmax(bad[rows], axis=1))}
 
 
-def integrate(coeffs: CoefficientSet, x0, path: GPath) -> SolutionPath:
-    """Euler step along one simulated path (left-endpoint sums): the batch
-    integration of the path's one-path batch.
+def _raise_blowup(sol: SolutionBatch, batch: PathBatch) -> SolutionBatch:
+    """sol, unless a state turned non-finite: then BlowUpError for the
+    lowest such row, naming its step and path index."""
+    bad = sol.diagnostics.get("blowup_steps")
+    if bad:
+        row = min(bad)
+        raise BlowUpError(bad[row], batch.first_index + row)
+    return sol
 
-    Raises BlowUpError with the first non-finite step; for locally
-    Lipschitz coefficients that usually means the truncation radius (or
-    the schedule) is too small for this scenario."""
-    return _one_path(integrate_batch(coeffs, x0, path.batch), path)
+
+def integrate(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
+    """integrate_batch, raising BlowUpError where a state turns non-finite.
+
+    For locally Lipschitz coefficients a blow-up usually means the
+    truncation radius (or the schedule) is too small for this scenario."""
+    return _raise_blowup(integrate_batch(coeffs, x0, batch), batch)
 
 
 def integrate_batch(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
@@ -329,26 +297,17 @@ def _settle(running_max: np.ndarray, radii: tuple):
     raise ExplosionSuspectedError({r: float(np.mean(e >= 0)) for r, e in exits.items()})
 
 
-def _one_path(sol: SolutionBatch, path: GPath) -> SolutionPath:
-    """The single-path view of a one-path solution; a non-finite state
-    raises BlowUpError naming its step and the path index."""
-    bad = sol.diagnostics.get("blowup_steps")
-    if bad:
-        raise BlowUpError(bad[0], path.path_index)
-    return SolutionPath(sol)
+def solve_localized(coeffs: CoefficientSet, x0, batch: PathBatch,
+                    schedule: TruncationSchedule = None) -> SolutionBatch:
+    """solve_localized_batch's solution, with the radii tried in
+    diagnostics["radii_tried"].
 
-
-def solve_localized(coeffs: CoefficientSet, x0, path: GPath,
-                    schedule: TruncationSchedule = None) -> SolutionPath:
-    """Localized solution on one path: solve_localized_batch on the path's
-    one-path batch.
-
-    Raises ExplosionSuspectedError with exit diagnostics if the path
-    reaches every radius in the schedule, and otherwise BlowUpError if the
+    Raises ExplosionSuspectedError with exit diagnostics if some path
+    reaches every radius in the schedule, and otherwise BlowUpError if a
     kept trajectory turns non-finite."""
-    rep = solve_localized_batch(coeffs, x0, path.batch, schedule)
+    rep = solve_localized_batch(coeffs, x0, batch, schedule)
     rep.solution.diagnostics["radii_tried"] = rep.radii_used
-    return _one_path(rep.solution, path)
+    return _raise_blowup(rep.solution, batch)
 
 
 @dataclass
@@ -361,9 +320,8 @@ class LocalizationReport:
 
 def solve_localized_batch(coeffs: CoefficientSet, x0, batch: PathBatch,
                           schedule: TruncationSchedule = None) -> LocalizationReport:
-    """Batch localization with the same per-path semantics as
-    solve_localized: one Euler pass of the batch at the schedule's largest
-    radius, each path settled at the first radius it never reaches."""
+    """Batch localization: one Euler pass of the batch at the schedule's
+    largest radius, each path settled at the first radius it never reaches."""
     schedule = schedule or TruncationSchedule.doubling()
     sol = integrate_batch(truncate(coeffs, schedule.radii[-1]), x0, batch)
     exits, n0 = _settle(sol.running_max, schedule.radii)
@@ -376,16 +334,15 @@ def solve_localized_batch(coeffs: CoefficientSet, x0, batch: PathBatch,
     )
 
 
-def closed_form_geometric(alpha: float, beta: float, gamma: float, x0: float, path):
+def closed_form_geometric(alpha: float, beta: float, gamma: float, x0: float,
+                          batch: PathBatch) -> SolutionBatch:
     """x0 * exp(alpha t + (beta - gamma^2/2) <B>_t + gamma B_t) on the grid
-    (n = d = 1), for a PathBatch or a GPath."""
-    if isinstance(path, GPath):
-        return SolutionPath(closed_form_geometric(alpha, beta, gamma, x0, path.batch))
-    if path.d != 1:
+    (n = d = 1) of every path in the batch."""
+    if batch.d != 1:
         raise ValueError("closed form needs d = 1")
-    t = path.t
-    expo = alpha * t + (beta - 0.5 * gamma * gamma) * path.qv_scalar() + gamma * path.b[:, :, 0]
-    return SolutionBatch(path.grid, (x0 * np.exp(expo))[..., None])
+    t = batch.t
+    expo = alpha * t + (beta - 0.5 * gamma * gamma) * batch.qv_scalar() + gamma * batch.b[:, :, 0]
+    return SolutionBatch(batch.grid, (x0 * np.exp(expo))[..., None])
 
 
 @dataclass

@@ -4,20 +4,20 @@ A path is classical Brownian motion whose per-step covariance gamma_k is
 picked by an adapted volatility policy from the uncertainty set; the
 quadratic variation accumulates gamma_k * dt exactly.  Noise is drawn from
 a counter-based generator keyed by (seed, path index), so the normals for
-path p never depend on batch size, thread count, or the policy, which also
-gives common random numbers across policies for free.
+path p never depend on batch size or the policy, which also gives common
+random numbers across policies for free.  Paths come in a PathBatch; a
+single path is a one-path batch, and simulate_batch(..., n_paths=1,
+first_index=i) gives path i of any larger batch bit for bit.
 
 Discrete integrals here and downstream are left-endpoint sums.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .runio import write_table
 from .uncertainty import CovarianceSet, SigmaBand, g_value
 
 _MASK64 = (1 << 64) - 1
@@ -217,43 +217,6 @@ def _sqrt_factor(m: np.ndarray) -> np.ndarray:
         return v * np.sqrt(w)
 
 
-class GPath:
-    """One simulated path: row 0 of a one-path PathBatch, with the batch's
-    arrays seen without their path axis.  Treat as read-only."""
-
-    def __init__(self, batch):
-        if len(batch) != 1:
-            raise ValueError("a GPath views a one-path batch")
-        self.batch = batch
-        self.grid, self.unc, self.seed = batch.grid, batch.unc, batch.seed
-        self.path_index = batch.first_index
-        self.b = batch.b[0]                   # (K+1, d)
-        self.qvar = batch.qvar[0]             # (K+1, d, d)
-        self.policy_trace = batch.trace[0]    # (K, d, d)
-        self.choices = batch.choices[0]       # (K,)
-        self.noise = batch.noise[0]           # (K, d)
-
-    @property
-    def d(self) -> int:
-        return self.batch.d
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.grid.t
-
-    def qv_scalar(self) -> np.ndarray:
-        """Quadratic variation as a 1-d series (d = 1 only)."""
-        return self.batch.qv_scalar()[0]
-
-    def to_csv(self, target) -> None:
-        """Columns t, b_1..b_d, qvar_11..qvar_dd, policy_choice."""
-        header, table = self.batch.table()
-        write_table(target, header, table[0])
-
-    def __repr__(self):
-        return f"GPath(seed={self.seed}, index={self.path_index}, d={self.d}, n_steps={self.grid.n_steps})"
-
-
 class PathBatch:
     """n_paths simulated under one policy with shared (seed, index) noise."""
 
@@ -299,14 +262,6 @@ class PathBatch:
         table[:, :-1, -1] = self.choices
         table[:, -1, -1] = np.nan
         return header, table
-
-    def path(self, i: int) -> GPath:
-        """Path i as a GPath over a one-path view of this batch."""
-        i = range(len(self))[i]
-        rows = slice(i, i + 1)
-        return GPath(PathBatch(self.grid, self.unc, self.b[rows], self.qvar[rows],
-                               self.trace[rows], self.choices[rows], self.noise[rows],
-                               self.seed, self.first_index + i, self.policy_descriptor))
 
 
 def _band_choice(policy, k, b_k, aux, unc, n_paths, bang):
@@ -424,11 +379,6 @@ def simulate_batch(policy, unc, grid, seed, n_paths, first_index=0, noise=None) 
     return assemble(policy, unc, grid, noise, seed=seed, first_index=first_index)
 
 
-def simulate(policy, unc, grid, seed, path_index=0) -> GPath:
-    """One path; deterministic given (policy, unc, grid, seed, path_index)."""
-    return simulate_batch(policy, unc, grid, seed, 1, first_index=path_index).path(0)
-
-
 def restrict(batch: PathBatch, factor: int) -> PathBatch:
     """The same paths viewed on a grid coarsened by an integer factor.
 
@@ -477,36 +427,16 @@ def _trace_violation(trace_scalar, dt, lo, hi):
     return np.maximum(_gap_scan(up), _gap_scan(down))
 
 
-def qvar_bounds_check(path: GPath, band: SigmaBand) -> float:
-    """Max signed violation of lo*(t2-t1) <= <B>(t2)-<B>(t1) <= hi*(t2-t1)
+def qvar_bounds_check_batch(batch: PathBatch, band: SigmaBand) -> np.ndarray:
+    """Per-path max signed violation of lo*(t2-t1) <= <B>(t2)-<B>(t1) <= hi*(t2-t1)
     over all grid pairs t1 <= t2.
 
     Evaluated on the quadratic-variation increments gamma_k dt whose partial
     sums are the stored qvar; nonpositive on any simulated path."""
-    return float(qvar_bounds_check_batch(path.batch, band)[0])
-
-
-def qvar_bounds_check_batch(batch: PathBatch, band: SigmaBand) -> np.ndarray:
     if batch.d != 1:
         raise UnsupportedDimensionError("qvar bounds are defined for d = 1")
     return _trace_violation(batch.trace[:, :, 0, 0], batch.grid.dt,
                             band.sigma2_lo, band.sigma2_hi)
-
-
-def _eta_array(eta, n_steps, d):
-    if callable(eta):
-        arr = np.stack([np.asarray(eta(k), dtype=float).reshape(d, d) for k in range(n_steps)])
-    else:
-        arr = np.asarray(eta, dtype=float)
-        if arr.ndim == 0:
-            arr = np.broadcast_to(arr.reshape(1, 1, 1), (n_steps, d, d))
-        elif arr.ndim == 1:
-            arr = np.broadcast_to(arr[:, None, None], (n_steps, d, d))
-        if arr.shape[-2:] != (d, d):
-            raise ValueError(f"eta must produce {d}x{d} matrices")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("eta evaluated to a non-finite matrix")
-    return 0.5 * (arr + np.swapaxes(arr, -1, -2))
 
 
 def _m_running(eta, dqv, dt, unc):
@@ -518,34 +448,31 @@ def _m_running(eta, dqv, dt, unc):
     return m
 
 
-def qv_compensation_check(path: GPath, eta, unc=None) -> float:
-    """Max over grid times of M_t = sum tr(eta dqv) - sum 2 G(eta) dt,
+def qv_compensation_check_batch(batch: PathBatch, eta, unc=None) -> np.ndarray:
+    """Per-path max over grid times of M_t = sum tr(eta dqv) - sum 2 G(eta) dt,
     the quadratic-variation integral minus its sublinear compensator.
 
     Nonpositive up to rounding for every scenario path, because each
     increment satisfies tr(eta gamma) <= 2 G(eta) with gamma in the set.
-    ``eta`` is a scalar, a per-step series, a (K, d, d) stack or a callable
-    of the step index.  ``unc`` defaults to the set the path was simulated
-    under.
+    ``eta`` is a scalar, a per-step series, a (K, d, d) stack shared by all
+    paths, a (P, K, d, d) stack or a callable of the step index; it is
+    symmetrised.  ``unc`` defaults to the set the batch was simulated under.
     """
-    batch = path.batch
-    if unc is not None:
-        batch = copy.copy(batch)
-        batch.unc = unc
-    elif batch.unc is None:
-        raise ValueError("pass the uncertainty set the path was simulated under")
-    return float(qv_compensation_check_batch(batch, _eta_array(eta, path.grid.n_steps, path.d))[0])
-
-
-def qv_compensation_check_batch(batch: PathBatch, etas) -> np.ndarray:
-    """Per-path max_t M_t; etas has shape (P, K, d, d) or (K, d, d)."""
-    d = batch.d
-    etas = np.asarray(etas, dtype=float)
-    etas = 0.5 * (etas + np.swapaxes(etas, -1, -2))
-    if etas.ndim == 3:
-        etas = np.broadcast_to(etas, (len(batch),) + etas.shape)
-    if etas.shape != (len(batch), batch.grid.n_steps, d, d):
-        raise ValueError("etas shape mismatch")
+    n_steps, d = batch.grid.n_steps, batch.d
+    unc = batch.unc if unc is None else unc
+    if unc is None:
+        raise ValueError("pass the uncertainty set the paths were simulated under")
+    if callable(eta):
+        eta = np.stack([np.asarray(eta(k), dtype=float).reshape(d, d) for k in range(n_steps)])
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim < 2:
+        eta = np.broadcast_to(eta.reshape(-1, 1, 1), (n_steps, d, d))
+    if eta.ndim == 3:
+        eta = np.broadcast_to(eta, (len(batch),) + eta.shape)
+    if eta.shape != (len(batch), n_steps, d, d):
+        raise ValueError(f"eta must give one {d}x{d} matrix per step and path")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("eta evaluated to a non-finite matrix")
+    eta = 0.5 * (eta + np.swapaxes(eta, -1, -2))
     dqv = np.diff(batch.qvar, axis=1)
-    m = _m_running(etas, dqv, batch.grid.dt, batch.unc)
-    return np.max(m, axis=-1)
+    return np.max(_m_running(eta, dqv, batch.grid.dt, unc), axis=-1)

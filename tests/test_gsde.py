@@ -16,16 +16,28 @@ from gcalc import (
     integrate,
     integrate_batch,
     load_system,
-    simulate,
     simulate_batch,
     solve_localized,
     solve_localized_batch,
     threshold_bangbang,
     truncate,
 )
-from gcalc.gsde import SolutionBatch, SolutionPath, _euler
+from gcalc.expr import state_variables
+from gcalc.gsde import SolutionBatch, _euler
+from gcalc.runio import write_table
 
 BAND = SigmaBand(1.0, 2.0)
+
+
+def one_path(policy, grid, seed, index=0):
+    """Path ``index`` of the (seed, index) stream as a one-path batch."""
+    return simulate_batch(policy, BAND, grid, seed, 1, first_index=index)
+
+
+def exit_step(sol, radius, row=0):
+    """A row's first grid step with |X| >= radius, or None."""
+    step = int(sol.exit_steps(radius)[row])
+    return None if step < 0 else step
 
 
 def geometric_coeffs(alpha=-1.0, beta=0.5, gamma=1.0):
@@ -67,21 +79,21 @@ class TestTruncate:
 class TestIntegrate:
     def test_zero_coefficients_identity(self):
         c = coefficients(2, 1, ["0", "0"], ["0", "0"], ["0", "0"])
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 100), seed=0)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(1.0, 100), seed=0)
         sol = integrate(c, [1.5, -0.5], path)
-        assert np.array_equal(sol.x, np.tile([1.5, -0.5], (101, 1)))
+        assert np.array_equal(sol.x, np.tile([1.5, -0.5], (1, 101, 1)))
 
     def test_h_only_telescopes_exactly(self):
         c = coefficients(1, 1, ["0"], ["1"], ["0"])
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 1024), seed=1)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(1.0, 1024), seed=1)
         sol = integrate(c, [0.5], path)
-        assert np.array_equal(sol.x[:, 0], 0.5 + path.qv_scalar())
+        assert np.array_equal(sol.x[:, :, 0], 0.5 + path.qv_scalar())
 
     def test_trivial_solution_preserved(self):
         # coefficients vanish at 0, so the zero start stays exactly zero
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 200), seed=2)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(1.0, 200), seed=2)
         sol = integrate(geometric_coeffs(), [0.0], path)
-        assert np.array_equal(sol.x, np.zeros((201, 1)))
+        assert np.array_equal(sol.x, np.zeros((1, 201, 1)))
 
     def test_strong_order_half_quartered_dt(self):
         # RMS error vs closed form halves (+-30%) per quartering of dt,
@@ -100,38 +112,39 @@ class TestIntegrate:
 
     def test_blowup_carries_step(self):
         c = coefficients(1, 1, ["x1^3"], ["0"], ["0"])
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=4)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(5.0, 500), seed=4, index=9)
         with pytest.raises(BlowUpError) as exc:
             integrate(c, [2.0], path)
-        assert exc.value.step > 0
+        assert exc.value.step > 0 and exc.value.path_index == 9
+        assert f"at step {exc.value.step} (path index 9)" in str(exc.value)
 
 
 class TestClosedForm:
     def test_deterministic_reduction(self):
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 100), seed=5)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(1.0, 100), seed=5)
         sol = closed_form_geometric(-1.0, 0.0, 0.0, 2.0, path)
-        assert np.allclose(sol.x[:, 0], 2.0 * np.exp(-path.t))
+        assert np.allclose(sol.x[0, :, 0], 2.0 * np.exp(-path.t))
 
     def test_zero_start(self):
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 100), seed=5)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(1.0, 100), seed=5)
         sol = closed_form_geometric(-1.0, 0.5, 1.0, 0.0, path)
-        assert np.array_equal(sol.x, np.zeros((101, 1)))
+        assert np.array_equal(sol.x, np.zeros((1, 101, 1)))
 
     def test_matches_manual_formula(self):
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(2.0, 64), seed=6)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(2.0, 64), seed=6)
         sol = closed_form_geometric(-1.0, 0.5, 1.0, 1.0, path)
-        manual = np.exp(-path.t + (0.5 - 0.5) * path.qv_scalar() + path.b[:, 0])
-        assert np.allclose(sol.x[:, 0], manual, rtol=1e-15)
+        manual = np.exp(-path.t + (0.5 - 0.5) * path.qv_scalar()[0] + path.b[0, :, 0])
+        assert np.allclose(sol.x[0, :, 0], manual, rtol=1e-15)
 
     def test_pth_power_factorisation(self):
         # |X_t|^p splits into a deterministic rate, a qvar exponent with
         # bracket 2 beta + gamma^2 (p - 1), and a mean-one exponential factor;
         # this identity is what the moment-decay bounds price pathwise
         alpha, beta, gamma, p = -1.0, 0.5, 1.0, 0.5
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(2.0, 128), seed=13)
-        x = closed_form_geometric(alpha, beta, gamma, 1.0, path).x[:, 0]
-        qv = path.qv_scalar()
-        b = path.b[:, 0]
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(2.0, 128), seed=13)
+        x = closed_form_geometric(alpha, beta, gamma, 1.0, path).x[0, :, 0]
+        qv = path.qv_scalar()[0]
+        b = path.b[0, :, 0]
         bracket = 2.0 * beta + gamma**2 * (p - 1.0)
         expo_mart = np.exp(gamma * p * b - 0.5 * (gamma * p) ** 2 * qv)
         rhs = np.exp(alpha * p * path.t + 0.5 * p * bracket * qv) * expo_mart
@@ -141,18 +154,18 @@ class TestClosedForm:
 class TestLocalization:
     def test_global_coeffs_big_radius_identical(self):
         c = geometric_coeffs()
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 200), seed=7)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(1.0, 200), seed=7)
         direct = integrate(c, [1.0], path)
         local = solve_localized(c, [1.0], path, TruncationSchedule((1000.0,)))
         assert np.array_equal(direct.x, local.x)
         assert local.n0_used == 1000.0
 
     def test_exit_steps_monotone_in_radius(self):
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 1000), seed=8)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(5.0, 1000), seed=8)
         sol = integrate(truncate(duffing_coeffs(), 64.0), [1.0, 0.0], path)
         prev = -1
         for radius in (0.5, 1.0, 2.0, 4.0):
-            step = sol.exit_step(radius)
+            step = exit_step(sol, radius)
             if step is None:
                 break
             assert step >= prev
@@ -181,7 +194,7 @@ class TestLocalization:
 
     def test_schedule_exhaustion_raises(self):
         c = coefficients(1, 1, ["x1^3"], ["0"], ["0"], lipschitz_tag="local")
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=11)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(5.0, 500), seed=11)
         with pytest.raises(ExplosionSuspectedError) as exc:
             solve_localized(c, [2.0], path, TruncationSchedule((2.0, 4.0)))
         assert set(exc.value.exit_fractions) == {2.0, 4.0}
@@ -238,10 +251,11 @@ class TestConfig:
         assert out[0, 0] == 2.0 and out[0, 1] == -(1.0 + 1.0 + 2.0)
 
     def test_csv_export(self, tmp_path):
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 16), seed=12)
+        # the per-path table gcalc gsde writes: t and the path's states
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(1.0, 16), seed=12)
         sol = integrate(geometric_coeffs(), [1.0], path)
         out = tmp_path / "sol.csv"
-        sol.to_csv(out)
+        write_table(out, ["t"] + state_variables(1), np.column_stack([sol.t, sol.x[0]]))
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,x1"
         assert len(lines) == 18
@@ -260,24 +274,24 @@ def _ref_first_bad_step(x):
 
 
 def _ref_solve_localized(coeffs, x0, path, schedule=None):
-    """Reference: the per-radius loop that localization used to run, one
-    full Euler pass per radius until the path stops exiting, with the
-    integrate and exit-step code of that time inlined.  Returns the
-    solution and the exit step of each radius tried, each from its own pass."""
+    """Reference: the per-radius loop that localization used to run on one
+    path (a one-path batch), one full Euler pass per radius until the path
+    stops exiting, with the integrate and exit-step code of that time
+    inlined.  Returns the solution and the exit step of each radius tried,
+    each from its own pass."""
     schedule = schedule or TruncationSchedule.doubling()
     records = {}
     for radius in schedule.radii:
-        x = _euler(truncate(coeffs, radius), x0, path.b[None], path.policy_trace[None],
-                   path.grid)[0]
+        x = _euler(truncate(coeffs, radius), x0, path.b, path.trace, path.grid)[0]
         bad = _ref_first_bad_step(x)
         if bad is not None:
-            raise BlowUpError(bad, path.path_index)
+            raise BlowUpError(bad, path.first_index)
         hit = np.maximum.accumulate(np.linalg.norm(x, axis=-1)) >= radius
-        exit_step = int(np.argmax(hit)) if hit.any() else None
-        records[radius] = exit_step
-        if exit_step is None:
-            sol = SolutionPath(SolutionBatch(path.grid, x[None], n0_used=radius,
-                                             diagnostics={"radii_tried": list(records)}))
+        step = int(np.argmax(hit)) if hit.any() else None
+        records[radius] = step
+        if step is None:
+            sol = SolutionBatch(path.grid, x[None], n0_used=radius,
+                                diagnostics={"radii_tried": list(records)})
             return sol, records
     fractions = {r: (0.0 if s is None else 1.0) for r, s in records.items()}
     raise ExplosionSuspectedError(fractions)
@@ -373,7 +387,7 @@ class TestLocalizationEquivalence:
     def test_single_path_matches_per_radius_loop(self, system, schedule, seed, index, x0):
         coeffs = SYSTEMS[system]()
         sched = SCHEDULES[schedule]
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed, path_index=index)
+        path = one_path(threshold_bangbang(BAND, 0.0), LOC_GRID, seed, index)
         want = _outcome(_ref_solve_localized, coeffs, list(x0), path, sched)
         got = _outcome(solve_localized, coeffs, list(x0), path, sched)
         if want[0] == "blowup" and got != want:
@@ -381,10 +395,8 @@ class TestLocalizationEquivalence:
             # path had already left; the single pass checks only the kept
             # trajectory, so the loop's blow-up must lie after the first exit
             radii = (sched or TruncationSchedule.doubling()).radii
-            single = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed,
-                                    n_paths=1, first_index=index)
             first_exit = integrate_batch(truncate(coeffs, radii[-1]), list(x0),
-                                         single).exit_steps(radii[0])[0]
+                                         path).exit_steps(radii[0])[0]
             assert 0 <= first_exit < want[1]
             return
         assert got[0] == want[0]
@@ -396,14 +408,14 @@ class TestLocalizationEquivalence:
         assert sol.n0_used == ref.n0_used
         assert sol.diagnostics == ref.diagnostics
         tried = ref.diagnostics["radii_tried"]
-        assert sol.exit_step_per_radius(tried) == records
+        assert {r: exit_step(sol, r) for r in tried} == records
 
     def test_cli_start_outside_first_radii(self):
         # the oscillator from norm 10 leaves radii 2, 4 and 8 at step 0
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 1000), seed=1)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(5.0, 1000), seed=1)
         ref, _ = _ref_solve_localized(duffing_coeffs(), [0.0, 10.0], path)
         sol = solve_localized(duffing_coeffs(), [0.0, 10.0], path)
-        assert sol.exit_step_per_radius((2.0, 4.0, 8.0)) == {2.0: 0, 4.0: 0, 8.0: 0}
+        assert {r: exit_step(sol, r) for r in (2.0, 4.0, 8.0)} == {2.0: 0, 4.0: 0, 8.0: 0}
         assert sol.n0_used == ref.n0_used == 16.0
         assert sol.diagnostics == ref.diagnostics == {"radii_tried": [2.0, 4.0, 8.0, 16.0]}
         assert _same_bits(sol.x, ref.x)
@@ -435,27 +447,28 @@ class TestLocalizationEquivalence:
         # x1 has carried |X| past 2; radius 8 is never reached
         c = coefficients(2, 1, ["1", "0*sqrt(x2 - 0.9)"], ["0", "0"], ["0", "0"],
                          lipschitz_tag="local")
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=0)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(5.0, 500), seed=0)
         sched = TruncationSchedule((2.0, 4.0, 8.0))
         with pytest.raises(BlowUpError) as ref:
             _ref_solve_localized(c, [0.0, 1.0], path, sched)
         sol = solve_localized(c, [0.0, 1.0], path, sched)
-        assert 0 < sol.exit_step(2.0) < ref.value.step
+        assert 0 < exit_step(sol, 2.0) < ref.value.step
         assert sol.n0_used == 8.0
         assert np.all(np.isfinite(sol.x))
-        assert np.array_equal(sol.x[:, 1], np.ones(501))
+        assert np.array_equal(sol.x[0, :, 1], np.ones(501))
 
     def test_blowup_before_exit_raises_at_same_step(self):
         # x2 turns NaN once x1 > 1.5, before |X| reaches the first radius
         c = coefficients(2, 1, ["1", "0*sqrt(1.5 - x1)"], ["0", "0"], ["0", "0"],
                          lipschitz_tag="local")
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=0)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(5.0, 500), seed=0, index=4)
         sched = TruncationSchedule((2.0, 4.0, 8.0))
         with pytest.raises(BlowUpError) as ref:
             _ref_solve_localized(c, [0.0, 0.0], path, sched)
         with pytest.raises(BlowUpError) as got:
             solve_localized(c, [0.0, 0.0], path, sched)
         assert got.value.step == ref.value.step > 0
+        assert got.value.path_index == ref.value.path_index == 4
 
 
 class TestBlowupDetection:
@@ -484,12 +497,13 @@ class TestBlowupDetection:
         with np.errstate(all="ignore"):
             x = integrate_batch(c, [2.0], batch).x[0]
         with pytest.raises(BlowUpError) as exc:
-            integrate(c, [2.0], batch.path(0))
+            integrate(c, [2.0], batch)
         assert exc.value.step == _ref_first_bad_step(x) > 0
 
 
 # ---------------------------------------------------------------------------
-# single-path functions are their batch twins on a one-path batch
+# a single path is a one-path batch; integrate and solve_localized raise
+# where their batch twins report
 # ---------------------------------------------------------------------------
 
 
@@ -503,22 +517,30 @@ class TestSinglePathIsBatchRow:
         i = data.draw(st.integers(0, n_paths - 1))
         batch = simulate_batch(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed,
                                n_paths=n_paths, first_index=first)
+        path = one_path(threshold_bangbang(BAND, 0.0), LOC_GRID, seed, first + i)
         with np.errstate(all="ignore"):
             sol = integrate_batch(coeffs, list(x0), batch)
         bad = sol.diagnostics.get("blowup_steps", {})
+        if bad:
+            # the whole batch raises for its lowest non-finite row
+            row = min(bad)
+            with pytest.raises(BlowUpError) as exc:
+                integrate(coeffs, list(x0), batch)
+            assert (exc.value.step, exc.value.path_index) == (bad[row], first + row)
+        else:
+            assert _same_bits(integrate(coeffs, list(x0), batch).x, sol.x)
         if i in bad:
             with pytest.raises(BlowUpError) as exc:
-                integrate(coeffs, list(x0), batch.path(i))
+                integrate(coeffs, list(x0), path)
             assert (exc.value.step, exc.value.path_index) == (bad[i], first + i)
             return
-        one = integrate(coeffs, list(x0), batch.path(i))
-        assert _same_bits(one.x, sol.x[i])
-        assert _same_bits(one.norms, sol.norms[i])
-        assert _same_bits(one.running_max, sol.running_max[i])
+        one = integrate(coeffs, list(x0), path)
+        assert _same_bits(one.x, sol.x[i:i + 1])
+        assert _same_bits(one.norms, sol.norms[i:i + 1])
+        assert _same_bits(one.running_max, sol.running_max[i:i + 1])
         assert one.diagnostics == {} and one.n0_used is None
         for radius in (0.5, 2.0, 50.0):
-            step = sol.exit_steps(radius)[i]
-            assert one.exit_step(radius) == (None if step < 0 else step)
+            assert _same_bits(one.exit_steps(radius), sol.exit_steps(radius)[i:i + 1])
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
@@ -528,9 +550,9 @@ class TestSinglePathIsBatchRow:
         coeffs = SYSTEMS[system]()
         sched = SCHEDULES[schedule]
         radii = (sched or TruncationSchedule.doubling()).radii
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, LOC_GRID, seed=seed, path_index=index)
+        path = one_path(threshold_bangbang(BAND, 0.0), LOC_GRID, seed, index)
         got = _outcome(solve_localized, coeffs, list(x0), path, sched)
-        twin = _outcome(solve_localized_batch, coeffs, list(x0), path.batch, sched)
+        twin = _outcome(solve_localized_batch, coeffs, list(x0), path, sched)
         if twin[0] == "explosion":
             assert got == twin
             return
@@ -543,23 +565,19 @@ class TestSinglePathIsBatchRow:
             assert exc.value.path_index == index
             return
         sol = got[1]
-        assert _same_bits(sol.x, rep.solution.x[0])
+        assert _same_bits(sol.x, rep.solution.x)
         assert sol.n0_used == rep.n0_per_path[0] == rep.solution.n0_used
         assert sol.diagnostics == {"radii_tried": rep.radii_used}
         assert rep.radii_used == [r for r in radii if r <= sol.n0_used]
-        assert sol.exit_step_per_radius(rep.radii_used) == {
-            r: (None if e < 0 else int(e))
-            for r, e in ((r, rep.solution.exit_steps(r)[0]) for r in rep.radii_used)}
 
     def test_explosion_fractions_match_batch_twin(self):
         c = coefficients(1, 1, ["x1^3"], ["0"], ["0"], lipschitz_tag="local")
-        path = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(5.0, 500), seed=11,
-                        path_index=3)
+        path = one_path(threshold_bangbang(BAND, 0.0), TimeGrid(5.0, 500), seed=11, index=3)
         sched = TruncationSchedule((2.0, 4.0))
         with pytest.raises(ExplosionSuspectedError) as one:
             solve_localized(c, [2.0], path, sched)
         with pytest.raises(ExplosionSuspectedError) as twin:
-            solve_localized_batch(c, [2.0], path.batch, sched)
+            solve_localized_batch(c, [2.0], path, sched)
         assert one.value.exit_fractions == twin.value.exit_fractions == {2.0: 1.0, 4.0: 1.0}
 
     @given(seed=st.integers(0, 2**63 - 1), n_paths=st.integers(1, 8), data=st.data())
@@ -569,7 +587,6 @@ class TestSinglePathIsBatchRow:
         batch = simulate_batch(threshold_bangbang(BAND, 0.3), BAND, LOC_GRID, seed=seed,
                                n_paths=n_paths)
         whole = closed_form_geometric(-1.0, 0.5, 1.0, 1.5, batch)
-        one = closed_form_geometric(-1.0, 0.5, 1.0, 1.5, batch.path(i))
-        assert isinstance(one, SolutionPath)
-        assert _same_bits(one.x, whole.x[i])
-        assert _same_bits(whole.path(i).x, whole.x[i])
+        one = closed_form_geometric(-1.0, 0.5, 1.0, 1.5,
+                                    one_path(threshold_bangbang(BAND, 0.3), LOC_GRID, seed, i))
+        assert _same_bits(one.x, whole.x[i:i + 1])

@@ -13,19 +13,22 @@ from gcalc import (
     PolicyError,
     SigmaBand,
     TimeGrid,
-    qv_compensation_check,
     qv_compensation_check_batch,
     path_noise,
-    qvar_bounds_check,
     qvar_bounds_check_batch,
-    simulate,
     simulate_batch,
     threshold_bangbang,
 )
+from gcalc.runio import write_table
 from gcalc.scenario import (UnsupportedDimensionError, _gap_scan, _sqrt_factor, assemble,
                             batch_noise)
 
 BAND = SigmaBand(1.0, 2.0)
+
+
+def one_path(policy, unc, grid, seed, index=0):
+    """Path ``index`` of the (seed, index) stream as a one-path batch."""
+    return simulate_batch(policy, unc, grid, seed, 1, first_index=index)
 
 
 def brute_force_qvar_violation(qv, t, lo, hi):
@@ -89,21 +92,21 @@ class TestSimulate:
     def test_constant_hi_qvar_exact(self):
         # binary-friendly grid: every increment and partial sum is exact
         grid = TimeGrid(1.0, 64)
-        p = simulate(ConstantPolicy(value=BAND.sigma2_hi), BAND, grid, seed=0)
-        assert np.array_equal(p.qv_scalar(), BAND.sigma2_hi * p.t)
+        p = one_path(ConstantPolicy(value=BAND.sigma2_hi), BAND, grid, seed=0)
+        assert np.array_equal(p.qv_scalar()[0], BAND.sigma2_hi * p.t)
 
     def test_qvar_increments_are_trace_times_dt(self):
         grid = TimeGrid(1.0, 128)
-        p = simulate(threshold_bangbang(BAND, 0.0), BAND, grid, seed=2)
-        rebuilt = np.concatenate([[0.0], np.cumsum(p.policy_trace[:, 0, 0] * grid.dt)])
-        assert np.array_equal(p.qv_scalar(), rebuilt)
+        p = one_path(threshold_bangbang(BAND, 0.0), BAND, grid, seed=2)
+        rebuilt = np.concatenate([[0.0], np.cumsum(p.trace[0, :, 0, 0] * grid.dt)])
+        assert np.array_equal(p.qv_scalar()[0], rebuilt)
 
     def test_bangbang_trace_follows_rule(self):
         grid = TimeGrid(1.0, 200)
-        p = simulate(threshold_bangbang(BAND, 0.0), BAND, grid, seed=3)
+        p = one_path(threshold_bangbang(BAND, 0.0), BAND, grid, seed=3)
         for k in range(grid.n_steps):
-            want = BAND.sigma2_hi if p.b[k, 0] >= 0.0 else BAND.sigma2_lo
-            assert p.choices[k] == want
+            want = BAND.sigma2_hi if p.b[0, k, 0] >= 0.0 else BAND.sigma2_lo
+            assert p.choices[0, k] == want
         assert set(np.unique(p.choices)) <= {BAND.sigma2_lo, BAND.sigma2_hi}
 
     def test_reproducible(self):
@@ -128,26 +131,26 @@ class TestSimulate:
 
     def test_constant_out_of_band_rejected(self):
         grid = TimeGrid(1.0, 10)
-        with pytest.raises(PolicyError):
-            simulate(ConstantPolicy(value=3.0), BAND, grid, seed=0)
+        with pytest.raises(PolicyError, match="variance choice outside the band at step 0"):
+            one_path(ConstantPolicy(value=3.0), BAND, grid, seed=0)
 
     def test_bangbang_interior_choice_rejected(self):
         grid = TimeGrid(1.0, 10)
         bad = BangBangPolicy(lambda k, b, aux: 1.5, name="offband")
-        with pytest.raises(PolicyError):
-            simulate(bad, BAND, grid, seed=0)
+        with pytest.raises(PolicyError, match="bang-bang choice off the extremes at step 0"):
+            one_path(bad, BAND, grid, seed=0)
 
     def test_piecewise_schedule(self):
         grid = TimeGrid(1.0, 10)
         pol = PiecewiseConstantPolicy([(0, 1.0), (4, 2.0)])
-        p = simulate(pol, BAND, grid, seed=0)
-        assert np.array_equal(p.choices, [1, 1, 1, 1, 2, 2, 2, 2, 2, 2])
+        p = one_path(pol, BAND, grid, seed=0)
+        assert np.array_equal(p.choices[0], [1, 1, 1, 1, 2, 2, 2, 2, 2, 2])
         with pytest.raises(ValueError):
             PiecewiseConstantPolicy([(2, 1.0)])
 
     def test_interior_constant_allowed(self):
         grid = TimeGrid(1.0, 16)
-        p = simulate(ConstantPolicy(value=1.5), BAND, grid, seed=0)
+        p = one_path(ConstantPolicy(value=1.5), BAND, grid, seed=0)
         assert np.all(p.choices == 1.5)
 
     def test_covariance_set_simulation(self):
@@ -155,12 +158,12 @@ class TestSimulate:
         cs = CovarianceSet(2, members)
         grid = TimeGrid(1.0, 32)
         rule = BangBangPolicy(lambda k, b, aux: (b[:, 0] >= 0.0).astype(int), name="sign(b1)")
-        p = simulate(rule, cs, grid, seed=4)
+        p = one_path(rule, cs, grid, seed=4)
         assert p.d == 2
         for k in range(grid.n_steps):
-            assert np.array_equal(p.policy_trace[k], members[int(p.choices[k])])
-        with pytest.raises(PolicyError):
-            simulate(ConstantPolicy(index=5), cs, grid, seed=0)
+            assert np.array_equal(p.trace[0, k], members[int(p.choices[0, k])])
+        with pytest.raises(PolicyError, match="member index out of range at step 0"):
+            one_path(ConstantPolicy(index=5), cs, grid, seed=0)
 
     def test_aux_state_feedback(self):
         # rule sees an auxiliary running maximum of |B| maintained by the policy
@@ -175,11 +178,11 @@ class TestSimulate:
 
         grid = TimeGrid(1.0, 100)
         pol = BangBangPolicy(rule, name="capped", aux0=aux0, aux_update=aux_update)
-        p = simulate(pol, BAND, grid, seed=5)
-        run_abs = np.maximum.accumulate(np.abs(p.b[:, 0]))
+        p = one_path(pol, BAND, grid, seed=5)
+        run_abs = np.maximum.accumulate(np.abs(p.b[0, :, 0]))
         for k in range(1, grid.n_steps):
             want = BAND.sigma2_lo if run_abs[k] >= 0.5 else BAND.sigma2_hi
-            assert p.choices[k] == want
+            assert p.choices[0, k] == want
 
 
 def reference_assemble(policy, unc, grid, noise):
@@ -303,24 +306,24 @@ class TestQvarBounds:
     def test_constant_policies_tight(self):
         grid = TimeGrid(1.0, 64)
         for value in (BAND.sigma2_lo, BAND.sigma2_hi):
-            p = simulate(ConstantPolicy(value=value), BAND, grid, seed=0)
-            v = qvar_bounds_check(p, BAND)
+            p = one_path(ConstantPolicy(value=value), BAND, grid, seed=0)
+            v = qvar_bounds_check_batch(p, BAND)[0]
             assert v <= 1e-12
             assert v == pytest.approx(0.0, abs=1e-12)  # one side is an equality
 
     def test_bangbang_long_path(self):
         grid = TimeGrid(10.0, 10_000)
-        p = simulate(threshold_bangbang(BAND, 0.0), BAND, grid, seed=1)
-        assert qvar_bounds_check(p, BAND) <= 1e-12
+        p = one_path(threshold_bangbang(BAND, 0.0), BAND, grid, seed=1)
+        assert qvar_bounds_check_batch(p, BAND)[0] <= 1e-12
 
     def test_against_bruteforce_oracle(self):
         grid = TimeGrid(1.0, 300)
-        p = simulate(threshold_bangbang(BAND, -0.2), BAND, grid, seed=6)
-        slow = brute_force_qvar_violation(p.qv_scalar(), p.t, BAND.sigma2_lo, BAND.sigma2_hi)
-        assert _violation(p.qv_scalar(), p.t) == pytest.approx(slow, abs=1e-14)
-        assert qvar_bounds_check(p, BAND) == pytest.approx(slow, abs=1e-12)
+        p = one_path(threshold_bangbang(BAND, -0.2), BAND, grid, seed=6)
+        slow = brute_force_qvar_violation(p.qv_scalar()[0], p.t, BAND.sigma2_lo, BAND.sigma2_hi)
+        assert _violation(p.qv_scalar()[0], p.t) == pytest.approx(slow, abs=1e-14)
+        assert qvar_bounds_check_batch(p, BAND)[0] == pytest.approx(slow, abs=1e-12)
         # also on a synthetic violating series: positive violations agree too
-        qv = p.qv_scalar().copy()
+        qv = p.qv_scalar()[0].copy()
         qv[150:] += 0.5
         fast2 = _violation(qv, p.t)
         slow2 = brute_force_qvar_violation(qv, p.t, BAND.sigma2_lo, BAND.sigma2_hi)
@@ -329,9 +332,9 @@ class TestQvarBounds:
 
     def test_dimension_guard(self):
         cs = CovarianceSet(2, [np.eye(2)])
-        p = simulate(ConstantPolicy(index=0), cs, TimeGrid(1.0, 8), seed=0)
+        p = one_path(ConstantPolicy(index=0), cs, TimeGrid(1.0, 8), seed=0)
         with pytest.raises(UnsupportedDimensionError):
-            qvar_bounds_check(p, BAND)
+            qvar_bounds_check_batch(p, BAND)
 
 
 def _violation(qv, t):
@@ -346,24 +349,24 @@ def _violation(qv, t):
 
 class TestCompensationCheck:
     def test_zero_eta(self):
-        p = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 64), seed=0)
-        assert qv_compensation_check(p, 0.0, BAND) == 0.0
-        assert qv_compensation_check(p, 0.0) == 0.0  # set defaults from the path
+        p = one_path(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 64), seed=0)
+        assert qv_compensation_check_batch(p, 0.0, BAND)[0] == 0.0
+        assert qv_compensation_check_batch(p, 0.0)[0] == 0.0  # set defaults from the batch
 
     def test_eta_one_matches_qvar_upper_bound(self):
         # M_t = <B>_t - sigma2_hi * t since 2 G(1) = sigma2_hi
         grid = TimeGrid(1.0, 128)
-        p = simulate(threshold_bangbang(BAND, 0.0), BAND, grid, seed=1)
-        m = qv_compensation_check(p, 1.0, BAND)
-        expected = np.max(p.qv_scalar() - BAND.sigma2_hi * p.t)
+        p = one_path(threshold_bangbang(BAND, 0.0), BAND, grid, seed=1)
+        m = qv_compensation_check_batch(p, 1.0, BAND)[0]
+        expected = np.max(p.qv_scalar()[0] - BAND.sigma2_hi * p.t)
         assert m == pytest.approx(expected, abs=1e-12)
         assert m <= 1e-12
 
     def test_eta_minus_one_matches_lower_bound(self):
         grid = TimeGrid(1.0, 128)
-        p = simulate(threshold_bangbang(BAND, 0.0), BAND, grid, seed=2)
-        m = qv_compensation_check(p, -1.0, BAND)
-        expected = np.max(-p.qv_scalar() + BAND.sigma2_lo * p.t)
+        p = one_path(threshold_bangbang(BAND, 0.0), BAND, grid, seed=2)
+        m = qv_compensation_check_batch(p, -1.0, BAND)[0]
+        expected = np.max(-p.qv_scalar()[0] + BAND.sigma2_lo * p.t)
         assert m == pytest.approx(expected, abs=1e-12)
         assert m <= 1e-12
 
@@ -378,9 +381,9 @@ class TestCompensationCheck:
         assert np.max(stats) <= 1e-10 * grid.n_steps
 
     def test_callable_eta(self):
-        p = simulate(ConstantPolicy(value=2.0), BAND, TimeGrid(1.0, 16), seed=0)
-        m = qv_compensation_check(p, lambda k: np.array([[1.0]]), BAND)
-        assert m <= 1e-12
+        p = one_path(ConstantPolicy(value=2.0), BAND, TimeGrid(1.0, 16), seed=0)
+        m = qv_compensation_check_batch(p, lambda k: np.array([[1.0]]), BAND)
+        assert m.shape == (1,) and m[0] <= 1e-12
 
 
 class TestRestrict:
@@ -408,12 +411,19 @@ class TestRestrict:
         assert restrict(fine, 1) is fine
 
 
+def _path_csv(batch):
+    """The CSV of a one-path batch, as gcalc simulate writes a path: its
+    table row under the table header."""
+    header, table = batch.table()
+    buf = io.StringIO()
+    write_table(buf, header, table[0])
+    return buf.getvalue()
+
+
 class TestExport:
     def test_csv_round_trip(self):
-        p = simulate(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 8), seed=0)
-        buf = io.StringIO()
-        p.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        p = one_path(threshold_bangbang(BAND, 0.0), BAND, TimeGrid(1.0, 8), seed=0)
+        lines = _path_csv(p).strip().splitlines()
         assert lines[0] == "t,b_1,qvar_11,policy_choice"
         assert len(lines) == 10
         first = [float(v) for v in lines[1].split(",")]
@@ -421,18 +431,18 @@ class TestExport:
 
 
 # ---------------------------------------------------------------------------
-# single paths are one-path batches
+# a single path is a one-path batch
 # ---------------------------------------------------------------------------
 
 
-def _ref_path_csv(path):
-    """Reference: the per-path CSV writer GPath.to_csv used before it read
-    the batch table."""
-    d = path.d
+def _ref_path_csv(b, qvar, choices, t):
+    """Reference: the per-path CSV writer of one path's (K+1, d) B,
+    (K+1, d, d) qvar and (K,) choices, written column by column."""
+    d = b.shape[-1]
     header = (["t"] + [f"b_{i + 1}" for i in range(d)]
               + [f"qvar_{i + 1}{j + 1}" for i in range(d) for j in range(d)] + ["policy_choice"])
-    rows = np.column_stack([path.t, path.b.reshape(len(path.t), d),
-                            path.qvar.reshape(len(path.t), d * d), np.append(path.choices, np.nan)])
+    rows = np.column_stack([t, b.reshape(len(t), d), qvar.reshape(len(t), d * d),
+                            np.append(choices, np.nan)])
     return ",".join(header) + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
 
@@ -452,58 +462,72 @@ class TestSinglePathIsBatchRow:
            data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_path_views_batch_row(self, case, seed, first, n_paths, data):
+        # path first + i on its own is row i of the batch that starts at first
         make, unc = SINGLE_CASES[case]
         grid = TimeGrid(0.9, 14)
         i = data.draw(st.integers(0, n_paths - 1))
         batch = simulate_batch(make(), unc, grid, seed, n_paths, first_index=first)
-        for path in (batch.path(i), simulate(make(), unc, grid, seed, path_index=first + i)):
-            assert path.path_index == first + i and path.seed == seed and path.unc is unc
-            assert len(path.batch) == 1
-            for name, row in (("b", batch.b[i]), ("qvar", batch.qvar[i]),
-                              ("policy_trace", batch.trace[i]), ("choices", batch.choices[i]),
-                              ("noise", batch.noise[i])):
-                assert _same_bits(getattr(path, name), row), name
-            if unc is BAND:
-                assert _same_bits(path.qv_scalar(), batch.qv_scalar()[i])
-                want = qvar_bounds_check_batch(batch, BAND)[i]
-                assert np.float64(qvar_bounds_check(path, BAND)).tobytes() == want.tobytes()
-            buf = io.StringIO()
-            path.to_csv(buf)
-            assert buf.getvalue() == _ref_path_csv(path)
-        assert batch.path(-1).path_index == first + n_paths - 1
-        with pytest.raises(IndexError):
-            batch.path(n_paths)
+        path = one_path(make(), unc, grid, seed, first + i)
+        assert len(path) == 1 and path.first_index == first + i
+        assert path.seed == seed and path.unc is unc
+        for name in ("b", "qvar", "trace", "choices", "noise"):
+            assert _same_bits(getattr(path, name)[0], getattr(batch, name)[i]), name
+        if unc is BAND:
+            assert _same_bits(path.qv_scalar()[0], batch.qv_scalar()[i])
+            assert _same_bits(qvar_bounds_check_batch(path, BAND),
+                              qvar_bounds_check_batch(batch, BAND)[i:i + 1])
+        assert _path_csv(path) == _ref_path_csv(batch.b[i], batch.qvar[i], batch.choices[i],
+                                                batch.t)
 
     @pytest.mark.parametrize("case", sorted(SINGLE_CASES))
     @given(seed=st.integers(0, 2**63 - 1), n_paths=st.integers(1, 12), data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_compensation_check_is_batch_row(self, case, seed, n_paths, data):
+        # every eta form gives the bits of the explicit (P, K, d, d) stack,
+        # and a one-path batch gives the bits of its row in a larger batch
         make, unc = SINGLE_CASES[case]
         grid = TimeGrid(0.9, 14)
         d = unc.dim
         i = data.draw(st.integers(0, n_paths - 1))
         batch = simulate_batch(make(), unc, grid, seed, n_paths)
-        path = batch.path(i)
+        path = one_path(make(), unc, grid, seed, i)
         etas = np.random.default_rng(seed % 1000).uniform(-2, 2, size=(grid.n_steps, d, d))
-        want = qv_compensation_check_batch(batch, etas)[i]
+        stack = np.broadcast_to(etas, (n_paths,) + etas.shape)
+        want = qv_compensation_check_batch(batch, stack)
         for unc_arg in (None, unc):
-            got = qv_compensation_check(path, etas, unc_arg)
-            assert np.float64(got).tobytes() == want.tobytes()
+            assert _same_bits(qv_compensation_check_batch(batch, etas, unc_arg), want)
+            assert _same_bits(qv_compensation_check_batch(path, etas, unc_arg), want[i:i + 1])
         per_step = etas[:, 0, 0]
-        got = qv_compensation_check(path, lambda k: np.full((d, d), per_step[k]))
-        want = qv_compensation_check_batch(batch, np.broadcast_to(per_step[:, None, None],
-                                                                  (grid.n_steps, d, d)))[i]
-        assert np.float64(got).tobytes() == want.tobytes()
+        want = qv_compensation_check_batch(
+            batch, np.broadcast_to(per_step[:, None, None], (grid.n_steps, d, d)))
+        for form in (per_step, lambda k: np.full((d, d), per_step[k])):
+            assert _same_bits(qv_compensation_check_batch(batch, form), want)
+            assert _same_bits(qv_compensation_check_batch(path, form), want[i:i + 1])
+        assert _same_bits(qv_compensation_check_batch(batch, 0.75),
+                          qv_compensation_check_batch(batch, np.full((grid.n_steps, d, d), 0.75)))
 
     def test_compensation_check_against_other_set(self):
         # against a narrower band than the path's own, M_t = <B>_t - 1.2 t
         # goes positive once the path has run at variance 2
-        path = simulate(ConstantPolicy(value=2.0), BAND, TimeGrid(1.0, 32), seed=3)
-        assert qv_compensation_check(path, 1.0, SigmaBand(1.0, 1.2)) == pytest.approx(0.8)
-        assert qv_compensation_check(path, 1.0) <= 1e-12
-        assert path.unc is BAND and path.batch.unc is BAND
+        path = one_path(ConstantPolicy(value=2.0), BAND, TimeGrid(1.0, 32), seed=3)
+        assert qv_compensation_check_batch(path, 1.0, SigmaBand(1.0, 1.2))[0] == pytest.approx(0.8)
+        assert qv_compensation_check_batch(path, 1.0)[0] <= 1e-12
+        assert path.unc is BAND
+
+    def test_compensation_check_rejects_bad_eta(self):
+        path = one_path(ConstantPolicy(index=0), CSET, TimeGrid(1.0, 8), seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            qv_compensation_check_batch(path, lambda k: np.full((2, 2), np.inf if k == 3 else 1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            qv_compensation_check_batch(path, np.nan)
+        with pytest.raises(ValueError, match="one 2x2 matrix per step and path"):
+            qv_compensation_check_batch(path, np.ones((8, 3, 3)))
+        path.unc = None
+        with pytest.raises(ValueError, match="uncertainty set"):
+            qv_compensation_check_batch(path, 1.0)
+        assert qv_compensation_check_batch(path, 0.0, CSET)[0] == 0.0
 
     def test_qvar_check_dimension_guard(self):
-        path = simulate(ConstantPolicy(index=0), CSET, TimeGrid(1.0, 8), seed=0)
+        path = one_path(ConstantPolicy(index=0), CSET, TimeGrid(1.0, 8), seed=0)
         with pytest.raises(UnsupportedDimensionError):
             path.qv_scalar()
