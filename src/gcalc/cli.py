@@ -23,7 +23,10 @@ from . import (
     ConstantPolicy,
     LinearGSystem,
     LyapunovSpec,
+    NotSPDError,
+    PayoffError,
     PiecewiseConstantPolicy,
+    PolicyError,
     PolicyFamily,
     SigmaBand,
     SpaceTimeGrid,
@@ -116,13 +119,32 @@ def _policy(cfg, unc, pointer="/policy"):
         return ConstantPolicy(index=_fetch(spec, "/index", int))
     if kind == "piecewise":
         sched = _fetch(spec, "/schedule", list)
-        return PiecewiseConstantPolicy([(int(k), v) for k, v in sched])
+        try:
+            return PiecewiseConstantPolicy([(int(k), v) for k, v in sched])
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"bad schedule at {pointer}/schedule: {e}")
     if kind == "bangbang_threshold":
         if not isinstance(unc, SigmaBand):
             raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
         return threshold_bangbang(unc, _fetch(spec, "/theta", float),
                                   hi_above=bool(spec.get("hi_above", True)))
     raise UsageError(f"unknown policy kind at {pointer}/kind: {kind!r}")
+
+
+def _simulate(policy, unc, grid, seed, n_paths):
+    """simulate_batch; a choice outside the uncertainty set names /policy."""
+    try:
+        return simulate_batch(policy, unc, grid, seed, n_paths)
+    except PolicyError as e:
+        raise UsageError(f"bad choice at /policy: {e}")
+
+
+def _expression(cfg, pointer, variables):
+    """The expression at pointer; syntax and name errors name the pointer."""
+    try:
+        return expr_mod.parse(_fetch(cfg, pointer, str), variables, cfg.get("constants"))
+    except expr_mod.ExprError as e:
+        raise UsageError(f"bad expression at {pointer}: {e}")
 
 
 def _family(cfg, unc, pointer="/family") -> PolicyFamily:
@@ -189,8 +211,11 @@ def cmd_simulate(args, cfg, comments):
     unc = _uncertainty(cfg)
     grid = _time_grid(cfg)
     policy = _policy(cfg, unc)
-    n_paths = int(cfg.get("n_paths", 1))
-    batch = simulate_batch(policy, unc, grid, args.seed, n_paths)
+    try:
+        n_paths = int(cfg.get("n_paths", 1))
+    except (TypeError, ValueError):
+        raise UsageError("config field /n_paths must be int")
+    batch = _simulate(policy, unc, grid, args.seed, n_paths)
     header, table = batch.table()
     header = ["path"] + header
     rows = [(p, *row) for p, block in enumerate(table.tolist()) for row in block]
@@ -204,9 +229,7 @@ def cmd_upper(args, cfg, comments):
     family = _family(cfg, unc)
     n_paths = _fetch(cfg, "/n_paths", int)
     d = unc.dim
-    payoff_src = _fetch(cfg, "/payoff", str)
-    variables = ["t"] + [f"b{i + 1}" for i in range(d)] + ["qv"]
-    payoff_expr = expr_mod.parse(payoff_src, variables, cfg.get("constants"))
+    payoff_expr = _expression(cfg, "/payoff", ["t"] + [f"b{i + 1}" for i in range(d)] + ["qv"])
 
     def payoff(batch):
         # qv is the terminal quadratic-variation trace (the scalar qvar at d=1)
@@ -216,7 +239,10 @@ def cmd_upper(args, cfg, comments):
             env[f"b{i + 1}"] = batch.b[:, -1, i]
         return np.broadcast_to(np.asarray(payoff_expr.eval(env), dtype=float), (len(batch),))
 
-    report = estimate_upper(payoff, family, unc, grid, n_paths, args.seed)
+    try:
+        report = estimate_upper(payoff, family, unc, grid, n_paths, args.seed)
+    except PayoffError as e:
+        raise UsageError(f"/payoff: {e}")
 
     _emit(args, comments, lambda fh, c: _report_out(args, fh, c, report.to_json_dict()))
     return 0
@@ -226,7 +252,7 @@ def cmd_gheat(args, cfg, comments):
     unc = _uncertainty(cfg)
     if not isinstance(unc, SigmaBand):
         raise UsageError("/band: the PDE solver is one-dimensional")
-    payoff_expr = expr_mod.parse(_fetch(cfg, "/payoff", str), ["x"], cfg.get("constants"))
+    payoff_expr = _expression(cfg, "/payoff", ["x"])
     x_lo = _fetch(cfg, "/grid/x_lo", float)
     x_hi = _fetch(cfg, "/grid/x_hi", float)
     nx = _fetch(cfg, "/grid/nx", int)
@@ -251,18 +277,26 @@ def cmd_gsde(args, cfg, comments):
         raise UsageError(f"bad system config: {e}")
     grid = _time_grid(cfg)
     policy = _policy(cfg, unc)
-    x0 = np.asarray(_fetch(cfg, "/x0", list), dtype=float)
-    batch = simulate_batch(policy, unc, grid, args.seed, 1)
-    if "schedule" in cfg or coeffs.lipschitz_tag == "local":
+    try:
+        x0 = np.asarray(_fetch(cfg, "/x0", list), dtype=float).reshape(coeffs.n)
+    except (TypeError, ValueError):
+        raise UsageError(f"/x0 must hold n={coeffs.n} numbers")
+    localized = "schedule" in cfg or coeffs.lipschitz_tag == "local"
+    if localized:
         radii = cfg.get("schedule")
-        schedule = TruncationSchedule(tuple(radii)) if radii else TruncationSchedule.doubling()
         try:
+            schedule = TruncationSchedule(tuple(radii)) if radii else TruncationSchedule.doubling()
+        except (TypeError, ValueError) as e:
+            raise UsageError(f"bad radii at /schedule: {e}")
+    batch = _simulate(policy, unc, grid, args.seed, 1)
+    try:
+        if localized:
             sol = solve_localized(coeffs, x0, batch, schedule)
-        except gsde_mod.ExplosionSuspectedError as e:
-            raise CheckFailed(str(e))
-        print(f"localization settled at radius {sol.n0_used:g}", file=sys.stderr)
-    else:
-        sol = gsde_mod.integrate(coeffs, x0, batch)
+            print(f"localization settled at radius {sol.n0_used:g}", file=sys.stderr)
+        else:
+            sol = gsde_mod.integrate(coeffs, x0, batch)
+    except (gsde_mod.ExplosionSuspectedError, gsde_mod.BlowUpError) as e:
+        raise CheckFailed(str(e))
     header = ["t"] + expr_mod.state_variables(coeffs.n)
     rows = [(t, *x) for t, x in zip(sol.t, sol.x[0])]
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
@@ -353,13 +387,16 @@ def cmd_linstab(args, cfg, comments):
     else:
         P = matrix("P") if "P" in cfg else np.eye(n)
         if mode == "stable":
-            cert = lmi_stable(sys_, P)
-            conclusive = cert.kind == "ms_stable"
+            certify, wanted = lmi_stable, "ms_stable"
         elif mode == "unstable":
-            cert = lmi_unstable(sys_, P)
-            conclusive = cert.kind == "q_unstable"
+            certify, wanted = lmi_unstable, "q_unstable"
         else:
             raise UsageError(f"unknown value at /mode: {mode!r}")
+        try:
+            cert = certify(sys_, P)
+        except NotSPDError as e:
+            raise UsageError(f"/P: {e}")
+        conclusive = cert.kind == wanted
     _emit(args, comments, lambda fh, c: _report_out(args, fh, c, cert.to_json_dict()))
     if not conclusive:
         raise CheckFailed(f"certificate inconclusive (margin {cert.margin:.3e})")
@@ -392,7 +429,7 @@ def cmd_experiment(args, cfg, comments):
             runner = exp_mod.moment_decay_curve if kind == "moment_decay" else exp_mod.lyapunov_exponent
             result = runner(ecfg)
         except exp_mod.ConfigError as e:
-            raise UsageError(str(e))
+            raise UsageError(f"/{e.field}: {e}" if e.field else str(e))
     else:
         raise UsageError(f"unknown value at /kind: {kind!r}")
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, result.header, result.rows))

@@ -25,7 +25,12 @@ LOG_FLOOR = 1e-300
 
 
 class ConfigError(ValueError):
-    pass
+    """An experiment setting that cannot work; ``field`` names the setting
+    when the error concerns one."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 def _family_config(family: PolicyFamily) -> dict:
@@ -102,6 +107,10 @@ class ExperimentConfig:
             raise ConfigError("statistical assertions need n_paths >= 100")
         if self.dt <= 0 or self.T <= 0:
             raise ConfigError("need T, dt > 0")
+        outside = [t for t in self.times if not 0.0 <= t <= self.T]
+        if outside:
+            raise ConfigError(f"times {outside} lie outside [0, T] = [0, {self.T:g}]",
+                              field="times")
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.T, max(1, int(round(self.T / self.dt))))

@@ -67,8 +67,11 @@ class LyapunovSpec:
         shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
         return expr_mod.evaluate(self.v, expr_mod.bind(t, x), shape)
 
-    def derivatives(self, t, x):
-        """(dV/dt, gradient (..., n), Hessian (..., n, n)) at (t, x)."""
+    def derivatives(self, t, x, v=None):
+        """(dV/dt, gradient (..., n), Hessian (..., n, n)) at (t, x).
+
+        ``v``, if given, is value(t, x) already computed; the
+        finite-difference stencil takes it as its centre."""
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
         if self.mode == "analytic":
@@ -76,9 +79,9 @@ class LyapunovSpec:
             return (expr_mod.evaluate(self.dt_expr, env, shape),
                     expr_mod.fill(self.grad_exprs, (self.n,), env, shape),
                     expr_mod.fill(self.hess_exprs, (self.n, self.n), env, shape))
-        return self._derivatives_fd(t, x, shape)
+        return self._derivatives_fd(t, x, shape, v)
 
-    def _derivatives_fd(self, t, x, shape):
+    def _derivatives_fd(self, t, x, shape, v0=None):
         xnorm = np.linalg.norm(x, axis=-1)
         h1 = H_FD * (1.0 + xnorm)
         h2 = H_FD2 * (1.0 + xnorm)
@@ -99,7 +102,8 @@ class LyapunovSpec:
             vt = np.zeros(shape)
         grad = np.empty(shape + (self.n,))
         hess = np.empty(shape + (self.n, self.n))
-        v0 = v_at(t)
+        if v0 is None:
+            v0 = v_at(t)
         for i in range(self.n):
             grad[..., i] = (v_at(t, (i, h1)) - v_at(t, (i, -h1))) / (2.0 * h1)
             hess[..., i, i] = (v_at(t, (i, h2)) - 2.0 * v0 + v_at(t, (i, -h2))) / (h2 * h2)
@@ -184,10 +188,11 @@ class CheckReport:
         return f"CheckReport({self.condition}: {self.verdict}, max_violation={self.max_violation:.3e})"
 
 
-def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x):
-    """L V at (t, x); broadcasts over stacked points x of shape (..., n)."""
+def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x, v=None):
+    """L V at (t, x); broadcasts over stacked points x of shape (..., n).
+    ``v`` is V at (t, x) when the caller holds it (see derivatives)."""
     x = np.asarray(x, dtype=float)
-    vt, grad, hess = spec.derivatives(t, x)
+    vt, grad, hess = spec.derivatives(t, x, v)
     fv, hv, gv = coeffs._eval_fhg(t, x)
     h_sym = hv + np.swapaxes(hv, -1, -2)
     eta = np.einsum("...n,...nij->...ij", grad, h_sym) + np.einsum(
@@ -226,17 +231,30 @@ def _report(condition, violations, T, X, vscale, region, extra=None):
     return CheckReport(condition, violations[idx], T[idx], X[idx], tol, len(T), diag)
 
 
+def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
+    """The region's grid points T, X, V there and (if with_lv) L V there.
+
+    ``vet(T, X, v)`` rejects a V unfit for the check before L V is formed;
+    the V values are the finite-difference stencil's centre."""
+    T, X = region.grid()
+    v = spec.value(T, X)
+    if vet is not None:
+        vet(T, X, v)
+    return T, X, v, (eval_L(spec, coeffs, unc, T, X, v) if with_lv else None)
+
+
 def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
                            region: CheckRegion, c_ly: float) -> CheckReport:
     """Grid max of L V - c_ly V; passes when <= 1e-9*(1 + max|V|)."""
     if c_ly < 0:
         raise ValueError("c_ly must be >= 0")
-    T, X = region.grid()
-    v = spec.value(T, X)
-    if spec.nonneg and np.min(v) < -1e-12:
-        i = int(np.argmin(v))
-        raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but the nonneg flag is set")
-    lv = eval_L(spec, coeffs, unc, T, X)
+
+    def vet(T, X, v):
+        if spec.nonneg and np.min(v) < -1e-12:
+            i = int(np.argmin(v))
+            raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but the nonneg flag is set")
+
+    T, X, v, lv = _grid_v_lv(spec, coeffs, unc, region, vet)
     violations = lv - c_ly * v
     return _report(f"LV <= {c_ly:g} V", violations, T, X, float(np.max(np.abs(v))), region)
 
@@ -249,15 +267,15 @@ def find_cly(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: CheckRegio
 
 def find_cly_detailed(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: CheckRegion,
                       v_min: float = 1e-8) -> CheckReport:
-    T, X = region.grid()
-    v = spec.value(T, X)
-    if np.min(v) < v_min:
-        i = int(np.argmin(v))
-        raise RegionError(
-            f"V(t={T[i]}, x={X[i].tolist()}) = {v[i]:.3e} < v_min={v_min:g}; "
-            "exclude a ball around the origin or raise v_min"
-        )
-    lv = eval_L(spec, coeffs, unc, T, X)
+    def vet(T, X, v):
+        if np.min(v) < v_min:
+            i = int(np.argmin(v))
+            raise RegionError(
+                f"V(t={T[i]}, x={X[i].tolist()}) = {v[i]:.3e} < v_min={v_min:g}; "
+                "exclude a ball around the origin or raise v_min"
+            )
+
+    T, X, v, lv = _grid_v_lv(spec, coeffs, unc, region, vet)
     ratios = lv / v
     raw = float(np.max(ratios))
     rep = _report("min c with LV <= c V", ratios, T, X, float(np.max(np.abs(v))), region,
@@ -279,8 +297,7 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
     """
     if which not in _CONDITIONS:
         raise ValueError(f"which must be one of {_CONDITIONS}")
-    T, X = region.grid()
-    v = spec.value(T, X)
+    T, X, v, lv = _grid_v_lv(spec, coeffs, unc, region, with_lv=which != "sandwich")
     vscale = float(np.max(np.abs(v)))
     if which == "sandwich":
         p = float(params["p"])
@@ -291,7 +308,6 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
         violations = np.maximum(c1 * xp - v, v - c2 * xp)
         return _report(f"{c1:g}|x|^{p:g} <= V <= {c2:g}|x|^{p:g}", violations, T, X,
                        max(vscale, float(np.max(xp))), region)
-    lv = eval_L(spec, coeffs, unc, T, X)
     if which == "nonpositive":
         return _report("LV <= 0", lv, T, X, vscale, region)
     lam = float(params["lam"] if "lam" in params and "lambda" not in params else params["lambda"])

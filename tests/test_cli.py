@@ -45,6 +45,22 @@ def duffing_cfg(tmp_path):
     return make
 
 
+SIM_OK = {"band": [1.0, 2.0], "grid": {"t_end": 1.0, "n_steps": 8},
+          "policy": {"kind": "constant", "value": 1.5}, "n_paths": 2}
+UPPER_OK = {"band": [1.0, 2.0], "grid": {"t_end": 1.0, "n_steps": 8}, "payoff": "b1^2",
+            "family": {"kind": "extreme_constants"}, "n_paths": 100}
+GHEAT_OK = {"band": [1.0, 2.0], "payoff": "x^2",
+            "grid": {"x_lo": -4.0, "x_hi": 4.0, "nx": 41, "T": 1.0}}
+GSDE_OK = {"n": 1, "d": 1, "band": [1.0, 2.0], "f": ["-x1"], "h": ["0"], "g": ["x1"],
+           "x0": [1.0], "policy": {"kind": "constant", "value": 1.5},
+           "grid": {"t_end": 1.0, "n_steps": 20}}
+LINSTAB_OK = {"n": 1, "F": [-3.0], "H": [-1.0], "C": [1.0], "band": [1.0, 2.0],
+              "P": [1.0], "mode": "stable"}
+MOMENT_DECAY_OK = {"kind": "moment_decay", "band": [1.0, 2.0],
+                   "family": {"kind": "extreme_constants"},
+                   "model": {"alpha": -1.0, "beta": 0.2, "gamma": 0.5, "x0": 1.0},
+                   "p": 2.0, "T": 1.0, "dt": 0.05, "n_paths": 200}
+
 LYAPUNOV_OK = {
     "system": {"n": 2, "d": 1, "band": [1.0, 2.0],
                "f": ["0", "0"], "h": ["x2", "-x1 - x1^3 - x2"], "g": ["0", "1"]},
@@ -111,11 +127,30 @@ class TestExitCodes:
             "grad": ["2*y1", "x2"], "hess": [["1", "0"], ["0", "1"]]}}, "/dV/grad"),
         ("lyapunov", LYAPUNOV_OK | {"mode": "analytic", "dV": {
             "grad": ["x1", "x2"], "hess": [["1", "0"], ["0", "1 +"]]}}, "/dV/hess"),
+        ("simulate", SIM_OK | {"n_paths": "x"}, "/n_paths"),
+        ("simulate", SIM_OK | {"policy": {"kind": "constant", "value": 3.0}}, "/policy"),
+        ("simulate", SIM_OK | {"policy": {"kind": "piecewise", "schedule": [[2, 1.0]]}},
+         "/policy/schedule"),
+        ("gsde", GSDE_OK | {"policy": {"kind": "piecewise", "schedule": [[0, 1.0], [3, 2.5]]}},
+         "/policy"),
+        ("upper", UPPER_OK | {"payoff": "b1 +"}, "/payoff"),
+        ("upper", UPPER_OK | {"payoff": "y1^2"}, "/payoff"),
+        ("upper", UPPER_OK | {"payoff": "log(b1)"}, "/payoff"),
+        ("gheat", GHEAT_OK | {"payoff": "x +"}, "/payoff"),
+        ("gheat", GHEAT_OK | {"payoff": "b1"}, "/payoff"),
+        ("gsde", GSDE_OK | {"x0": [1.0, 2.0]}, "/x0"),
+        ("gsde", GSDE_OK | {"schedule": [4.0, 2.0]}, "/schedule"),
+        ("linstab", LINSTAB_OK | {"P": [-1.0]}, "/P"),
+        ("experiment", MOMENT_DECAY_OK | {"times": [1.0, 5.0, -2.0]}, "/times"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
             "lyapunov_missing_p", "lyapunov_lambda", "lyapunov_mode",
-            "lyapunov_dt_expression", "lyapunov_grad_expression", "lyapunov_hess_expression"])
+            "lyapunov_dt_expression", "lyapunov_grad_expression", "lyapunov_hess_expression",
+            "simulate_n_paths", "simulate_policy_band", "simulate_policy_schedule",
+            "gsde_policy_band", "upper_payoff_syntax", "upper_payoff_name",
+            "upper_payoff_non_finite", "gheat_payoff_syntax", "gheat_payoff_name",
+            "gsde_x0_length", "gsde_schedule_order", "linstab_p_not_spd", "experiment_times"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
@@ -216,6 +251,22 @@ class TestSimulateAndGsde:
         assert lines[0] == "t,x1,x2"
         assert len(lines) == 502
         assert "localization settled" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,step", [
+        (GSDE_OK | {"f": ["x1^3"], "g": ["0"], "x0": [2.0], "grid": {"t_end": 2.0, "n_steps": 200}},
+         22),
+        # x2 turns NaN once x1 > 1.5, before |X| reaches the first radius
+        (GSDE_OK | {"n": 2, "f": ["1", "0*sqrt(1.5 - x1)"], "h": ["0", "0"], "g": ["0", "0"],
+                    "lipschitz_tag": "local", "x0": [0.0, 0.0], "schedule": [2.0, 4.0, 8.0],
+                    "grid": {"t_end": 5.0, "n_steps": 500}}, 151),
+    ], ids=["global", "localized"])
+    def test_gsde_blowup_is_one_line_exit_two(self, tmp_path, capsys, cfg, step):
+        assert main(["gsde", "--config", write_cfg(tmp_path, "blow.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"gcalc gsde: check failed: state became non-finite at step {step} (path index 0)")
+        assert captured.err.count("\n") == 1
 
     def test_upper_json_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "up.json", {

@@ -60,6 +60,15 @@ class TestRates:
         with pytest.raises(ConfigError):
             make_cfg(n_paths=10)
 
+    @pytest.mark.parametrize("times", [(1.0, 10.5), (-2.0,), (1.0, 5.0, -2.0)])
+    def test_times_outside_horizon_rejected(self, times):
+        # the grid has no row past T or before 0: such a time used to be
+        # clamped to the nearest end and reported against its own bound
+        with pytest.raises(ConfigError, match=r"outside \[0, T\]") as exc:
+            make_cfg(times=times)
+        assert exc.value.field == "times"
+        make_cfg(times=(0.0, 10.0))
+
 
 class TestMomentDecay:
     def test_reference_bound_holds(self):

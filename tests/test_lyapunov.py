@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from gcalc import (
     threshold_bangbang,
     verify_moment_bound,
 )
+from gcalc import lyapunov
 from gcalc.expr import Expression, ExprError
 from gcalc.lyapunov import RegionError
 
@@ -459,6 +462,42 @@ class TestOneVPass:
         assert sum(calls) == 13  # 15 with the time stencil
         for g, w in zip(got, want):
             assert g.shape == w.shape and _bits(g) == _bits(w)
+
+    @pytest.mark.parametrize("condition", ["growth", "find_cly", "exp_stable", "sandwich"])
+    def test_fd_checks_take_grid_v_as_stencil_centre(self, monkeypatch, condition):
+        # the checks hand the V they hold on the grid to the stencil as its
+        # centre: 13 V evaluations instead of 14 (1 on the grid, 12 shifted),
+        # and the report keeps every bit of the stencil evaluating its own
+        coeffs, _ = duffing()
+        spec = LyapunovSpec(2, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", mode="finite_difference")
+        region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)])
+        params = {"lambda": 0.5, "p": 2.0, "c1": 0.1, "c2": 10.0}
+
+        def run():
+            if condition == "growth":
+                rep = check_growth_condition(spec, coeffs, BAND, region, 1.0)
+            elif condition == "find_cly":
+                rep = find_cly_detailed(spec, coeffs, BAND, region)
+            else:
+                rep = check_stability_conditions(spec, coeffs, BAND, region, params, condition)
+            return json.dumps(rep.to_json_dict())
+
+        calls = []
+        original_eval = Expression.eval
+
+        def counting(self, env):
+            calls.append(self is spec.v)
+            return original_eval(self, env)
+
+        monkeypatch.setattr(Expression, "eval", counting)
+        got = run()
+        got_calls, calls[:] = sum(calls), []
+        original_L = lyapunov.eval_L
+        monkeypatch.setattr(lyapunov, "eval_L", lambda spec, coeffs, unc, t, x, v=None:
+                            original_L(spec, coeffs, unc, t, x))
+        want = run()
+        assert (got_calls, sum(calls)) == ((1, 1) if condition == "sandwich" else (13, 14))
+        assert got == want
 
     def test_time_free_candidate_non_finite_still_rejected(self):
         coeffs = coefficients(1, 1, ["0"], ["0"], ["0"])

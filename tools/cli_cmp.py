@@ -127,6 +127,30 @@ def cases() -> dict:
     out["linstab_search"] = ("linstab", {"n": 2, "F": [-10.0, 0.0, 0.0, -0.6], "H": [0.0] * 4,
                                          "C": [0.0, 3.0, 0.0, 0.0], "band": [1.0, 1.0],
                                          "mode": "search"})
+
+    # config errors (exit 1) and blow-ups (exit 2) of the other subcommands
+    def variant(case, **override):
+        sub, cfg = out[case]
+        return sub, {**cfg, **override}
+
+    out["simulate_error_n_paths"] = variant("simulate_band", n_paths="x")
+    out["simulate_error_policy_band"] = variant("simulate_band",
+                                                policy={"kind": "constant", "value": 3.0})
+    out["simulate_error_policy_schedule"] = variant(
+        "simulate_band", policy={"kind": "piecewise", "schedule": [[2, 1.0]]})
+    out["upper_error_payoff_syntax"] = variant("upper_band", payoff="b1 +")
+    out["upper_error_payoff_name"] = variant("upper_band", payoff="y1^2")
+    out["upper_error_payoff_non_finite"] = variant("upper_band", payoff="log(b1)")
+    out["gheat_error_payoff"] = variant("gheat_square", payoff="x +")
+    out["gsde_error_x0"] = variant("gsde_global", x0=[1.0, 2.0])
+    out["gsde_error_schedule"] = variant("gsde_localized", schedule=[4.0, 2.0])
+    out["gsde_blowup_global"] = variant("gsde_global", f=["x1^3"], h=["0"], g=["0"], x0=[2.0],
+                                        grid={"t_end": 2.0, "n_steps": 200})
+    out["gsde_blowup_localized"] = variant(
+        "gsde_localized", f=["1", "0*sqrt(1.5 - x1)"], h=["0", "0"], g=["0", "0"],
+        x0=[0.0, 0.0], schedule=[2.0, 4.0, 8.0], grid={"t_end": 5.0, "n_steps": 500})
+    out["linstab_error_p"] = variant("linstab_stable", P=[-1.0])
+    out["experiment_error_times"] = variant("experiment_moment_decay", times=[1.0, 5.0, -2.0])
     return out
 
 
