@@ -459,9 +459,6 @@ def qv_compensation_check_batch(batch: PathBatch, eta, unc=None) -> np.ndarray:
     symmetrised.  ``unc`` defaults to the set the batch was simulated under.
     """
     n_steps, d = batch.grid.n_steps, batch.d
-    unc = batch.unc if unc is None else unc
-    if unc is None:
-        raise ValueError("pass the uncertainty set the paths were simulated under")
     if callable(eta):
         eta = np.stack([np.asarray(eta(k), dtype=float).reshape(d, d) for k in range(n_steps)])
     eta = np.asarray(eta, dtype=float)
@@ -475,4 +472,5 @@ def qv_compensation_check_batch(batch: PathBatch, eta, unc=None) -> np.ndarray:
         raise ValueError("eta evaluated to a non-finite matrix")
     eta = 0.5 * (eta + np.swapaxes(eta, -1, -2))
     dqv = np.diff(batch.qvar, axis=1)
+    unc = batch.unc if unc is None else unc
     return np.max(_m_running(eta, dqv, batch.grid.dt, unc), axis=-1)

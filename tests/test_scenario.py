@@ -522,10 +522,6 @@ class TestSinglePathIsBatchRow:
             qv_compensation_check_batch(path, np.nan)
         with pytest.raises(ValueError, match="one 2x2 matrix per step and path"):
             qv_compensation_check_batch(path, np.ones((8, 3, 3)))
-        path.unc = None
-        with pytest.raises(ValueError, match="uncertainty set"):
-            qv_compensation_check_batch(path, 1.0)
-        assert qv_compensation_check_batch(path, 0.0, CSET)[0] == 0.0
 
     def test_qvar_check_dimension_guard(self):
         path = one_path(ConstantPolicy(index=0), CSET, TimeGrid(1.0, 8), seed=0)
