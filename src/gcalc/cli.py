@@ -107,7 +107,13 @@ def _uncertainty(cfg):
 
 
 def _time_grid(cfg) -> TimeGrid:
-    return TimeGrid(_fetch(cfg, "/grid/t_end", float), _fetch(cfg, "/grid/n_steps", int))
+    t_end = _fetch(cfg, "/grid/t_end", float)
+    n_steps = _fetch(cfg, "/grid/n_steps", int)
+    if not t_end > 0.0:
+        raise UsageError("config field /grid/t_end must be > 0")
+    if n_steps < 1:
+        raise UsageError("config field /grid/n_steps must be >= 1")
+    return TimeGrid(t_end, n_steps)
 
 
 def _policy(cfg, unc, pointer="/policy"):
@@ -215,6 +221,8 @@ def cmd_simulate(args, cfg, comments):
         n_paths = int(cfg.get("n_paths", 1))
     except (TypeError, ValueError):
         raise UsageError("config field /n_paths must be int")
+    if n_paths < 0:
+        raise UsageError("config field /n_paths must be >= 0")
     batch = _simulate(policy, unc, grid, args.seed, n_paths)
     header, table = batch.table()
     header = ["path"] + header
@@ -228,6 +236,8 @@ def cmd_upper(args, cfg, comments):
     grid = _time_grid(cfg)
     family = _family(cfg, unc)
     n_paths = _fetch(cfg, "/n_paths", int)
+    if n_paths < 2:
+        raise UsageError("config field /n_paths must be >= 2")
     d = unc.dim
     payoff_expr = _expression(cfg, "/payoff", ["t"] + [f"b{i + 1}" for i in range(d)] + ["qv"])
 
@@ -353,8 +363,11 @@ def cmd_lyapunov(args, cfg, comments):
             report = check_stability_conditions(spec, coeffs, unc, region, params, condition)
         else:
             raise UsageError(f"unknown value at /condition: {condition!r}")
-    except (RegionError, expr_mod.ExprError) as e:
+    except RegionError as e:
         raise UsageError(f"/V on /region: {e}")
+    except expr_mod.ExprError as e:  # a kink of V or a singularity on the grid
+        raise UsageError(f"/V on /region: {e}; keep it off the grid, "
+                         "e.g. exclude a ball around 0 with /region/exclude_r0")
     except KeyError as e:
         raise UsageError(f"missing config field at /params/{e.args[0]}")
     except ValueError as e:

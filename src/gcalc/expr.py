@@ -353,9 +353,24 @@ def parse(source: str, variables, constants=None) -> Expression:
 
 
 def differentiate_symbolic(e: Expression, var: str) -> Expression:
-    """Symbolic derivative for the polynomial fragment (+, -, *, ^ with
-    integer-constant exponents, unary minus, constants, variables)."""
+    """d e / d var.  Every node has a rule; the kinked functions abs, pos,
+    neg, min and max differentiate to quotients that are NaN exactly at
+    the kink, where e is not differentiable."""
     return Expression(_simplify(_diff(e.root, var)), e.variables)
+
+
+# f'(u) for each unary function f, as a tree over the call node and u
+_DERIVATIVES = {
+    "sin": lambda node, u: Call("cos", (u,)),
+    "cos": lambda node, u: Neg(Call("sin", (u,))),
+    "exp": lambda node, u: node,
+    "log": lambda node, u: Bin("/", Num(1.0), u),
+    "tanh": lambda node, u: Bin("-", Num(1.0), Bin("^", node, Num(2.0))),
+    "sqrt": lambda node, u: Bin("/", Num(0.5), node),
+    "abs": lambda node, u: Bin("/", u, node),
+    "pos": lambda node, u: Bin("/", node, u),
+    "neg": lambda node, u: Bin("/", node, u),
+}
 
 
 def _diff(node, var):
@@ -365,29 +380,26 @@ def _diff(node, var):
         return Num(1.0 if node.name == var else 0.0)
     if isinstance(node, Neg):
         return Neg(_diff(node.operand, var))
-    if isinstance(node, Bin):
-        if node.op in "+-":
-            return Bin(node.op, _diff(node.left, var), _diff(node.right, var))
-        if node.op == "*":
-            return Bin(
-                "+",
-                Bin("*", _diff(node.left, var), node.right),
-                Bin("*", node.left, _diff(node.right, var)),
-            )
-        if node.op == "^":
-            if isinstance(node.right, Num) and float(node.right.value).is_integer():
-                k = node.right.value
-                if k == 0:
-                    return Num(0.0)
-                return Bin(
-                    "*",
-                    Bin("*", Num(k), Bin("^", node.left, Num(k - 1))),
-                    _diff(node.left, var),
-                )
-        raise ExprError(f"symbolic differentiation unsupported for operator {node.op!r}")
     if isinstance(node, Call):
-        raise ExprError(f"symbolic differentiation unsupported for {node.func}(...)")
-    raise TypeError(f"not an expression node: {node!r}")
+        if node.func in _BINARY_FUNCS:
+            # max(a, b) = b + pos(a - b) and min(a, b) = a - pos(a - b)
+            a, b = node.args
+            kink = Call("pos", (Bin("-", a, b),))
+            return _diff(Bin("+", b, kink) if node.func == "max" else Bin("-", a, kink), var)
+        (u,) = node.args
+        return Bin("*", _DERIVATIVES[node.func](node, u), _diff(u, var))
+    u, w = node.left, node.right
+    du, dw = _diff(u, var), _diff(w, var)
+    if node.op in "+-":
+        return Bin(node.op, du, dw)
+    if node.op == "*":
+        return Bin("+", Bin("*", du, w), Bin("*", u, dw))
+    if node.op == "/":
+        return Bin("/", Bin("-", Bin("*", du, w), Bin("*", u, dw)), Bin("^", w, Num(2.0)))
+    if var not in _free_vars(w):  # w u^(w-1) u'
+        return Bin("*", Bin("*", w, Bin("^", u, Bin("-", w, Num(1.0)))), du)
+    # u^w (w' log u + w u'/u)
+    return Bin("*", node, Bin("+", Bin("*", dw, Call("log", (u,))), Bin("/", Bin("*", w, du), u)))
 
 
 def _simplify(node):
@@ -400,7 +412,7 @@ def _simplify(node):
         a = _simplify(node.left)
         b = _simplify(node.right)
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(_eval(Bin(node.op, a, b), {}))
+            return Num(float(_eval(Bin(node.op, a, b), {})))
         if node.op == "*":
             if (isinstance(a, Num) and a.value == 0.0) or (isinstance(b, Num) and b.value == 0.0):
                 return Num(0.0)
@@ -415,6 +427,8 @@ def _simplify(node):
                 return a
         if node.op == "-" and isinstance(b, Num) and b.value == 0.0:
             return a
+        if node.op == "/" and isinstance(a, Num) and a.value == 0.0:
+            return Num(0.0)
         if node.op == "^" and isinstance(b, Num) and b.value == 1.0:
             return a
         return Bin(node.op, a, b)

@@ -6,11 +6,12 @@ The differential operator evaluated here is
     eta_ij = sum_nu dV/dx_nu * (h_nu_ij + h_nu_ji)
            + sum_{mu,nu} d2V/dx_mu dx_nu * g_mu_i * g_nu_j,
 
-with G the sublinear function of the uncertainty set.  Conditions of the
-form "for all (t, x)" are certified on finite grids; reports carry a crude
-Lipschitz slack estimated from adjacent grid differences so refinement
-behaviour can be judged.  Candidates like |x|^p with p < 2 are not twice
-differentiable at the origin: exclude a ball around 0 via the region.
+with G the sublinear function of the uncertainty set and V's derivatives
+symbolic.  Conditions of the form "for all (t, x)" are certified on finite
+grids; reports carry a crude Lipschitz slack estimated from adjacent grid
+differences so refinement behaviour can be judged.  Candidates like |x|^p
+with p < 2 are not twice differentiable at the origin, so L V is not finite
+there: exclude a ball around 0 via the region.
 """
 
 from __future__ import annotations
@@ -28,91 +29,53 @@ class RegionError(ValueError):
     pass
 
 
-# finite-difference step scales: first order and time, second order
-H_FD = 1e-5
-H_FD2 = 1e-4
-
-
 class LyapunovSpec:
-    """Candidate V(t, x) with derivatives, analytic or finite-difference.
+    """Candidate V(t, x) with expression tables for dV/dt, the gradient and
+    the Hessian, which derivatives() evaluates.
 
-    In analytic mode the caller supplies expressions for dV/dt, the
-    gradient, and the Hessian.  In finite-difference mode derivatives use
-    central stencils with per-point steps ht = H_FD*(1+|t|) in time,
-    h1 = H_FD*(1+|x|) for first order and h2 = H_FD2*(1+|x|) for second
-    order, where H_FD = 1e-5 and H_FD2 = 1e-4.
+    In analytic mode the caller supplies the three tables.  In the default
+    mode (still named "finite_difference" so configs keep working) they are
+    V's symbolic derivatives: dt_expr = dV/dt, grad_exprs[i] = dV/dx_i and
+    hess_exprs[i][j] = d grad_i / dx_j.  Where V is not C^2 (abs, pos, neg,
+    min, max at their kinks) the derivatives are NaN, so eval_L rejects
+    the point: keep kinks off the grid.
     """
 
     def __init__(self, n, v, mode="finite_difference", dt=None, grad=None, hess=None,
                  constants=None, nonneg=True):
         self.n = int(n)
-        variables = ("t",) + tuple(expr_mod.state_variables(self.n))
+        state = tuple(expr_mod.state_variables(self.n))
+        variables = ("t",) + state
         self.v = expr_mod.table(v, (), variables, constants)
         if mode not in ("analytic", "finite_difference"):
             raise ValueError("mode must be 'analytic' or 'finite_difference'")
         self.mode = mode
         self.nonneg = bool(nonneg)
-        self.dt_expr = None
-        self.grad_exprs = None
-        self.hess_exprs = None
         if mode == "analytic":
             if dt is None or grad is None or hess is None:
                 raise ValueError("analytic mode needs dt, grad, and hess expressions")
-            self.dt_expr = expr_mod.table(dt, (), variables, constants)
-            self.grad_exprs = expr_mod.table(grad, (self.n,), variables, constants, "grad")
-            self.hess_exprs = expr_mod.table(hess, (self.n, self.n), variables, constants, "hess")
+        else:
+            d = expr_mod.differentiate_symbolic
+            dt = d(self.v, "t")
+            grad = tuple(d(self.v, x) for x in state)
+            hess = tuple(tuple(d(g, x) for x in state) for g in grad)
+        self.dt_expr = expr_mod.table(dt, (), variables, constants)
+        self.grad_exprs = expr_mod.table(grad, (self.n,), variables, constants, "grad")
+        self.hess_exprs = expr_mod.table(hess, (self.n, self.n), variables, constants, "hess")
 
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
         return expr_mod.evaluate(self.v, expr_mod.bind(t, x), shape)
 
-    def derivatives(self, t, x, v=None):
-        """(dV/dt, gradient (..., n), Hessian (..., n, n)) at (t, x).
-
-        ``v``, if given, is value(t, x) already computed; the
-        finite-difference stencil takes it as its centre."""
+    def derivatives(self, t, x):
+        """(dV/dt, gradient (..., n), Hessian (..., n, n)) at (t, x)."""
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
-        if self.mode == "analytic":
-            env = expr_mod.bind(t, x)
-            return (expr_mod.evaluate(self.dt_expr, env, shape),
-                    expr_mod.fill(self.grad_exprs, (self.n,), env, shape),
-                    expr_mod.fill(self.hess_exprs, (self.n, self.n), env, shape))
-        return self._derivatives_fd(t, x, shape, v)
-
-    def _derivatives_fd(self, t, x, shape, v0=None):
-        xnorm = np.linalg.norm(x, axis=-1)
-        h1 = H_FD * (1.0 + xnorm)
-        h2 = H_FD2 * (1.0 + xnorm)
-        ht = H_FD * (1.0 + np.abs(np.asarray(t, dtype=float)))
-
-        def v_at(tt, *moves):
-            """V at tt with x[..., i] moved by h for every (i, h) in moves."""
-            xx = x
-            if moves:
-                xx = x.copy()
-                for i, h in moves:
-                    xx[..., i] = xx[..., i] + h
-            return expr_mod.evaluate(self.v, expr_mod.bind(tt, xx), shape)
-
-        if "t" in self.v.free_variables:
-            vt = (v_at(np.asarray(t) + ht) - v_at(np.asarray(t) - ht)) / (2.0 * ht)
-        else:  # the quotient would be exactly +0.0 wherever V is finite
-            vt = np.zeros(shape)
-        grad = np.empty(shape + (self.n,))
-        hess = np.empty(shape + (self.n, self.n))
-        if v0 is None:
-            v0 = v_at(t)
-        for i in range(self.n):
-            grad[..., i] = (v_at(t, (i, h1)) - v_at(t, (i, -h1))) / (2.0 * h1)
-            hess[..., i, i] = (v_at(t, (i, h2)) - 2.0 * v0 + v_at(t, (i, -h2))) / (h2 * h2)
-            for j in range(i + 1, self.n):
-                acc = 0.0
-                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    acc = acc + si * sj * v_at(t, (i, si * h2), (j, sj * h2))
-                hess[..., i, j] = hess[..., j, i] = acc / (4.0 * h2 * h2)
-        return vt, grad, hess
+        env = expr_mod.bind(t, x)
+        return (expr_mod.evaluate(self.dt_expr, env, shape),
+                expr_mod.fill(self.grad_exprs, (self.n,), env, shape),
+                expr_mod.fill(self.hess_exprs, (self.n, self.n), env, shape))
 
 
 class CheckRegion:
@@ -188,11 +151,12 @@ class CheckReport:
         return f"CheckReport({self.condition}: {self.verdict}, max_violation={self.max_violation:.3e})"
 
 
-def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x, v=None):
+def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x):
     """L V at (t, x); broadcasts over stacked points x of shape (..., n).
-    ``v`` is V at (t, x) when the caller holds it (see derivatives)."""
+    A non-finite value (V not C^2 there, or a singular coefficient) raises
+    ExprError naming the first such point."""
     x = np.asarray(x, dtype=float)
-    vt, grad, hess = spec.derivatives(t, x, v)
+    vt, grad, hess = spec.derivatives(t, x)
     fv, hv, gv = coeffs._eval_fhg(t, x)
     h_sym = hv + np.swapaxes(hv, -1, -2)
     eta = np.einsum("...n,...nij->...ij", grad, h_sym) + np.einsum(
@@ -203,8 +167,12 @@ def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x, v=None):
     else:
         gval = g_matrix(unc, eta)
     out = vt + np.einsum("...n,...n->...", grad, fv) + gval
-    if not np.all(np.isfinite(out)):
-        raise expr_mod.ExprError("L V evaluated to a non-finite value")
+    finite = np.isfinite(out)
+    if not np.all(finite):
+        i = np.unravel_index(np.argmin(finite), out.shape)
+        tt = float(np.broadcast_to(t, out.shape)[i])
+        xx = np.broadcast_to(x, out.shape + x.shape[-1:])[i].tolist()
+        raise expr_mod.ExprError(f"L V is not finite at t={tt}, x={xx}")
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -234,13 +202,12 @@ def _report(condition, violations, T, X, vscale, region, extra=None):
 def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
     """The region's grid points T, X, V there and (if with_lv) L V there.
 
-    ``vet(T, X, v)`` rejects a V unfit for the check before L V is formed;
-    the V values are the finite-difference stencil's centre."""
+    ``vet(T, X, v)`` rejects a V unfit for the check before L V is formed."""
     T, X = region.grid()
     v = spec.value(T, X)
     if vet is not None:
         vet(T, X, v)
-    return T, X, v, (eval_L(spec, coeffs, unc, T, X, v) if with_lv else None)
+    return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None)
 
 
 def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,

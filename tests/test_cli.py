@@ -69,6 +69,16 @@ LYAPUNOV_OK = {
     "condition": "growth", "params": {"c_ly": 1.0},
 }
 
+# V = |x| has no second derivative at the grid point x = 0
+KINK_OK = {"system": {"n": 1, "d": 1, "band": [1.0, 2.0], "f": ["-x1"], "h": ["0"], "g": ["1"]},
+           "V": "abs(x1)", "region": {"t": [0, 1], "box": [[-1, 1, 5]]},
+           "condition": "nonpositive"}
+# dX = -3X dt + 0.5X d<B> + X dB with V = x^2 has LV = -2V exactly
+EXACT_RATE = {"system": {"n": 1, "d": 1, "band": [1.0, 2.0], "f": ["-3*x1"], "h": ["0.5*x1"],
+                         "g": ["x1"]},
+              "V": "x1^2", "region": {"t": [0, 1], "box": [[-50, 50, 101]]},
+              "condition": "exp_stable"}
+
 
 class TestExitCodes:
     def test_linstab_derived_passes(self, derived_linstab_cfg, tmp_path, capsys):
@@ -87,6 +97,24 @@ class TestExitCodes:
     def test_lyapunov_at_derived_constant_passes(self, duffing_cfg, tmp_path):
         assert main(["lyapunov", "--config", duffing_cfg(1.0),
                      "--out", str(tmp_path / "ok.json")]) == 0
+
+    @pytest.mark.parametrize("lam,code", [(2.0, 0), (2.5, 2)])
+    def test_exact_rate_verdict_in_default_mode(self, tmp_path, lam, code):
+        cfg = write_cfg(tmp_path, "exact.json", EXACT_RATE | {"params": {"lambda": lam}})
+        assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "rep.json")]) == code
+
+    def test_kink_on_the_grid_names_the_point(self, tmp_path, capsys):
+        assert main(["lyapunov", "--config", write_cfg(tmp_path, "k.json", KINK_OK)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gcalc lyapunov: error: /V on /region: ")
+        assert "t=0.0, x=[0.0]" in err and err.count("\n") == 1
+        # off the kink LV = -|x| <= 0
+        excluded = KINK_OK | {"region": {"t": [0, 1], "box": [[-1, 1, 5]], "exclude_r0": 0.25}}
+        out = tmp_path / "rep.json"
+        assert main(["lyapunov", "--config", write_cfg(tmp_path, "e.json", excluded),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "pass" and doc["max_violation"] == -0.5 and doc["grid_size"] == 8
 
     def test_usage_errors_exit_one(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 1
@@ -142,6 +170,12 @@ class TestExitCodes:
         ("gsde", GSDE_OK | {"schedule": [4.0, 2.0]}, "/schedule"),
         ("linstab", LINSTAB_OK | {"P": [-1.0]}, "/P"),
         ("experiment", MOMENT_DECAY_OK | {"times": [1.0, 5.0, -2.0]}, "/times"),
+        ("lyapunov", KINK_OK, "/region/exclude_r0"),
+        ("simulate", SIM_OK | {"grid": {"t_end": 1.0, "n_steps": 0}}, "/grid/n_steps"),
+        ("upper", UPPER_OK | {"grid": {"t_end": -1.0, "n_steps": 8}}, "/grid/t_end"),
+        ("gsde", GSDE_OK | {"grid": {"t_end": 1.0, "n_steps": 0}}, "/grid/n_steps"),
+        ("upper", UPPER_OK | {"n_paths": 1}, "/n_paths"),
+        ("simulate", SIM_OK | {"n_paths": -1}, "/n_paths"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -150,7 +184,9 @@ class TestExitCodes:
             "simulate_n_paths", "simulate_policy_band", "simulate_policy_schedule",
             "gsde_policy_band", "upper_payoff_syntax", "upper_payoff_name",
             "upper_payoff_non_finite", "gheat_payoff_syntax", "gheat_payoff_name",
-            "gsde_x0_length", "gsde_schedule_order", "linstab_p_not_spd", "experiment_times"])
+            "gsde_x0_length", "gsde_schedule_order", "linstab_p_not_spd", "experiment_times",
+            "lyapunov_kink", "simulate_n_steps", "upper_t_end", "gsde_n_steps",
+            "upper_n_paths", "simulate_negative_n_paths"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
@@ -235,6 +271,13 @@ class TestSimulateAndGsde:
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "path,t,b_1,qvar_11,policy_choice"
         assert len(lines) == 1 + 2 * 17
+
+    def test_simulate_zero_paths_is_header_only(self, tmp_path):
+        out = tmp_path / "none.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, "z.json", SIM_OK | {"n_paths": 0}),
+                     "--out", str(out)]) == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines == ["path,t,b_1,qvar_11,policy_choice"]
 
     def test_gsde_localized_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "dvp.json", {

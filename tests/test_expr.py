@@ -156,11 +156,36 @@ class TestSymbolicAgainstFD:
             assert fd == pytest.approx(sym, rel=1e-5, abs=1e-4), src
             checked += 1
 
-    def test_symbolic_rejects_functions(self):
-        with pytest.raises(ExprError):
-            expr.differentiate_symbolic(parse("sin(x)", ["x"]), "x")
-        with pytest.raises(ExprError):
-            expr.differentiate_symbolic(parse("x^0.5", ["x"]), "x")
+    @pytest.mark.parametrize("src", [
+        "sin(x1*x2)", "cos(x1 - t)", "exp(x1*x2)", "log(1 + x1^2)", "tanh(2*x1)",
+        "sqrt(5 + x1*x2)", "abs(x1 - x2)", "pos(x1) * x2", "neg(x1) * -x2",
+        "max(x1, x2^2)", "min(x1*x2, t)", "x1 / (1 + x2^2)", "(1 + x1^2)^2.5",
+        "abs(x1)^1.5", "(1 + x1^2)^(x1 - t*x2)", "x2*(2 + sin(x1))^t",
+    ])
+    def test_chain_rule_matches_central_difference(self, src):
+        # first and second derivatives against central differences of the
+        # expression and of its symbolic derivative, at random points
+        variables = ["t", "x1", "x2"]
+        e = parse(src, variables)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            point = dict(zip(variables, rng.uniform(-2.0, 2.0, size=3)))
+            for a in variables:
+                da = expr.differentiate_symbolic(e, a)
+                assert da.eval(point) == pytest.approx(
+                    _central_difference(e, a, point, 1e-6), rel=1e-6, abs=1e-6), (src, a)
+                for b in variables:
+                    dab = expr.differentiate_symbolic(da, b)
+                    assert dab.eval(point) == pytest.approx(
+                        _central_difference(da, b, point, 1e-6), rel=1e-5, abs=1e-5), (src, a, b)
+
+    @pytest.mark.parametrize("src", ["abs(x)", "pos(x)", "neg(x)", "max(x, 0)", "min(0, x)",
+                                     "abs(x)^1.5 + x"])
+    def test_kinks_differentiate_to_nan_only_at_the_kink(self, src):
+        d = expr.differentiate_symbolic(parse(src, ["x"]), "x")
+        x = np.array([-1.5, -1e-9, 0.0, 1e-9, 2.0])
+        out = d.eval({"x": x})
+        assert np.isnan(out[2]) and np.all(np.isfinite(np.delete(out, 2)))
 
 
 @st.composite

@@ -21,7 +21,6 @@ from gcalc import (
     threshold_bangbang,
     verify_moment_bound,
 )
-from gcalc import lyapunov
 from gcalc.expr import Expression, ExprError
 from gcalc.lyapunov import RegionError
 
@@ -213,6 +212,17 @@ class TestStabilityConditions:
         worse = check_stability_conditions(spec, coeffs, BAND, region, {"lambda": 7.5}, "exp_stable")
         assert not worse.passed
 
+    def test_exact_rate_in_default_mode(self):
+        # dX = -3X dt + 0.5X d<B> + X dB with V = x^2: LV = -6x^2 + G(2x^2) = -2V
+        # exactly, so lambda = 2 holds on the grid to rounding and 2.5 fails
+        coeffs = coefficients(1, 1, ["-3*x1"], ["0.5*x1"], ["x1"])
+        spec = LyapunovSpec(1, "x1^2")
+        region = CheckRegion(1.0, [(-50, 50, 101)])
+        exact = check_stability_conditions(spec, coeffs, BAND, region, {"lambda": 2.0}, "exp_stable")
+        assert exact.passed and abs(exact.max_violation) <= 1e-12 * 2500
+        worse = check_stability_conditions(spec, coeffs, BAND, region, {"lambda": 2.5}, "exp_stable")
+        assert not worse.passed and worse.max_violation == pytest.approx(0.5 * 2500)
+
     def test_exp_unstable_at_derived_rate(self):
         # f = +3x: LV = 6x^2 + G(-2x^2) = 5x^2 >= 5 V
         coeffs, spec, region = self.linear_system(3.0)
@@ -397,6 +407,12 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
+def _analytic_twin(spec):
+    """The analytic-mode spec holding spec's own derivative tables."""
+    return LyapunovSpec(spec.n, spec.v, mode="analytic", dt=spec.dt_expr,
+                        grad=spec.grad_exprs, hess=spec.hess_exprs)
+
+
 class TestReferenceEquivalence:
     @given(candidates(), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -405,27 +421,20 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-2.0, 2.0, size=(17, n))
         t = 0.7 if scalar_t else rng.uniform(0.0, 3.0, size=17)
-        specs = (LyapunovSpec(n, v, mode="finite_difference"),
-                 LyapunovSpec(n, v, mode="analytic", dt=v, grad=grad, hess=hess))
-        for spec in specs:
+        analytic = LyapunovSpec(n, v, mode="analytic", dt=v, grad=grad, hess=hess)
+        default = LyapunovSpec(n, v, mode="finite_difference")
+        twin = _analytic_twin(default)
+        for spec in (analytic, twin):
             for got, want in zip(spec.derivatives(t, x), ref_derivatives(spec, t, x)):
                 assert got.shape == want.shape and _bits(got) == _bits(want)
             assert _bits(eval_L(spec, coeffs, unc, t, x)) == _bits(ref_eval_L(spec, coeffs, unc, t, x))
-
-    def test_unshifted_points_reuse_x(self, monkeypatch):
-        # the centre point and the time stencil bind x itself, not a copy
-        spec = LyapunovSpec(2, "t*x1^2 + x2", mode="finite_difference")
-        x = np.ones((5, 2))
-        bound = []
-        original = Expression.eval
-
-        def spy(self, env):
-            bound.append(env["x1"].base is x)
-            return original(self, env)
-
-        monkeypatch.setattr(Expression, "eval", spy)
-        spec.derivatives(np.zeros(5), x)
-        assert sum(bound) == 3  # t + ht, t - ht and the centre
+        # the symbolic tables evaluate like their analytic twin and agree with
+        # the stencil to its accuracy, estimated from a stencil at half steps
+        assert _bits(eval_L(default, coeffs, unc, t, x)) == _bits(eval_L(twin, coeffs, unc, t, x))
+        for got, full, half in zip(default.derivatives(t, x), ref_derivatives(default, t, x),
+                                   ref_derivatives(default, t, x, 0.5e-5, 0.5e-4)):
+            tol = 1e-6 * (1.0 + np.abs(full)) + 4.0 * np.abs(full - half)
+            assert got.shape == full.shape and np.all(np.abs(got - full) <= tol)
 
 
 class TestOneVPass:
@@ -443,64 +452,41 @@ class TestOneVPass:
         check_growth_condition(spec, coeffs, BAND, region, c_ly=1.0)
         assert sum(calls) == 1
 
-    def test_time_free_candidate_skips_time_stencil(self, monkeypatch):
-        # dV/dt of a V without t is exactly +0.0, so the stencil's two t-shifted
-        # evaluations are left out and the derivatives keep their bits
-        spec = LyapunovSpec(2, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", mode="finite_difference")
-        rng = np.random.default_rng(5)
-        t, x = rng.uniform(0.0, 3.0, size=11), rng.uniform(-3.0, 3.0, size=(11, 2))
-        want = ref_derivatives(spec, t, x)
-        calls = []
-        original = Expression.eval
-
-        def counting(self, env):
-            calls.append(self is spec.v)
-            return original(self, env)
-
-        monkeypatch.setattr(Expression, "eval", counting)
-        got = spec.derivatives(t, x)
-        assert sum(calls) == 13  # 15 with the time stencil
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and _bits(g) == _bits(w)
-
     @pytest.mark.parametrize("condition", ["growth", "find_cly", "exp_stable", "sandwich"])
-    def test_fd_checks_take_grid_v_as_stencil_centre(self, monkeypatch, condition):
-        # the checks hand the V they hold on the grid to the stencil as its
-        # centre: 13 V evaluations instead of 14 (1 on the grid, 12 shifted),
-        # and the report keeps every bit of the stencil evaluating its own
-        coeffs, _ = duffing()
+    def test_default_mode_checks_evaluate_v_once(self, monkeypatch, condition):
+        # the default mode evaluates V once on the grid and its derivative
+        # tables once each, and reports what the hand-written tables report
+        coeffs, analytic = duffing()
         spec = LyapunovSpec(2, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", mode="finite_difference")
         region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)])
         params = {"lambda": 0.5, "p": 2.0, "c1": 0.1, "c2": 10.0}
 
-        def run():
+        def run(s):
             if condition == "growth":
-                rep = check_growth_condition(spec, coeffs, BAND, region, 1.0)
+                rep = check_growth_condition(s, coeffs, BAND, region, 1.0)
             elif condition == "find_cly":
-                rep = find_cly_detailed(spec, coeffs, BAND, region)
+                rep = find_cly_detailed(s, coeffs, BAND, region)
             else:
-                rep = check_stability_conditions(spec, coeffs, BAND, region, params, condition)
+                rep = check_stability_conditions(s, coeffs, BAND, region, params, condition)
             return json.dumps(rep.to_json_dict())
 
+        want = run(analytic)
         calls = []
         original_eval = Expression.eval
 
         def counting(self, env):
-            calls.append(self is spec.v)
+            calls.append(self)
             return original_eval(self, env)
 
         monkeypatch.setattr(Expression, "eval", counting)
-        got = run()
-        got_calls, calls[:] = sum(calls), []
-        original_L = lyapunov.eval_L
-        monkeypatch.setattr(lyapunov, "eval_L", lambda spec, coeffs, unc, t, x, v=None:
-                            original_L(spec, coeffs, unc, t, x))
-        want = run()
-        assert (got_calls, sum(calls)) == ((1, 1) if condition == "sandwich" else (13, 14))
+        got = run(spec)
+        tables = [spec.v, spec.dt_expr, *spec.grad_exprs, *(e for row in spec.hess_exprs for e in row)]
+        counts = [sum(c is e for c in calls) for e in tables]
+        assert counts == [1] + [0 if condition == "sandwich" else 1] * 7
         assert got == want
 
     def test_time_free_candidate_non_finite_still_rejected(self):
         coeffs = coefficients(1, 1, ["0"], ["0"], ["0"])
         spec = LyapunovSpec(1, "1 / x1", mode="finite_difference")
-        with pytest.raises(ExprError):
-            eval_L(spec, coeffs, BAND, 0.0, np.array([[0.0]]))
+        with pytest.raises(ExprError, match=r"not finite at t=0.0, x=\[0.0\]"):
+            eval_L(spec, coeffs, BAND, 0.0, np.array([[1.0], [0.0]]))

@@ -66,6 +66,11 @@ def cases() -> dict:
     out["lyapunov_exact_fd"] = ("lyapunov", {
         "system": EXACT, "V": "x1^2", "region": {"t": [0, 1], "box": [[-50, 50, 101]]},
         "condition": "exp_stable", "params": {"lambda": 2.0}})
+    # V = |x| has no second derivative at x = 0, a grid point unless excluded
+    kink = {"system": {**EXACT, "f": ["-x1"], "h": ["0"], "g": ["1"]}, "V": "abs(x1)",
+            "region": {"t": [0, 1], "box": [[-1, 1, 5]]}, "condition": "nonpositive"}
+    out["lyapunov_kink_excluded"] = ("lyapunov", {
+        **kink, "region": {**kink["region"], "exclude_r0": 0.25}})
     duffing_band = lyapunov_cfg("band", "analytic", "growth")
     errors = {
         "axis_count": {"region": {"t": [0, 1], "box": [[-1, 1, 1], [-1, 1, 3]]}},
@@ -79,6 +84,7 @@ def cases() -> dict:
     }
     for name, override in errors.items():
         out[f"lyapunov_error_{name}"] = ("lyapunov", {**duffing_band, **override})
+    out["lyapunov_error_kink"] = ("lyapunov", kink)
 
     oscillator = {**DUFFING, "lipschitz_tag": "local", "f": ["x2", "-x1 - x1^3"],
                   "h": ["0", "-0.2*x2"], "g": ["0", "0.5*x1"]}
@@ -134,6 +140,12 @@ def cases() -> dict:
         return sub, {**cfg, **override}
 
     out["simulate_error_n_paths"] = variant("simulate_band", n_paths="x")
+    out["simulate_error_negative_n_paths"] = variant("simulate_band", n_paths=-1)
+    out["simulate_zero_paths"] = variant("simulate_band", n_paths=0)
+    out["simulate_error_n_steps"] = variant("simulate_band", grid={"t_end": 1.0, "n_steps": 0})
+    out["upper_error_t_end"] = variant("upper_band", grid={"t_end": -1.0, "n_steps": 20})
+    out["upper_error_n_paths"] = variant("upper_band", n_paths=1)
+    out["gsde_error_n_steps"] = variant("gsde_global", grid={"t_end": 1.0, "n_steps": 0})
     out["simulate_error_policy_band"] = variant("simulate_band",
                                                 policy={"kind": "constant", "value": 3.0})
     out["simulate_error_policy_schedule"] = variant(
