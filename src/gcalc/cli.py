@@ -268,6 +268,14 @@ def cmd_gheat(args, cfg, comments):
     nx = _fetch(cfg, "/grid/nx", int)
     T = _fetch(cfg, "/grid/T", float)
     nt = _fetch(cfg, "/grid/nt", int, required=False)
+    if not x_lo < x_hi:
+        raise UsageError("config field /grid/x_hi must be > /grid/x_lo")
+    if nx < 3:
+        raise UsageError("config field /grid/nx must be >= 3")
+    if not T > 0.0:
+        raise UsageError("config field /grid/T must be > 0")
+    if nt is not None and nt < 0:
+        raise UsageError("config field /grid/nt must be >= 1, or 0 or absent for the CFL count")
     grid = (SpaceTimeGrid(x_lo, x_hi, nx, T, nt) if nt
             else SpaceTimeGrid.with_cfl(x_lo, x_hi, nx, T, unc))
     try:

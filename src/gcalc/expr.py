@@ -7,14 +7,20 @@ pos (positive part), neg (negative part), min, max.
 
 Trees are immutable; evaluation broadcasts over numpy arrays bound to the
 variables, and non-finite values propagate (callers decide how to report
-them).  ``to_source`` prints a form whose re-parse reproduces the tree
-node for node.
+them).  Each expression is compiled once, on first use, into nested
+closures that apply the same numpy operations in the same order as a walk
+of the tree, with every subtree over numbers alone folded to its value, so
+results are bitwise those of the walk.  ``to_source`` prints a form whose
+re-parse reproduces the tree node for node.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +54,7 @@ _UNARY_FUNCS = {
     "neg": lambda a: np.maximum(-a, 0.0),
 }
 _BINARY_FUNCS = {"min": np.minimum, "max": np.maximum}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide, "^": np.power}
 FUNCTIONS = sorted(_UNARY_FUNCS) + sorted(_BINARY_FUNCS)
 
 
@@ -100,8 +107,13 @@ class Expression:
         if missing:
             raise ExprError(f"missing bindings for {sorted(missing)}")
         with np.errstate(all="ignore"):
-            out = _eval(self.root, env)
-        return out
+            return self.compiled(env)
+
+    @cached_property
+    def compiled(self):
+        """The tree as a function of env (see ``_compile``), built on first
+        use; call it under ``np.errstate(all="ignore")``."""
+        return _compile(self.root)[0]
 
     def to_source(self) -> str:
         return _print(self.root, 0)
@@ -133,32 +145,44 @@ def _free_vars(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _eval(node, env):
+def _compile(node):
+    """(run, folded) for a tree: run(env) applies each node's numpy or
+    Python operation to its operands' values, left operand first, and a
+    variable reads ``np.asarray(env[name], dtype=float)``.  A subtree over
+    numbers alone is folded: its value is computed once, by the same
+    operations, and run returns that object, so folded says run ignores
+    env."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return (lambda env: value), True
     if isinstance(node, Var):
-        return np.asarray(env[node.name], dtype=float)
+        name = node.name
+        return (lambda env: np.asarray(env[name], dtype=float)), False
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return np.divide(a, b)
-        if node.op == "^":
-            return np.power(a, b)
-        raise TypeError(f"bad operator {node.op}")
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
+        a, folded = _compile(node.operand)
+        run = lambda env: -a(env)  # noqa: E731
+    elif isinstance(node, Bin):
+        op = _OPERATORS[node.op]
+        (a, fa), (b, fb) = _compile(node.left), _compile(node.right)
+        folded = fa and fb
+        run = lambda env: op(a(env), b(env))  # noqa: E731
+    elif isinstance(node, Call):
         fn = _UNARY_FUNCS.get(node.func) or _BINARY_FUNCS[node.func]
-        return fn(*args)
-    raise TypeError(f"not an expression node: {node!r}")
+        parts = [_compile(arg) for arg in node.args]
+        folded = all(f for _, f in parts)
+        if len(parts) == 1:
+            a = parts[0][0]
+            run = lambda env: fn(a(env))  # noqa: E731
+        else:
+            (a, _), (b, _) = parts
+            run = lambda env: fn(a(env), b(env))  # noqa: E731
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if not folded:
+        return run, False
+    with np.errstate(all="ignore"):
+        value = run(None)
+    return (lambda env: value), True
 
 
 # Precedence levels used for printing; mirror the parser.
@@ -412,7 +436,7 @@ def _simplify(node):
         a = _simplify(node.left)
         b = _simplify(node.right)
         if isinstance(a, Num) and isinstance(b, Num):
-            return Num(float(_eval(Bin(node.op, a, b), {})))
+            return Num(float(_compile(Bin(node.op, a, b))[0](None)))
         if node.op == "*":
             if (isinstance(a, Num) and a.value == 0.0) or (isinstance(b, Num) and b.value == 0.0):
                 return Num(0.0)
@@ -440,9 +464,48 @@ def state_variables(n: int) -> list:
     return [f"x{i + 1}" for i in range(n)]
 
 
+class Table(tuple):
+    """Nested tuples of Expressions indexed by ``dims``, as ``table`` builds
+    them; ``fill`` evaluates them through their compiled entries."""
+
+    def __new__(cls, entries, dims):
+        self = super().__new__(cls, entries)
+        self.dims = tuple(dims)
+        return self
+
+    @cached_property
+    def leaves(self) -> list:
+        """(index into a shape + dims array, Expression), in index order."""
+        out = []
+        for idx in itertools.product(*map(range, self.dims)):
+            e = self
+            for i in idx:
+                e = e[i]
+            out.append(((..., *idx), e))
+        return out
+
+    @cached_property
+    def entries(self) -> list:
+        """(index, compiled entry) for every leaf."""
+        return [(idx, e.compiled) for idx, e in self.leaves]
+
+    @cached_property
+    def free_variables(self) -> frozenset:
+        return frozenset().union(*(e.free_variables for _, e in self.leaves))
+
+    @cached_property
+    def is_zero(self) -> bool:
+        """Whether every entry is free of variables and evaluates to +0.0."""
+        if self.free_variables:
+            return False
+        values = [float(e.eval({})) for _, e in self.leaves]
+        return all(v == 0.0 and math.copysign(1.0, v) > 0.0 for v in values)
+
+
 def table(entries, dims, variables, constants=None, what="table"):
-    """Nested tuples of Expressions indexed by ``dims``, parsed from sources
-    (Expressions pass through); every level must hold exactly its dim."""
+    """A Table indexed by ``dims``, parsed from sources (Expressions pass
+    through); every level must hold exactly its dim.  With no dims, the one
+    Expression."""
     if not dims:
         return entries if isinstance(entries, Expression) else parse(str(entries), variables, constants)
     if isinstance(entries, (str, Expression)):
@@ -450,7 +513,7 @@ def table(entries, dims, variables, constants=None, what="table"):
     entries = list(entries)
     if len(entries) != dims[0]:
         raise ValueError(f"{what} needs {dims[0]} entries, got {len(entries)}")
-    return tuple(table(e, dims[1:], variables, constants, what) for e in entries)
+    return Table((table(e, dims[1:], variables, constants, what) for e in entries), dims)
 
 
 def bind(t, x):
@@ -466,13 +529,14 @@ def evaluate(e: Expression, env, shape):
     return np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
 
 
-def fill(exprs, dims, env, shape):
-    """Evaluate a ``table`` of expressions indexed by dims into an array of
-    shape + dims; each entry broadcasts to ``shape`` on assignment."""
-    out = np.empty(shape + dims)
-    for idx in itertools.product(*map(range, dims)):
-        e = exprs
-        for i in idx:
-            e = e[i]
-        out[(..., *idx)] = e.eval(env)
+def fill(tab: Table, env, shape):
+    """Evaluate a Table into an array of shape + tab.dims; each entry
+    broadcasts to ``shape`` on assignment."""
+    missing = tab.free_variables.difference(env)
+    if missing:
+        raise ExprError(f"missing bindings for {sorted(missing)}")
+    out = np.empty(shape + tab.dims)
+    with np.errstate(all="ignore"):
+        for idx, run in tab.entries:
+            out[idx] = run(env)
     return out

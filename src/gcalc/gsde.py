@@ -5,12 +5,21 @@ Localization integrates the truncated system once, at the schedule's
 largest radius R, and reads each path's settling radius off the running
 maximum of |X|: a path settles at the first radius N0 it never reaches.
 The clamp at R >= N0 is then never active on it, and an inactive clamp
-multiplies by exactly 1.0, so the R-trajectory is bitwise the
-N0-trajectory.  For any r < R the r- and R-trajectories agree up to and
-including the first step with |X| >= r, so whether and when a path exits
-r is the same on both.  A path that reaches R exhausts the schedule.
+leaves a row's bits alone (it returns the state itself when no row is
+beyond the radius and multiplies the rows inside by exactly 1.0
+otherwise), so the R-trajectory is bitwise the N0-trajectory.  For any
+r < R the r- and R-trajectories agree up to and including the first step
+with |X| >= r, so whether and when a path exits r is the same on both.
+A path that reaches R exhausts the schedule.
 Exit detection uses grid values only, a discretization bias that shrinks
 with dt.
+
+The Euler step advances a contiguous (P, n) working state, which is
+copied into the solution array after each step, and evaluates f, h and g
+through their compiled expression tables.  A drift table whose entries
+are all the number +0.0 (as in oscillators driven through d<B>) is not
+evaluated: the step adds the scalar 0.0, which gives the same bits as
+adding 0.0 * dt.
 
 Solvers take a PathBatch and return a SolutionBatch; a single path is a
 one-path batch.  integrate_batch and solve_localized_batch record
@@ -81,28 +90,31 @@ class CoefficientSet:
         return expr_mod.bind(t, x), x.shape[:-1]
 
     def _clamp(self, x):
+        """x with the rows beyond the radius scaled onto it; x itself when
+        none is.  The norms are np.linalg.norm's own arithmetic."""
         if self.radius is None:
             return x
-        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+        beyond = norms > self.radius
+        if not beyond.any():
+            return x
         with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(norms > self.radius, self.radius / norms, 1.0)
+            scale = np.where(beyond, self.radius / norms, 1.0)
         return x * scale
 
     def eval_f(self, t, x):
-        return expr_mod.fill(self.f, (self.n,), *self._env(t, x))
+        return expr_mod.fill(self.f, *self._env(t, x))
 
     def eval_h(self, t, x):
-        return expr_mod.fill(self.h, (self.n, self.d, self.d), *self._env(t, x))
+        return expr_mod.fill(self.h, *self._env(t, x))
 
     def eval_g(self, t, x):
-        return expr_mod.fill(self.g, (self.n, self.d), *self._env(t, x))
+        return expr_mod.fill(self.g, *self._env(t, x))
 
     def _eval_fhg(self, t, x):
-        """f, h and g from one clamp of the state: an Euler step's inputs."""
+        """f, h and g from one clamp of the state."""
         env, shape = self._env(t, x)
-        return (expr_mod.fill(self.f, (self.n,), env, shape),
-                expr_mod.fill(self.h, (self.n, self.d, self.d), env, shape),
-                expr_mod.fill(self.g, (self.n, self.d), env, shape))
+        return tuple(expr_mod.fill(tab, env, shape) for tab in (self.f, self.h, self.g))
 
 
 def coefficients(n: int, d: int, f, h, g, constants=None, lipschitz_tag="global") -> CoefficientSet:
@@ -231,20 +243,26 @@ def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid) -> np.ndarray:
     if x0.shape not in ((coeffs.n,), (P, coeffs.n)):
         x0 = x0.reshape(coeffs.n)
     x = np.empty((P, K + 1, coeffs.n))
-    x[:, 0, :] = x0
+    xk = np.empty((P, coeffs.n))  # the contiguous working state
+    xk[...] = x0
+    x[:, 0, :] = xk
     db = np.diff(b, axis=1)
     # the model's quadratic-variation increments are gamma_k dt exactly
     dqv = trace * dt
     t = grid.t
+    # an all-+0.0 drift times a finite dt is +0.0 in every entry, and adding
+    # the scalar +0.0 gives the same bits, so the drift is not evaluated
+    fold_drift = coeffs.f.is_zero and np.isfinite(dt)
     for k in range(K):
-        xk = x[:, k, :]
-        fv, hv, gv = coeffs._eval_fhg(t[k], xk)
-        x[:, k + 1, :] = (
+        env, shape = coeffs._env(t[k], xk)
+        fdt = 0.0 if fold_drift else expr_mod.fill(coeffs.f, env, shape) * dt
+        xk = (
             xk
-            + fv * dt
-            + np.einsum("pnij,pij->pn", hv, dqv[:, k])
-            + np.einsum("pnj,pj->pn", gv, db[:, k])
+            + fdt
+            + np.einsum("pnij,pij->pn", expr_mod.fill(coeffs.h, env, shape), dqv[:, k])
+            + np.einsum("pnj,pj->pn", expr_mod.fill(coeffs.g, env, shape), db[:, k])
         )
+        x[:, k + 1, :] = xk
     return x
 
 

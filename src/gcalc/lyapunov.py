@@ -74,8 +74,8 @@ class LyapunovSpec:
         shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
         env = expr_mod.bind(t, x)
         return (expr_mod.evaluate(self.dt_expr, env, shape),
-                expr_mod.fill(self.grad_exprs, (self.n,), env, shape),
-                expr_mod.fill(self.hess_exprs, (self.n, self.n), env, shape))
+                expr_mod.fill(self.grad_exprs, env, shape),
+                expr_mod.fill(self.hess_exprs, env, shape))
 
 
 class CheckRegion:

@@ -176,6 +176,12 @@ class TestExitCodes:
         ("gsde", GSDE_OK | {"grid": {"t_end": 1.0, "n_steps": 0}}, "/grid/n_steps"),
         ("upper", UPPER_OK | {"n_paths": 1}, "/n_paths"),
         ("simulate", SIM_OK | {"n_paths": -1}, "/n_paths"),
+        ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"nx": 2}}, "/grid/nx"),
+        ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"x_lo": 4.0}}, "/grid/x_hi"),
+        ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"x_hi": -5.0}}, "/grid/x_hi"),
+        ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"T": 0.0}}, "/grid/T"),
+        ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"T": -1.0}}, "/grid/T"),
+        ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"nt": -3}}, "/grid/nt"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -186,7 +192,8 @@ class TestExitCodes:
             "upper_payoff_non_finite", "gheat_payoff_syntax", "gheat_payoff_name",
             "gsde_x0_length", "gsde_schedule_order", "linstab_p_not_spd", "experiment_times",
             "lyapunov_kink", "simulate_n_steps", "upper_t_end", "gsde_n_steps",
-            "upper_n_paths", "simulate_negative_n_paths"])
+            "upper_n_paths", "simulate_negative_n_paths", "gheat_nx", "gheat_x_equal",
+            "gheat_x_reversed", "gheat_t_zero", "gheat_t_negative", "gheat_nt_negative"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1

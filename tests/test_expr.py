@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,7 +117,7 @@ class TestTable:
         assert tab[0][0] is e
         assert tab[0][1] == parse("x2", self.VARS) and tab[1][1] == parse("2", self.VARS)
         x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        out = expr.fill(tab, (2, 2), expr.bind(0.5, x), (3,))
+        out = expr.fill(tab, expr.bind(0.5, x), (3,))
         assert out.shape == (3, 2, 2)
         assert np.array_equal(out[:, 0, 0], 0.5 * x[:, 0]) and np.array_equal(out[:, 1, 1], [2.0] * 3)
 
@@ -220,3 +223,131 @@ class TestRoundTrip:
         src = "-(x1 + 2) * max(x2, 0)^2"
         e = parse(src, ["x1", "x2"])
         assert parse(e.to_source(), ["x1", "x2"]) == e
+
+
+def _ref_eval(node, env):
+    """Reference: the tree walk that evaluated expressions before they were
+    compiled, one isinstance dispatch per node and call."""
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Var):
+        return np.asarray(env[node.name], dtype=float)
+    if isinstance(node, expr.Neg):
+        return -_ref_eval(node.operand, env)
+    if isinstance(node, expr.Bin):
+        a = _ref_eval(node.left, env)
+        b = _ref_eval(node.right, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return np.divide(a, b)
+        return np.power(a, b)
+    args = [_ref_eval(a, env) for a in node.args]
+    fn = expr._UNARY_FUNCS.get(node.func) or expr._BINARY_FUNCS[node.func]
+    return fn(*args)
+
+
+def _ref_fill(exprs, dims, env, shape):
+    """Reference: fill as it was, one Expression evaluation (and errstate)
+    per entry through the tree walk."""
+    out = np.empty(shape + dims)
+    for idx in itertools.product(*map(range, dims)):
+        e = exprs
+        for i in idx:
+            e = e[i]
+        with np.errstate(all="ignore"):
+            out[(..., *idx)] = _ref_eval(e.root, env)
+    return out
+
+
+def _bits(a):
+    """Type, shape and bit pattern of a float result."""
+    arr = np.asarray(a, dtype=float)
+    return type(a), arr.shape, arr.view(np.uint64).tolist()
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5, -3.0, 1e-300, 1e300]
+ENV = {
+    "t": 0.75,
+    "x1": np.array(SPECIAL),
+    "x2": np.array([-2.0, 0.0, -0.0, 3.0, math.nan, math.inf, -1e-300, 0.5, -0.5, 7.0, -1e300]),
+}
+
+
+@st.composite
+def any_trees(draw, depth=0):
+    """Trees over every node kind, every function and every operator, with
+    signed zeros, infinities and NaN among the literals."""
+    kind = draw(st.integers(0, 5 if depth < 4 else 1))
+    if kind == 0:
+        return expr.Num(draw(st.sampled_from(SPECIAL) | st.floats(-10, 10)))
+    if kind == 1:
+        return expr.Var(draw(st.sampled_from(["t", "x1", "x2"])))
+    if kind == 2:
+        return expr.Neg(draw(any_trees(depth=depth + 1)))
+    if kind == 3:
+        func = draw(st.sampled_from(sorted(expr._UNARY_FUNCS)))
+        return expr.Call(func, (draw(any_trees(depth=depth + 1)),))
+    if kind == 4:
+        return expr.Call(draw(st.sampled_from(sorted(expr._BINARY_FUNCS))),
+                         (draw(any_trees(depth=depth + 1)), draw(any_trees(depth=depth + 1))))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
+    return expr.Bin(op, draw(any_trees(depth=depth + 1)), draw(any_trees(depth=depth + 1)))
+
+
+class TestCompiledAgainstTreeWalk:
+    VARS = ("t", "x1", "x2")
+
+    @given(any_trees())
+    @settings(max_examples=400, deadline=None)
+    def test_random_trees_bitwise(self, tree):
+        e = expr.Expression(tree, self.VARS)
+        with np.errstate(all="ignore"):
+            want = _ref_eval(tree, ENV)
+        assert _bits(e.eval(ENV)) == _bits(want)
+
+    @given(st.lists(st.lists(any_trees(), min_size=2, max_size=2), min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_random_tables_fill_bitwise(self, rows):
+        tab = expr.table([[expr.Expression(r, self.VARS) for r in row] for row in rows],
+                         (3, 2), self.VARS)
+        shape = ENV["x1"].shape
+        got = expr.fill(tab, ENV, shape)
+        assert _bits(got) == _bits(_ref_fill(tab, (3, 2), ENV, shape))
+
+    @pytest.mark.parametrize("src", [
+        "0", "-0", "0 * x1", "-0 + x1", "1/0", "-1/0", "0/0", "x1/0", "0/x1", "x1/x2",
+        "log(-1)", "log(0)", "log(x1)", "sqrt(-x1)", "inf - inf", "nan", "inf * 0",
+        "x1^0.5", "(-8)^(1/3)", "x2^-1", "0^0", "neg(-0)", "pos(nan)", "min(nan, x1)",
+        "max(-0, 0)", "exp(1e3) * 0", "tanh(inf) - 1", "2^0.5 + x1 - (3 - 1)*t",
+    ])
+    def test_special_constants_bitwise(self, src):
+        e = parse(src, self.VARS, {"inf": math.inf, "nan": math.nan})
+        with np.errstate(all="ignore"):
+            want = _ref_eval(e.root, ENV)
+        assert _bits(e.eval(ENV)) == _bits(want)
+
+    def test_numbers_only_subtrees_fold(self):
+        # the folded value is the very object the walk would produce
+        e = parse("(2^0.5 - 1) * x1", self.VARS)
+        (folded_run, folded), (_, whole) = expr._compile(e.root.left), expr._compile(e.root)
+        assert folded and not whole
+        assert folded_run(None) is folded_run(None)
+        assert _bits(folded_run(None)) == _bits(_ref_eval(e.root.left, {}))
+
+    @pytest.mark.parametrize("src,zero", [
+        ("0", True), ("1 - 1", True), ("0/1", True), ("0*2", True), ("-1 + 1", True),
+        ("-0", False), ("0*x1", False), ("0/0", False), ("1", False), ("t - t", False),
+    ])
+    def test_is_zero_means_numbers_that_are_positive_zero(self, src, zero):
+        assert expr.table([src, "0"], (2,), self.VARS).is_zero is zero
+        assert expr.table([["0"], [src]], (2, 1), self.VARS).is_zero is zero
+
+    def test_fill_names_a_missing_binding(self):
+        tab = expr.table(["x1", "y"], (2,), ("x1", "y"))
+        with pytest.raises(ExprError, match=r"missing bindings for \['y'\]"):
+            expr.fill(tab, {"x1": np.zeros(3)}, (3,))

@@ -22,9 +22,12 @@ from gcalc import (
     threshold_bangbang,
     truncate,
 )
+from gcalc import CovarianceSet, expr
 from gcalc.expr import state_variables
 from gcalc.gsde import SolutionBatch, _euler
 from gcalc.runio import write_table
+from gcalc.scenario import ConstantPolicy
+from test_expr import _ref_fill
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -590,3 +593,113 @@ class TestSinglePathIsBatchRow:
         one = closed_form_geometric(-1.0, 0.5, 1.0, 1.5,
                                     one_path(threshold_bangbang(BAND, 0.3), LOC_GRID, seed, i))
         assert _same_bits(one.x, whole.x[i:i + 1])
+
+
+def _ref_clamp(x, radius):
+    """Reference: the radial clamp as it was, through np.linalg.norm and
+    scaling every row (by exactly 1.0 inside the radius)."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(norms > radius, radius / norms, 1.0)
+    return x * scale
+
+
+def _ref_euler(coeffs, x0, b, trace, grid):
+    """Reference: the Euler loop as it was, stepping strided views of the
+    solution array and evaluating every table entry by entry, all-zero
+    tables included."""
+    P, K, dt = b.shape[0], grid.n_steps, grid.dt
+    n, d = coeffs.n, coeffs.d
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape not in ((n,), (P, n)):
+        x0 = x0.reshape(n)
+    x = np.empty((P, K + 1, n))
+    x[:, 0, :] = x0
+    db = np.diff(b, axis=1)
+    dqv = trace * dt
+    for k in range(K):
+        xk = x[:, k, :]
+        env = expr.bind(grid.t[k], xk if coeffs.radius is None else _ref_clamp(xk, coeffs.radius))
+        fv = _ref_fill(coeffs.f, (n,), env, (P,))
+        hv = _ref_fill(coeffs.h, (n, d, d), env, (P,))
+        gv = _ref_fill(coeffs.g, (n, d), env, (P,))
+        x[:, k + 1, :] = (
+            xk
+            + fv * dt
+            + np.einsum("pnij,pij->pn", hv, dqv[:, k])
+            + np.einsum("pnj,pj->pn", gv, db[:, k])
+        )
+    return x
+
+
+COV2 = CovarianceSet(2, [[[1.0, -0.5], [-0.5, 1.0]], [[2.0, 0.3], [0.3, 0.5]]])
+COV3 = CovarianceSet(3, [[[1.0, -0.3, 0.2], [-0.3, 1.0, -0.4], [0.2, -0.4, 1.0]], np.eye(3)])
+# name -> (coefficients, uncertainty, policies); every zero kind appears:
+# all-zero tables (an all-+0.0 drift is skipped), negative zeros and zero
+# products
+EULER_SYSTEMS = {
+    "duffing": (duffing_coeffs(), BAND, [threshold_bangbang(BAND, 0.0)]),
+    "sqrt": (sqrt_coeffs(), BAND, [ConstantPolicy(value=1.5)]),
+    "geometric": (geometric_coeffs(), BAND, [threshold_bangbang(BAND, 0.2)]),
+    "signed_zeros": (coefficients(2, 1, ["-0", "0"], ["0*x1", "0"], ["-0", "x1 - x1"]),
+                     BAND, [ConstantPolicy(value=1.0)]),
+    "constant_drift": (coefficients(2, 1, ["1.5", "2 - 2"], ["-x1", "0"], ["1", "x2"]),
+                       BAND, [ConstantPolicy(value=1.5)]),
+    "cov2_zero_h": (coefficients(2, 2, ["-x1", "x1*x2"], [[["0", "0"], ["0", "0"]]] * 2,
+                                 [["x1", "0"], ["0.5*x2", "x2"]]),
+                    COV2, [ConstantPolicy(index=0), ConstantPolicy(index=1)]),
+    "cov3_zero_g": (coefficients(1, 3, ["0"], [[["0.1*x1", "0", "0"], ["0", "0", "-x1"],
+                                                 ["0", "0", "0"]]], [["0", "0", "0"]]),
+                    COV3, [ConstantPolicy(index=0)]),
+}
+SIGNED = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
+
+
+class TestEulerAgainstReference:
+    """The compiled tables, contiguous working state, inactive-clamp
+    shortcut and skipped all-zero drift leave every state bit unchanged."""
+
+    @pytest.mark.parametrize("system", sorted(EULER_SYSTEMS))
+    @given(seed=st.integers(0, 2**63 - 1), n_paths=st.integers(1, 12), data=st.data(),
+           radius=st.sampled_from([None, 0.5, 1.0, 2.0, 1e6]))
+    @settings(max_examples=12, deadline=None)
+    def test_bitwise(self, system, seed, n_paths, data, radius):
+        coeffs, unc, policies = EULER_SYSTEMS[system]
+        if radius is not None:
+            coeffs = truncate(coeffs, radius)
+        policy = data.draw(st.sampled_from(policies))
+        batch = simulate_batch(policy, unc, TimeGrid(2.0, 40), seed, n_paths)
+        x0 = data.draw(st.lists(SIGNED, min_size=coeffs.n, max_size=coeffs.n))
+        if data.draw(st.booleans()):  # one initial state per path
+            x0 = data.draw(st.lists(st.lists(SIGNED, min_size=coeffs.n, max_size=coeffs.n),
+                                    min_size=n_paths, max_size=n_paths))
+        got = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
+        want = _ref_euler(coeffs, x0, batch.b, batch.trace, batch.grid)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_clamp_bitwise(self, n, data):
+        rows = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3) | st.sampled_from(
+            [0.0, -0.0, np.inf, -np.inf, 1e300]), min_size=n, max_size=n), min_size=1, max_size=6))
+        x = np.array(rows, dtype=float)
+        kind = data.draw(st.sampled_from(["at_radius", "nan_row", "plain"]))
+        radius = data.draw(st.floats(1e-3, 2e3))
+        if kind == "at_radius":  # a row whose norm is exactly the radius
+            with np.errstate(over="ignore"):
+                radius = float(np.linalg.norm(x[0]))
+            if not 0.0 < radius < np.inf:
+                radius = 1.0
+        elif kind == "nan_row":
+            x[data.draw(st.integers(0, len(x) - 1))] = np.nan
+        # the state was a strided view of the solution array before; now it is contiguous
+        strided = np.zeros((len(x), 3, n))
+        strided[:, 1, :] = x
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 squared, inf scaled by 0
+            clamped = truncate(coefficients(n, 1, ["0"] * n, ["0"] * n, ["0"] * n), radius)._clamp(x)
+            want = _ref_clamp(strided[:, 1, :], radius)
+            beyond = np.linalg.norm(x, axis=-1) > radius
+        assert clamped.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        if not beyond.any():
+            assert clamped is x  # an inactive clamp returns the state itself

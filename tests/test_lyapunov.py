@@ -21,6 +21,7 @@ from gcalc import (
     threshold_bangbang,
     verify_moment_bound,
 )
+from gcalc import expr as expr_mod
 from gcalc.expr import Expression, ExprError
 from gcalc.lyapunov import RegionError
 
@@ -455,7 +456,9 @@ class TestOneVPass:
     @pytest.mark.parametrize("condition", ["growth", "find_cly", "exp_stable", "sandwich"])
     def test_default_mode_checks_evaluate_v_once(self, monkeypatch, condition):
         # the default mode evaluates V once on the grid and its derivative
-        # tables once each, and reports what the hand-written tables report
+        # tables once each, and reports what the hand-written tables report;
+        # V and dV/dt are single expressions, the gradient and Hessian are
+        # compiled tables that expr.fill runs without Expression.eval
         coeffs, analytic = duffing()
         spec = LyapunovSpec(2, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", mode="finite_difference")
         region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)])
@@ -472,17 +475,24 @@ class TestOneVPass:
 
         want = run(analytic)
         calls = []
-        original_eval = Expression.eval
+        original_eval, original_fill = Expression.eval, expr_mod.fill
 
-        def counting(self, env):
+        def counting_eval(self, env):
             calls.append(self)
             return original_eval(self, env)
 
-        monkeypatch.setattr(Expression, "eval", counting)
+        def counting_fill(tab, env, shape):
+            calls.append(tab)
+            return original_fill(tab, env, shape)
+
+        monkeypatch.setattr(Expression, "eval", counting_eval)
+        monkeypatch.setattr(expr_mod, "fill", counting_fill)
         got = run(spec)
-        tables = [spec.v, spec.dt_expr, *spec.grad_exprs, *(e for row in spec.hess_exprs for e in row)]
+        tables = [spec.v, spec.dt_expr, spec.grad_exprs, spec.hess_exprs]
         counts = [sum(c is e for c in calls) for e in tables]
-        assert counts == [1] + [0 if condition == "sandwich" else 1] * 7
+        assert counts == [1] + [0 if condition == "sandwich" else 1] * 3
+        entries = [*spec.grad_exprs, *(e for row in spec.hess_exprs for e in row)]
+        assert not any(c is e for c in calls for e in entries)
         assert got == want
 
     def test_time_free_candidate_non_finite_still_rejected(self):

@@ -7,8 +7,14 @@ subcommand runs on a built-in set of small configs (valid ones and config
 errors) with seeds 1 and 7, once with BASE_REF's ``src`` and once with the
 working tree's, writing to stdout; ``upper`` cases run once more with
 ``--threads 2``.  Any difference in stdout, stderr or exit code is reported
-with the first differing lines.  Exits 0 when every run matches and 1
-otherwise.
+with the first differing lines.
+
+A change that alters some output on purpose names those cases, one per line,
+in ``tools/cli_cmp_expected.txt`` (``#`` starts a comment); their differences
+are reported but pass.  A listed case that no longer differs on any run, or
+that names no case, fails, so the list holds only the changes against
+BASE_REF and is emptied once they are in it.  Exits 0 when every unlisted
+run matches and every listed case differs, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "tools" / "cli_cmp_expected.txt"
 SEEDS = (1, 7)
 
 BAND = [1.0, 2.0]
@@ -154,6 +161,10 @@ def cases() -> dict:
     out["upper_error_payoff_name"] = variant("upper_band", payoff="y1^2")
     out["upper_error_payoff_non_finite"] = variant("upper_band", payoff="log(b1)")
     out["gheat_error_payoff"] = variant("gheat_square", payoff="x +")
+    square_grid = out["gheat_square"][1]["grid"]
+    out["gheat_error_nx"] = variant("gheat_square", grid={**square_grid, "nx": 2})
+    out["gheat_error_x_range"] = variant("gheat_square", grid={**square_grid, "x_lo": 8.0})
+    out["gheat_error_t"] = variant("gheat_square", grid={**square_grid, "T": 0.0})
     out["gsde_error_x0"] = variant("gsde_global", x0=[1.0, 2.0])
     out["gsde_error_schedule"] = variant("gsde_localized", schedule=[4.0, 2.0])
     out["gsde_blowup_global"] = variant("gsde_global", f=["x1^3"], h=["0"], g=["0"], x0=[2.0],
@@ -190,17 +201,28 @@ def first_difference(a: bytes, b: bytes) -> str:
     return "same lines, different bytes (line endings?)"
 
 
+def expected_cases() -> set:
+    """Case names listed as differing on purpose."""
+    if not EXPECTED.exists():
+        return set()
+    lines = (line.split("#", 1)[0].strip() for line in EXPECTED.read_text().splitlines())
+    return {line for line in lines if line}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    expected, all_cases = expected_cases(), cases()
+    failed = [f"{EXPECTED.name} names no case: {name}" for name in sorted(expected - set(all_cases))]
     with tempfile.TemporaryDirectory(prefix="cli_cmp_") as tmp:
         tmp = Path(tmp)
         extract(argv[0], tmp / "base")
         (tmp / "configs").mkdir()
         differ = runs = 0
-        for name, (sub, cfg) in cases().items():
+        differing = set()
+        for name, (sub, cfg) in all_cases.items():
             config = tmp / "configs" / f"{name}.json"
             config.write_text(json.dumps(cfg))
             variants = [()] + ([("--threads", "2")] if sub == "upper" else [])
@@ -213,14 +235,20 @@ def main(argv=None) -> int:
                     print(f"same  {case} exit={tree[2]}")
                     continue
                 differ += 1
-                print(f"DIFF  {case}")
+                differing.add(name)
+                print(f"{'EXPECTED DIFF' if name in expected else 'DIFF'}  {case}")
                 if base[2] != tree[2]:
                     print(f"    exit code: base {base[2]}, tree {tree[2]}")
                 for label, a, b in (("stdout", base[0], tree[0]), ("stderr", base[1], tree[1])):
                     if a != b:
                         print(f"    {label} {first_difference(a, b)}")
         print(f"{runs - differ} of {runs} runs identical, {differ} differ ({argv[0]} vs working tree)")
-    return 1 if differ else 0
+    failed += [f"differs but is not in {EXPECTED.name}: {name}" for name in sorted(differing - expected)]
+    failed += [f"in {EXPECTED.name} but identical on every run: {name}"
+               for name in sorted((expected & set(all_cases)) - differing)]
+    for line in failed:
+        print(f"FAIL  {line}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
