@@ -282,7 +282,10 @@ def cmd_gheat(args, cfg, comments):
         sol = gheat_mod.solve_terminal(unc, lambda x: payoff_expr.eval({"x": x}), grid)
     except gheat_mod.CFLError as e:
         raise UsageError(f"/grid/nt: {e}")
-    print(f"u(0, 0) = {sol.value_at(0.0):.6g}", file=sys.stderr)
+    try:
+        print(f"u(0, 0) = {sol.value_at(0.0):.6g}", file=sys.stderr)
+    except ValueError as e:
+        print(f"u(0, 0) not reported: {e}", file=sys.stderr)
     rows = list(zip(sol.x, sol.u))
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, ["x", "u"], rows))
     return 0

@@ -7,6 +7,15 @@ to the viscosity solution.  Boundary rows evolve with their second
 difference forced to zero (linear extrapolation), which is adequate when
 the domain is padded well beyond the diffusion range of the data.
 
+Every solve runs one march: all nt steps in place, with numpy's out= into
+scratch allocated once per march.  A step applies the ufuncs
+d2 = ((r - 2c) + l) / dx^2 and c += dt * G(d2) in that order, G being
+uncertainty.g_scalar, so the bits are those of the plain array expression.
+A stack of value rows (the inner stage of solve_two_step) is marched in
+blocks of rows that fit a per-core L2 cache, each copied to column-major
+order so that every ufunc runs on contiguous memory; rows do not interact,
+so blocking and layout reorder work and not arithmetic.
+
 Payoffs of one terminal value are handled by solve_terminal; two
 observation times by the backward recursion in solve_two_step.  Deeper
 recursions would need tensor-product grids and are out of scope, as is any
@@ -92,25 +101,60 @@ class GHeatSolution:
         self.u = u
 
     def value_at(self, xq) -> float:
-        """Linear interpolation of u(0, .)."""
+        """Linear interpolation of u(0, .); ValueError off [x_lo, x_hi]."""
+        if not self.grid.x_lo <= xq <= self.grid.x_hi:
+            raise ValueError(f"x = {xq:g} is off the grid [{self.grid.x_lo:g}, {self.grid.x_hi:g}]")
         return float(np.interp(xq, self.x, self.u))
 
     def to_csv(self, target) -> None:
         write_table(target, ["x", "u"], np.column_stack([self.x, self.u]))
 
 
-def _step(v: np.ndarray, band: SigmaBand, dt: float, dx: float) -> None:
-    """One explicit step in the reversed time s = T - t, in place.
+# bytes of value rows marched as one block; with the block's d2 scratch and
+# G's temporary, three arrays of about this size stay in a per-core L2 cache
+_BLOCK_BYTES = 256 * 1024
 
-    Works on the last axis, so a stack of value rows steps together.
-    Boundary entries keep second difference zero and hence stay fixed.
+
+def _march(v: np.ndarray, band: SigmaBand, dt: float, dx: float, nt: int) -> None:
+    """nt explicit steps in the reversed time s = T - t, in place on v.
+
+    v is one row of values or a 2-D stack of rows; the march works on the
+    last axis.  The rows do not interact, so they step independently, one
+    block of at most _BLOCK_BYTES after the other.  Each block is copied
+    into a column-major scratch, so that the stencil runs down its first
+    axis and every ufunc reads and writes contiguous memory, and copied
+    back after its nt steps.  A step computes d2 = ((r - 2c) + l) / dx^2 on
+    the interior c and adds dt * G(d2) to it, through numpy's out= into a
+    second scratch; both are allocated once per march (G allocates one
+    temporary per call).  Boundary entries keep second difference zero and
+    hence stay fixed.
     """
-    d2 = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (dx * dx)
-    v[..., 1:-1] += dt * g_scalar(band, d2)
+    rows = v.reshape(-1, v.shape[-1])
+    nx = rows.shape[1]
+    width = min(len(rows), max(1, _BLOCK_BYTES // rows[0].nbytes))
+    cells, scratch = np.empty(nx * width), np.empty((nx - 2) * width)
+    dx2 = dx * dx
+    for i in range(0, len(rows), width):
+        block = rows[i:i + width]
+        cols = cells[:nx * len(block)].reshape(nx, len(block))
+        cols[...] = block.T
+        left, centre, right = cols[:-2], cols[1:-1], cols[2:]
+        d2 = scratch[:(nx - 2) * len(block)].reshape(nx - 2, len(block))
+        for _ in range(nt):
+            np.multiply(2.0, centre, out=d2)
+            np.subtract(right, d2, out=d2)
+            np.add(d2, left, out=d2)
+            np.true_divide(d2, dx2, out=d2)
+            g_scalar(band, d2, out=d2)
+            np.multiply(dt, d2, out=d2)
+            np.add(centre, d2, out=centre)
+        block[...] = cols.T
 
 
 def solve_terminal(band: SigmaBand, payoff, grid: SpaceTimeGrid) -> GHeatSolution:
     """March the terminal data payoff, a vectorised callable, back to time 0.
+
+    One march of grid.nt steps on the row of grid values.
 
     Polynomially growing payoffs carry a domain-truncation caveat: pad the
     grid to several diffusion standard deviations past the evaluation region.
@@ -122,8 +166,7 @@ def solve_terminal(band: SigmaBand, payoff, grid: SpaceTimeGrid) -> GHeatSolutio
         raise ValueError("payoff must evaluate elementwise on the grid")
     if not np.all(np.isfinite(v)):
         raise ValueError("payoff is not finite on the grid")
-    for _ in range(grid.nt):
-        _step(v, band, grid.dt, grid.dx)
+    _march(v, band, grid.dt, grid.dx, grid.nt)
     return GHeatSolution(grid, v)
 
 
@@ -135,10 +178,17 @@ def solve_two_step(band: SigmaBand, phi2, t1: float, t2: float,
     the outer grid, the inner stage evolves phi2(x1, .) from t2 back to t1
     and is read off at increment 0; the outer stage evolves that function of
     x1 from t1 back to 0 and is read off at 0.  Grid T fields must equal the
-    stage durations (t2 - t1 and t1).
+    stage durations (t2 - t1 and t1), and both x ranges must contain 0.
+
+    The inner stage is one march of the (outer nx, inner nx) stack, whose
+    rows step independently, block by block; the outer stage marches one
+    row.
     """
     if not (0.0 <= t1 < t2):
         raise ValueError("need 0 <= t1 < t2")
+    for name, grid in (("outer", outer_grid), ("inner", inner_grid)):
+        if not grid.x_lo <= 0.0 <= grid.x_hi:
+            raise ValueError(f"{name} grid x range must contain 0")
     if abs(inner_grid.T - (t2 - t1)) > 1e-12:
         raise ValueError("inner grid T must equal t2 - t1")
     inner_grid.check_cfl(band)
@@ -148,8 +198,7 @@ def solve_two_step(band: SigmaBand, phi2, t1: float, t2: float,
     v = np.broadcast_to(v, (len(x1), len(x2))).copy()
     if not np.all(np.isfinite(v)):
         raise ValueError("phi2 is not finite on the grid")
-    for _ in range(inner_grid.nt):
-        _step(v, band, inner_grid.dt, inner_grid.dx)
+    _march(v, band, inner_grid.dt, inner_grid.dx, inner_grid.nt)
     # inner value at increment 0, for each x1
     psi = np.array([np.interp(0.0, x2, row) for row in v])
     if t1 == 0.0:
@@ -157,7 +206,5 @@ def solve_two_step(band: SigmaBand, phi2, t1: float, t2: float,
     if abs(outer_grid.T - t1) > 1e-12:
         raise ValueError("outer grid T must equal t1")
     outer_grid.check_cfl(band)
-    w = psi.copy()
-    for _ in range(outer_grid.nt):
-        _step(w, band, outer_grid.dt, outer_grid.dx)
-    return float(np.interp(0.0, x1, w))
+    _march(psi, band, outer_grid.dt, outer_grid.dx, outer_grid.nt)
+    return float(np.interp(0.0, x1, psi))

@@ -113,13 +113,21 @@ class CovarianceSet:
         return np.stack(self.members)
 
 
-def g_scalar(band: SigmaBand, a):
+def g_scalar(band: SigmaBand, a, out=None):
     """G(a) = (hi*a_plus - lo*a_minus)/2, elementwise on arrays.
 
     This is the closed form of (1/2)*sup over sigma^2 in [lo, hi] of sigma^2*a.
+    As for a numpy ufunc, out (which may be a itself) receives the result;
+    the same operations run with or without it, so the bits are the same.
     """
     a = np.asarray(a, dtype=float)
-    val = 0.5 * (band.sigma2_hi * np.maximum(a, 0.0) - band.sigma2_lo * np.maximum(-a, 0.0))
+    minus = np.negative(a, out=np.empty(a.shape))
+    np.maximum(minus, 0.0, out=minus)
+    np.multiply(band.sigma2_lo, minus, out=minus)
+    val = np.maximum(a, 0.0, out=np.empty(a.shape) if out is None else out)
+    np.multiply(band.sigma2_hi, val, out=val)
+    np.subtract(val, minus, out=val)
+    np.multiply(0.5, val, out=val)
     return float(val) if val.ndim == 0 else val
 
 

@@ -229,6 +229,19 @@ class TestGHeat:
         })
         assert main(["gheat", "--config", cfg]) == 1
 
+    def test_origin_off_grid_still_writes_csv(self, tmp_path, capsys):
+        # x in [1, 5] leaves 0 off the grid: no u(0, 0) value, but the table
+        cfg = write_cfg(tmp_path, "off.json", {
+            "band": [1.0, 2.0], "payoff": "x^2",
+            "grid": {"x_lo": 1.0, "x_hi": 5.0, "nx": 41, "T": 1.0},
+        })
+        out = tmp_path / "u.csv"
+        assert main(["gheat", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == "u(0, 0) not reported: x = 0 is off the grid [1, 5]\n"
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "x,u" and len(lines) == 42
+
 
 class TestOutputs:
     def test_overwrite_needs_force(self, square_cfg, tmp_path):

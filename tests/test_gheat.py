@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gcalc import CFLError, SigmaBand, SpaceTimeGrid, solve_terminal, solve_two_step
+from gcalc import CFLError, SigmaBand, SpaceTimeGrid, g_scalar, gheat, solve_terminal, solve_two_step
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -134,3 +137,170 @@ class TestExport:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,u"
         assert len(lines) == 102
+
+
+class TestOffGrid:
+    def test_value_at_rejects_points_off_the_grid(self):
+        sol = solve_terminal(BAND, lambda x: x**2, SpaceTimeGrid.with_cfl(1.0, 5.0, 41, 1.0, BAND))
+        assert sol.value_at(1.0) == sol.u[0] and sol.value_at(5.0) == sol.u[-1]
+        for xq in (0.0, 0.999, 5.001, float("nan")):
+            with pytest.raises(ValueError, match="off the grid"):
+                sol.value_at(xq)
+
+    @pytest.mark.parametrize("which", ["outer", "inner"])
+    def test_two_step_needs_zero_on_both_grids(self, which):
+        grids = {"outer": SpaceTimeGrid.with_cfl(-2.0, 2.0, 41, 0.5, BAND),
+                 "inner": SpaceTimeGrid.with_cfl(-2.0, 2.0, 41, 0.5, BAND)}
+        grids[which] = SpaceTimeGrid.with_cfl(0.5, 4.0, 41, 0.5, BAND)
+        with pytest.raises(ValueError, match=f"{which} grid x range must contain 0"):
+            solve_two_step(BAND, lambda a, b: a + b, 0.5, 1.0, grids["outer"], grids["inner"])
+
+
+# Reference: the per-step solver the march replaced, with G written out as
+# uncertainty.g_scalar computed it.  The march must reproduce its bits.
+
+def _ref_step(v, band, dt, dx):
+    d2 = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (dx * dx)
+    g = 0.5 * (band.sigma2_hi * np.maximum(d2, 0.0) - band.sigma2_lo * np.maximum(-d2, 0.0))
+    v[..., 1:-1] += dt * g
+
+
+def _ref_terminal(band, payload, grid):
+    v = np.array(payload, dtype=float)
+    for _ in range(grid.nt):
+        _ref_step(v, band, grid.dt, grid.dx)
+    return v
+
+
+def _ref_two_step(band, payload, t1, outer_grid, inner_grid):
+    v = np.array(payload, dtype=float)
+    for _ in range(inner_grid.nt):
+        _ref_step(v, band, inner_grid.dt, inner_grid.dx)
+    psi = np.array([np.interp(0.0, inner_grid.x, row) for row in v])
+    if t1 == 0.0:
+        return float(np.interp(0.0, outer_grid.x, psi))
+    w = psi.copy()
+    for _ in range(outer_grid.nt):
+        _ref_step(w, band, outer_grid.dt, outer_grid.dx)
+    return float(np.interp(0.0, outer_grid.x, w))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+# signed zeros, subnormals and magnitudes that overflow in the second difference
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+           1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+values = st.sampled_from(SPECIAL) | st.floats(-1e6, 1e6) | st.integers(-3, 3).map(float)
+
+
+@st.composite
+def bands(draw):
+    lo = draw(st.sampled_from([0.25, 1.0, 1.5]))
+    return SigmaBand(lo, draw(st.sampled_from([lo, lo * 2.0, lo * 3.7])))
+
+
+def cfl_grid(band, nx, nt):
+    """Grid on [-1, 1] whose T puts nt at about twice the CFL minimum."""
+    dx = 2.0 / (nx - 1)
+    return SpaceTimeGrid(-1.0, 1.0, nx, 0.5 * nt * dx * dx / band.sigma2_hi, nt)
+
+
+def _payloads(draw, shape):
+    return np.array(draw(st.lists(values, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))).reshape(shape)
+
+
+class TestMarchBits:
+    """The march is the reference step loop bit for bit, NaN and inf included."""
+
+    @given(st.data(), bands(), st.integers(3, 12), st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_terminal(self, data, band, nx, nt):
+        grid = cfl_grid(band, nx, nt)
+        payload = _payloads(data.draw, (nx,))
+        with np.errstate(all="ignore"):
+            sol = solve_terminal(band, lambda x: payload, grid)
+            want = _ref_terminal(band, payload, grid)
+        assert _bits(sol.u) == _bits(want)
+
+    @given(st.data(), bands(), st.integers(3, 9), st.integers(3, 9), st.integers(1, 4),
+           st.integers(1, 3), st.integers(1, 4), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_two_step(self, data, band, n1, n2, nt_in, nt_out, block_rows, t1_zero):
+        outer, inner = cfl_grid(band, n1, nt_out), cfl_grid(band, n2, nt_in)
+        t1 = 0.0 if t1_zero else outer.T
+        payload = _payloads(data.draw, (n1, n2))
+        # small blocks, so stacks are taller than a block and often not a multiple of it
+        with mock.patch.object(gheat, "_BLOCK_BYTES", block_rows * 8 * n2), np.errstate(all="ignore"):
+            got = solve_two_step(band, lambda a, b: payload, t1, t1 + inner.T, outer, inner)
+            want = _ref_two_step(band, payload, t1, outer, inner)
+        assert _bits(got) == _bits(want)
+
+    @given(st.data(), bands(), st.integers(1, 11), st.integers(3, 8), st.integers(1, 4),
+           st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_stack(self, data, band, rows, nx, nt, block_rows):
+        # one-row stacks, stacks of several blocks and a last block cut short
+        grid = cfl_grid(band, nx, nt)
+        payload = _payloads(data.draw, (rows, nx))
+        v = payload.copy()
+        with mock.patch.object(gheat, "_BLOCK_BYTES", block_rows * 8 * nx), np.errstate(all="ignore"):
+            gheat._march(v, band, grid.dt, grid.dx, nt)
+            want = _ref_terminal(band, payload, grid)
+        assert _bits(v) == _bits(want)
+
+    @pytest.mark.parametrize("band", [SigmaBand(1.0, 1.0), BAND])
+    def test_every_special_triple_on_the_smallest_grid(self, band):
+        # nx = 3 and nt = 1: one interior cell, every ordered triple of SPECIAL
+        grid = cfl_grid(band, 3, 1)
+        triples = np.array(np.meshgrid(SPECIAL, SPECIAL, SPECIAL, indexing="ij")).reshape(3, -1).T
+        with np.errstate(all="ignore"):
+            for payload in triples:
+                u = solve_terminal(band, lambda x: payload, grid).u
+                assert _bits(u) == _bits(_ref_terminal(band, payload, grid)), payload
+
+    def test_dt_and_half_are_not_folded(self):
+        # d2 = 3 subnormal ulps: G rounds 1.5 ulps up to 2, and dt * 2 ulps
+        # rounds to 2, where (0.5 * dt) * 3 ulps would round 1.35 down to 1
+        band, tiny = SigmaBand(1.0, 1.0), 5e-324
+        grid = SpaceTimeGrid(-1.0, 1.0, 3, 0.9, 1)
+        u = solve_terminal(band, lambda x: np.array([0.0, 0.0, 3 * tiny]), grid).u
+        assert u[1] == 2 * tiny
+
+    def test_default_blocks_on_a_tall_stack(self):
+        # three full blocks of the default budget and a partial one
+        nx = 401
+        height = gheat._BLOCK_BYTES // (8 * nx)
+        rows = 3 * height + height // 2
+        grid = SpaceTimeGrid.with_cfl(-10.0, 10.0, nx, 0.01, BAND)
+        x = grid.x
+        payload = np.abs(x[None, :] - np.linspace(-5.0, 5.0, rows)[:, None]) - 1.0
+        v = payload.copy()
+        gheat._march(v, BAND, grid.dt, grid.dx, grid.nt)
+        assert _bits(v) == _bits(_ref_terminal(BAND, payload, grid))
+
+
+class TestGScalarOut:
+    A = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310,
+                  -1e-310, 1.5, -2.5, 1e308, -1e308])
+
+    @pytest.mark.parametrize("band", [BAND, SigmaBand(1.5, 1.5), SigmaBand(0.3, 7.0)])
+    def test_out_matches_plain_call_bitwise(self, band):
+        with np.errstate(all="ignore"):
+            plain = g_scalar(band, self.A)
+            buf = np.full_like(self.A, 99.0)
+            got = g_scalar(band, self.A, out=buf)
+            inplace = self.A.copy()
+            g_scalar(band, inplace, out=inplace)
+            old = 0.5 * (band.sigma2_hi * np.maximum(self.A, 0.0)
+                         - band.sigma2_lo * np.maximum(-self.A, 0.0))
+        assert got is buf
+        assert _bits(plain) == _bits(buf) == _bits(inplace) == _bits(old)
+
+    def test_scalars_stay_floats(self):
+        with np.errstate(all="ignore"):
+            for a in self.A:
+                got = g_scalar(BAND, a)
+                assert type(got) is float and _bits(got) == _bits(g_scalar(BAND, np.array([a]))[0])

@@ -133,6 +133,11 @@ def cases() -> dict:
         "t_values": [10.0, 100.0], "n_paths": 200})
     out["gheat_square"] = ("gheat", {"band": BAND, "payoff": "x^2",
                                      "grid": {"x_lo": -8.0, "x_hi": 8.0, "nx": 161, "T": 1.0}})
+    # u_xx < 0 near the kinks, so G takes its sigma2_lo branch as well
+    out["gheat_butterfly"] = ("gheat", {"band": BAND, "payoff": "pos(1 - abs(x))",
+                                        "grid": {"x_lo": -8.0, "x_hi": 8.0, "nx": 161, "T": 1.0}})
+    out["gheat_off_grid"] = ("gheat", {"band": BAND, "payoff": "x^2",
+                                       "grid": {"x_lo": 1.0, "x_hi": 5.0, "nx": 41, "T": 1.0}})
     out["linstab_stable"] = ("linstab", {"n": 1, "F": [-3.0], "H": [-1.0], "C": [1.0],
                                          "band": BAND, "P": [1.0], "mode": "stable"})
     out["linstab_unstable"] = ("linstab", {"n": 1, "F": [3.0], "H": [-1.0], "C": [1.0],
