@@ -82,6 +82,14 @@ def _fetch(cfg, pointer: str, kind, required=True, default=None):
     return node
 
 
+def _coerce(convert, value, pointer: str, what: str):
+    """convert(value); a value it rejects is a config error naming the pointer."""
+    try:
+        return convert(value)
+    except (IndexError, TypeError, ValueError):
+        raise UsageError(f"config field {pointer} must be {what}")
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -159,7 +167,8 @@ def _family(cfg, unc, pointer="/family") -> PolicyFamily:
     if kind == "extreme_constants":
         return PolicyFamily.extreme_constants()
     if kind == "constants_only":
-        return PolicyFamily.constants_only(int(spec.get("n", 5)))
+        return _coerce(lambda n: PolicyFamily.constants_only(int(n)), spec.get("n", 5),
+                       f"{pointer}/n", "an int >= 1")
     if kind == "bangbang_threshold":
         if not isinstance(unc, SigmaBand):
             raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
@@ -353,8 +362,10 @@ def cmd_lyapunov(args, cfg, comments):
     spec = LyapunovSpec(n, parsed("/V", str), mode=mode,
                         nonneg=bool(cfg.get("nonneg", True)), **spec_kwargs)
     reg = _fetch(cfg, "/region", dict)
-    t_end = float(_fetch(reg, "/t", list)[1])
-    exclude_r0, nt = float(reg.get("exclude_r0", 0.0)), int(reg.get("nt", 2))
+    t_end = _coerce(lambda t: float(t[1]), _fetch(cfg, "/region/t", list), "/region/t",
+                    "[t_start, t_end]")
+    exclude_r0 = _coerce(float, reg.get("exclude_r0", 0.0), "/region/exclude_r0", "a number")
+    nt = _coerce(int, reg.get("nt", 2), "/region/nt", "int")
     try:
         region = CheckRegion(t_end, [tuple(axis) for axis in _fetch(reg, "/box", list)],
                              exclude_r0, nt)
@@ -395,12 +406,15 @@ def cmd_linstab(args, cfg, comments):
     if not isinstance(unc, SigmaBand):
         raise UsageError("/band: linear certificates are for scalar-noise systems")
     n = _fetch(cfg, "/n", int)
+    if n < 1:
+        raise UsageError("config field /n must be >= 1")
 
     def matrix(name):
-        flat = _fetch(cfg, f"/{name}", list)
-        arr = np.asarray(flat, dtype=float)
-        if arr.size != n * n:
-            raise UsageError(f"/{name} must hold {n * n} row-major entries")
+        what = f"a row-major list of {n}x{n} finite numbers"
+        arr = _coerce(lambda v: np.asarray(v, dtype=float), _fetch(cfg, f"/{name}", list),
+                      f"/{name}", what)
+        if arr.size != n * n or not np.all(np.isfinite(arr)):
+            raise UsageError(f"config field /{name} must be {what}")
         return arr.reshape(n, n)
 
     sys_ = LinearGSystem(matrix("F"), matrix("H"), matrix("C"), unc)
@@ -435,8 +449,10 @@ def cmd_experiment(args, cfg, comments):
         if not isinstance(unc, SigmaBand):
             raise UsageError("/dim: the |B_t|/t table is defined for d = 1 bands")
         try:
-            result = exp_mod.bt_over_t(unc, family, _fetch(cfg, "/t_values", list),
-                                       _fetch(cfg, "/n_paths", int), args.seed)
+            t_values = _coerce(lambda ts: [float(t) for t in ts], _fetch(cfg, "/t_values", list),
+                               "/t_values", "a list of numbers")
+            result = exp_mod.bt_over_t(unc, family, t_values, _fetch(cfg, "/n_paths", int),
+                                       args.seed)
         except exp_mod.ConfigError as e:
             raise UsageError(f"/t_values: {e}")
     elif kind in ("moment_decay", "lyapunov_exponent"):

@@ -1,18 +1,15 @@
 """Algebraic stability certificates for linear systems driven by a scalar
 G-Brownian motion: dX = F X dt + H X d<B> + C X dB.
 
-With V(x) = x'Px the operator reduces to quadratic forms, and the
-matrix-inequality tests below decide it through two eigenvalue
-computations.  Because the scalar sublinear function is monotone, the
-tightest admissible coupling constant is alpha* = lambda_max (stability)
-or lambda_min (instability) of sym(2PH + C'PC); no scan over alpha is
-needed.  Note the certificates are not invariant under rescaling P: the
+With V(x) = x'Px the generator is a quadratic form under G:
+LV(x) = x' sym(2PF) x + 2G(x'Mx) with M = sym(2PH + C'PC), linear in P.
+On a band, 2G(a) = max(lo*a, hi*a), so the stability test is exact: LV <=
+-(1 + margin)|x|^2 for every x if and only if sym(2PF) + I + sigma*M has
+largest eigenvalue at most -margin for both sigma in {lo, hi}.  The
+instability test uses the tightest coupling constant alpha* = lambda_min(M),
+which needs no scan over alpha because the scalar sublinear function is
+monotone.  The certificates are not invariant under rescaling P: the
 identity terms in the inequalities fix the normalization.
-
-A margin note for users of ms_stable certificates: the pointwise quadratic
-form x'(PF+I)x + G(x'(2PH+C'PC)x) is guaranteed nonpositive once
-margin >= 1 + G(alpha*); below that the eigenvalue test can hold while the
-pointwise form peeks above zero for some directions.
 """
 
 from __future__ import annotations
@@ -125,16 +122,20 @@ def riccati_value(sys: LinearGSystem, P, x) -> float:
 
 
 def lmi_stable(sys: LinearGSystem, P) -> Certificate:
-    """Mean-square stability test: lambda_max(sym(2PF) + I) <= -G(alpha*)
-    with alpha* = lambda_max(sym(2PH + C'PC))."""
+    """Mean-square stability test: margin = -max over sigma in {lo, hi} of
+    lambda_max(sym(2PF) + I + sigma*M), M = sym(2PH + C'PC), so that
+    LV <= -(1 + margin)|x|^2 for V = x'Px, with equality along the top
+    eigenvector; ``alpha`` reports alpha* = lambda_max(M)."""
     P = _check_spd(P, sys.n)
-    alpha = float(np.max(np.linalg.eigvalsh(sys.coupling_matrix(P))))
-    lhs = float(np.max(np.linalg.eigvalsh(_sym(2.0 * P @ sys.F) + np.eye(sys.n))))
-    threshold = -g_scalar(sys.band, alpha)
-    margin = threshold - lhs
+    coupling = sys.coupling_matrix(P)
+    alpha = float(np.max(np.linalg.eigvalsh(coupling)))
+    drift = _sym(2.0 * P @ sys.F) + np.eye(sys.n)
+    lam_lo, lam_hi = (float(np.max(np.linalg.eigvalsh(drift + sigma2 * coupling)))
+                      for sigma2 in (sys.band.sigma2_lo, sys.band.sigma2_hi))
+    margin = -max(lam_lo, lam_hi)
     kind = "ms_stable" if margin >= 0.0 else "inconclusive"
     return Certificate(kind, P, alpha, margin,
-                       details={"lambda_max_drift": lhs, "g_alpha": g_scalar(sys.band, alpha)})
+                       details={"lambda_max_lo": lam_lo, "lambda_max_hi": lam_hi})
 
 
 def lmi_unstable(sys: LinearGSystem, P) -> Certificate:

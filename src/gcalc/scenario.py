@@ -9,6 +9,10 @@ random numbers across policies for free.  Paths come in a PathBatch; a
 single path is a one-path batch, and simulate_batch(..., n_paths=1,
 first_index=i) gives path i of any larger batch bit for bit.
 
+assemble builds B for either kind of set with one recursion: a choice
+check and an increment rule per kind, one cumsum for open-loop policies,
+one step loop for feedback policies, and one qvar build.
+
 Discrete integrals here and downstream are left-endpoint sums.
 """
 
@@ -264,9 +268,16 @@ class PathBatch:
         return header, table
 
 
-def _band_choice(policy, k, b_k, aux, unc, n_paths, bang):
-    """Step-k variances (n_paths,), checked against the band."""
-    c = np.broadcast_to(np.asarray(policy.choose(k, b_k, aux), dtype=float), (n_paths,))
+def _choice(policy, k, b_k, aux, unc, n_paths, bang):
+    """Step-k choices (n_paths,), checked against the set: variances under
+    a band, member indices under a covariance set."""
+    choice = policy.choose(k, b_k, aux)
+    if isinstance(unc, CovarianceSet):
+        idx = np.broadcast_to(np.asarray(choice).astype(int), (n_paths,))
+        if np.any((idx < 0) | (idx >= len(unc))):
+            raise PolicyError(f"member index out of range at step {k}")
+        return idx
+    c = np.broadcast_to(np.asarray(choice, dtype=float), (n_paths,))
     if bang:
         if not np.all((c == unc.sigma2_lo) | (c == unc.sigma2_hi)):
             raise PolicyError(f"bang-bang choice off the extremes at step {k}")
@@ -275,107 +286,92 @@ def _band_choice(policy, k, b_k, aux, unc, n_paths, bang):
     return c
 
 
-def _assemble_band(policy, unc, noise, dt):
-    """B (P, K+1, 1) and the variance choices (P, K) under a SigmaBand."""
-    n_paths, n_steps, _ = noise.shape
-    if type(policy) in (ConstantPolicy, PiecewiseConstantPolicy):
-        # open loop: these choices never look at B or aux, so take them all
-        # first (same calls, same checks, same step order), then B is the
-        # running sum of [0, incr_0, incr_1, ...]; add.accumulate adds left
-        # to right, which are exactly the additions of the stepwise loop
-        cs = [_band_choice(policy, k, None, None, unc, n_paths, False) for k in range(n_steps)]
-        if n_paths and all(c.strides == (0,) for c in cs):
-            # one value per step for every path: take the root on that row
-            row = np.array([c[0] for c in cs])
-            choices = np.broadcast_to(row, (n_paths, n_steps)).copy()
-            scale = np.sqrt(row * dt)
-        else:
-            choices = np.stack(cs, axis=1)
-            scale = np.sqrt(choices * dt)
-        b = np.zeros((n_paths, n_steps + 1, 1))
-        np.multiply(scale, noise[:, :, 0], out=b[:, 1:, 0])
-        np.cumsum(b[:, :, 0], axis=1, out=b[:, :, 0])
-        return b, choices
-    # feedback: step-major scratch, so the rule reads and the update writes
-    # contiguous (P,) rows instead of columns strided by the path length.
-    # The noise is read in place: a transposed copy costs as much as the
-    # strided reads it saves, and a block of memory per thread.
-    bang = isinstance(policy, BangBangPolicy)
-    bk = np.zeros((n_steps + 1, n_paths, 1))
-    ck = np.empty((n_steps, n_paths))
-    aux = policy.init_aux(n_paths)
-    for k in range(n_steps):
-        c = ck[k] = _band_choice(policy, k, bk[k], aux, unc, n_paths, bang)
-        bk[k + 1, :, 0] = bk[k, :, 0] + np.sqrt(c * dt) * noise[:, k, 0]
-        aux = policy.update_aux(k, bk[k + 1], aux)
-    b = np.ascontiguousarray(bk.transpose(1, 0, 2))
-    del bk
-    choices = np.ascontiguousarray(ck.T)
-    return b, choices
-
-
 def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
              seed: int = 0, first_index: int = 0) -> PathBatch:
     """Build paths from an explicit noise block of shape (P, K, d).
 
-    The step recursion is B_{k+1} = B_k + L_k Z_k sqrt(dt) with
-    L_k L_k^T = gamma_k, and qvar accumulates gamma_k * dt.  B values up to
-    step k depend only on noise before step k (adaptedness by construction).
+    The step recursion is B_{k+1} = B_k + incr_k with incr_k = sqrt(c_k dt) Z_k
+    under a SigmaBand (c_k the chosen variance) and sqrt(dt) L_k Z_k under a
+    CovarianceSet (L_k L_k^T the chosen member); qvar accumulates
+    gamma_k * dt.  B values up to step k depend only on noise before step k
+    (adaptedness by construction).
 
-    Under a SigmaBand, ConstantPolicy and PiecewiseConstantPolicy (exactly
-    those types; a subclass may override choose) skip the per-step update:
-    all choices are taken and checked step by step, then B comes from one
-    cumsum of the increments behind a leading 0, which performs the same
-    floating-point additions in the same order as B_k + incr_k, so both
-    give the same bits.  Feedback policies run the step loop.  At d = 1
-    ``trace`` is a read-only view of ``choices``.
+    ConstantPolicy and PiecewiseConstantPolicy (exactly those types; a
+    subclass may override choose) are open loop: their choices never look
+    at B or aux, so all of them are taken and checked step by step first,
+    and B is one cumsum of the increments behind a leading 0.  That performs
+    the same floating-point additions in the same order as B_k + incr_k, so
+    both give the same bits.  Every other policy is feedback and runs the
+    step loop.  Under a band ``trace`` is a read-only view of ``choices``.
     """
-    if isinstance(unc, SigmaBand):
-        d = 1
-    elif isinstance(unc, CovarianceSet):
-        d = unc.dim
-    else:
+    band = isinstance(unc, SigmaBand)
+    if not (band or isinstance(unc, CovarianceSet)):
         raise TypeError("unc must be a SigmaBand or CovarianceSet")
+    d = unc.dim
     noise = np.asarray(noise, dtype=float)
     if noise.ndim != 3 or noise.shape[1] != grid.n_steps or noise.shape[2] != d:
         raise ValueError(f"noise must have shape (P, {grid.n_steps}, {d})")
     n_paths, n_steps, _ = noise.shape
     dt = grid.dt
 
-    if isinstance(unc, SigmaBand):
-        b, choices = _assemble_band(policy, unc, noise, dt)
+    if band:
+        def increment(c, z, out):
+            # on squeezed rows: (P,) or (P, K) instead of a trailing axis of 1
+            np.multiply(np.sqrt(c * dt), z[..., 0], out=out[..., 0])
+    else:
+        factors = np.stack([_sqrt_factor(m) for m in unc.members])
+        sqdt = np.sqrt(dt)
+
+        def increment(c, z, out):
+            np.einsum("...ij,...j->...i", factors[c], z, out=out)
+            np.multiply(sqdt, out, out=out)
+
+    bang = isinstance(policy, BangBangPolicy)
+    if type(policy) in (ConstantPolicy, PiecewiseConstantPolicy):
+        cs = [_choice(policy, k, None, None, unc, n_paths, bang) for k in range(n_steps)]
+        if n_paths and all(c.strides == (0,) for c in cs):
+            # one choice per step for every path: work on that (K,) row
+            c = np.array([c[0] for c in cs])
+        else:
+            c = np.stack(cs, axis=1)
+        choices = np.empty((n_paths, n_steps))
+        choices[...] = c
+        b = np.zeros((n_paths, n_steps + 1, d))
+        increment(c, noise, b[:, 1:])
+        np.cumsum(b, axis=1, out=b)
+    else:
+        # step-major scratch, so the rule reads and the update writes
+        # contiguous (P, d) rows instead of rows strided by the path length.
+        # The noise is read in place: a transposed copy costs as much as the
+        # strided reads it saves.  Rows are indexed, not bound to names, so
+        # no view outlives the loop and ``del bk`` frees the scratch.
+        bk = np.zeros((n_steps + 1, n_paths, d))
+        ck = np.empty((n_steps, n_paths))
+        aux = policy.init_aux(n_paths)
+        for k in range(n_steps):
+            c = ck[k] = _choice(policy, k, bk[k], aux, unc, n_paths, bang)
+            increment(c, noise[:, k], bk[k + 1])
+            np.add(bk[k], bk[k + 1], out=bk[k + 1])
+            aux = policy.update_aux(k, bk[k + 1], aux)
+        b = np.ascontiguousarray(bk.transpose(1, 0, 2))
+        del bk
+        choices = np.ascontiguousarray(ck.T)
+        del ck
+
+    if band:
         trace = choices[:, :, None, None]
         trace.flags.writeable = False
-        qvar = np.zeros((n_paths, n_steps + 1, 1, 1))
-        dqv = qvar[:, 1:, 0, 0]
-        np.multiply(choices, dt, out=dqv)
-        np.cumsum(dqv, axis=1, out=dqv)
     else:
-        sqdt = np.sqrt(dt)
-        b = np.zeros((n_paths, n_steps + 1, d))
-        choices = np.empty((n_paths, n_steps))
-        trace = np.empty((n_paths, n_steps, d, d))
-        aux = policy.init_aux(n_paths)
-        members = unc.member_stack()
-        factors = np.stack([_sqrt_factor(m) for m in unc.members])
-        m = len(unc)
-        for k in range(n_steps):
-            idx = np.broadcast_to(np.asarray(policy.choose(k, b[:, k, :], aux)), (n_paths,))
-            idx = idx.astype(int)
-            if np.any((idx < 0) | (idx >= m)):
-                raise PolicyError(f"member index out of range at step {k}")
-            choices[:, k] = idx
-            b[:, k + 1, :] = b[:, k, :] + sqdt * np.einsum("pij,pj->pi", factors[idx], noise[:, k, :])
-            aux = policy.update_aux(k, b[:, k + 1, :], aux)
-        trace[:] = members[choices.astype(int)]
-        qvar = np.zeros((n_paths, n_steps + 1, d, d))
-        np.cumsum(trace * dt, axis=1, out=qvar[:, 1:])
+        trace = unc.member_stack()[choices.astype(int)]
+    qvar = np.zeros((n_paths, n_steps + 1, d, d))
+    dqv = qvar[:, 1:]
+    np.multiply(trace, dt, out=dqv)
+    np.cumsum(dqv, axis=1, out=dqv)
     return PathBatch(grid, unc, b, qvar, trace, choices, noise, seed, first_index, policy.describe())
 
 
-def simulate_batch(policy, unc, grid, seed, n_paths, first_index=0, noise=None) -> PathBatch:
-    if noise is None:
-        noise = batch_noise(seed, first_index, n_paths, grid.n_steps, unc.dim)
+def simulate_batch(policy, unc, grid, seed, n_paths, first_index=0) -> PathBatch:
+    noise = batch_noise(seed, first_index, n_paths, grid.n_steps, unc.dim)
     return assemble(policy, unc, grid, noise, seed=seed, first_index=first_index)
 
 

@@ -168,7 +168,7 @@ def test_criterion_08_quasi_sure_exponent():
 def test_criterion_09_linear_certificates():
     sys_s = g.LinearGSystem([[-3.0]], [[-1.0]], [[1.0]], BAND)
     cert = g.lmi_stable(sys_s, [[1.0]])
-    margin_ok = cert.kind == "ms_stable" and abs(cert.margin - 5.5) <= 1e-9
+    margin_ok = cert.kind == "ms_stable" and abs(cert.margin - 6.0) <= 1e-9
     rng = np.random.default_rng(9)
     sound = all(
         g.riccati_value(sys_s, cert.P, v / np.linalg.norm(v)) <= 1e-9

@@ -86,7 +86,7 @@ class TestExitCodes:
         assert main(["linstab", "--config", derived_linstab_cfg, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["kind"] == "ms_stable"
-        assert doc["margin"] == pytest.approx(5.5, abs=1e-9)
+        assert doc["margin"] == pytest.approx(6.0, abs=1e-9)
 
     def test_lyapunov_below_threshold_exits_two(self, duffing_cfg, tmp_path):
         cfg = duffing_cfg(0.0)
@@ -182,6 +182,16 @@ class TestExitCodes:
         ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"T": 0.0}}, "/grid/T"),
         ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"T": -1.0}}, "/grid/T"),
         ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"nt": -3}}, "/grid/nt"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"t": [0]}}, "/region/t"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"nt": "two"}},
+         "/region/nt"),
+        ("linstab", LINSTAB_OK | {"n": 0, "F": [], "H": [], "C": [], "P": []}, "/n"),
+        ("linstab", LINSTAB_OK | {"n": -1}, "/n"),
+        ("linstab", LINSTAB_OK | {"F": ["a"]}, "/F"),
+        ("experiment", {"kind": "bt_over_t", "band": [1.0, 2.0],
+                        "family": {"kind": "extreme_constants"},
+                        "t_values": ["a"], "n_paths": 100}, "/t_values"),
+        ("upper", UPPER_OK | {"family": {"kind": "constants_only", "n": 0}}, "/family/n"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -193,7 +203,9 @@ class TestExitCodes:
             "gsde_x0_length", "gsde_schedule_order", "linstab_p_not_spd", "experiment_times",
             "lyapunov_kink", "simulate_n_steps", "upper_t_end", "gsde_n_steps",
             "upper_n_paths", "simulate_negative_n_paths", "gheat_nx", "gheat_x_equal",
-            "gheat_x_reversed", "gheat_t_zero", "gheat_t_negative", "gheat_nt_negative"])
+            "gheat_x_reversed", "gheat_t_zero", "gheat_t_negative", "gheat_nt_negative",
+            "lyapunov_t_short", "lyapunov_nt_text", "linstab_n_zero", "linstab_n_negative",
+            "linstab_matrix_text", "bt_over_t_text", "upper_no_constants"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1

@@ -55,7 +55,7 @@ class TestLMIStable:
         cert = lmi_stable(DERIVED, [[1.0]])
         assert cert.kind == "ms_stable"
         assert cert.alpha == pytest.approx(-1.0)
-        assert cert.margin == pytest.approx(5.5, abs=1e-9)
+        assert cert.margin == pytest.approx(6.0, abs=1e-9)
 
     def test_scalar_damping_threshold(self):
         # F = -k: stable iff -2k + 1 <= 0
@@ -77,23 +77,43 @@ class TestLMIStable:
             x = random_unit(rng, 1)
             assert riccati_value(DERIVED, cert.P, x) <= 1e-9
 
-    def test_soundness_in_guaranteed_margin_regime(self):
-        # the quadratic-form inequality follows from the eigenvalue test when
-        # margin >= 1 + G(alpha*); random systems in that regime stay sound
+    def test_margin_is_exact_for_generator(self):
+        # for V = x'Px, LV <= -(1 + margin)|x|^2 at every x, with equality
+        # along the top eigenvector of the binding sigma's matrix; random
+        # systems and P, whatever the verdict
         rng = np.random.default_rng(1)
-        checked = 0
-        while checked < 40:
+        for _ in range(40):
             n = int(rng.integers(1, 4))
-            F = -np.diag(rng.uniform(1.0, 6.0, size=n)) + 0.2 * rng.normal(size=(n, n))
+            F = -np.diag(rng.uniform(0.0, 6.0, size=n)) + 0.5 * rng.normal(size=(n, n))
             H = 0.3 * rng.normal(size=(n, n))
-            C = 0.5 * rng.normal(size=(n, n))
+            C = 0.8 * rng.normal(size=(n, n))
             sys_ = LinearGSystem(F, H, C, BAND)
-            cert = lmi_stable(sys_, np.eye(n))
-            if cert.kind != "ms_stable" or cert.margin < 1.0 + g_scalar(BAND, cert.alpha):
-                continue
-            for _ in range(250):
-                assert riccati_value(sys_, cert.P, random_unit(rng, n)) <= 1e-9
-            checked += 1
+            A = rng.normal(size=(n, n))
+            P = A @ A.T + 0.5 * np.eye(n)
+            cert = lmi_stable(sys_, P)
+            v = " + ".join(f"({float(P[i, j])!r})*x{i + 1}*x{j + 1}"
+                           for i in range(n) for j in range(n))
+            spec, coeffs = LyapunovSpec(n, v, nonneg=False), sys_.to_coefficients()
+            xs = np.stack([random_unit(rng, n) for _ in range(250)])
+            assert np.all(eval_L(spec, coeffs, BAND, 0.0, xs) <= -(1.0 + cert.margin) + 1e-9)
+            lo, hi = cert.details["lambda_max_lo"], cert.details["lambda_max_hi"]
+            sigma2 = BAND.sigma2_lo if lo >= hi else BAND.sigma2_hi
+            binding = P @ F + F.T @ P + np.eye(n) + sigma2 * sys_.coupling_matrix(cert.P)
+            top = np.linalg.eigh(binding)[1][:, -1]
+            lv_top = eval_L(spec, coeffs, BAND, 0.0, top[None, :])[0]
+            assert lv_top == pytest.approx(-(1.0 + cert.margin), abs=1e-9)
+
+    def test_second_moment_growth_not_certified(self):
+        # dX = -X dt + sqrt(1.5) X dB on [1, 2]: under sigma^2 = 2 the second
+        # moment grows at rate 2f + sigma^2 c^2 = +1, so no P may certify it;
+        # with P = 3 the binding sigma^2 = 2 gives LV = 3x^2 = -(1 + margin)x^2
+        sys_ = LinearGSystem([[-1.0]], [[0.0]], [[np.sqrt(1.5)]], BAND)
+        cert = lmi_stable(sys_, [[3.0]])
+        assert cert.kind == "inconclusive"
+        assert cert.margin == pytest.approx(-4.0, abs=1e-12)
+        assert cert.details["lambda_max_lo"] == pytest.approx(-0.5, abs=1e-12)
+        assert cert.details["lambda_max_hi"] == pytest.approx(4.0, abs=1e-12)
+        assert search_p(sys_, seed=0).kind == "inconclusive"
 
     def test_alpha_star_linear_in_p(self):
         rng = np.random.default_rng(2)
@@ -147,7 +167,7 @@ class TestAdmissiblePRange:
 
 class TestSearchP:
     # weighted system from the brute-force sweep: identity fails, diagonal
-    # weights p1 ~ 0.1, p2 ~ 1.5 satisfy both eigenvalue inequalities
+    # weights p1 ~ 0.1, p2 ~ 2.0 satisfy the eigenvalue inequality
     def weighted_system(self):
         return LinearGSystem(np.diag([-10.0, -0.6]), np.zeros((2, 2)),
                              np.array([[0.0, 3.0], [0.0, 0.0]]), SigmaBand(1.0, 1.0))
@@ -155,9 +175,10 @@ class TestSearchP:
     def test_identity_fails_but_diagonal_passes(self):
         sys_ = self.weighted_system()
         assert lmi_stable(sys_, np.eye(2)).kind == "inconclusive"
-        cert = lmi_stable(sys_, np.diag([0.1, 1.5]))
+        assert lmi_stable(sys_, np.diag([0.1, 1.5])).margin == pytest.approx(-0.1, abs=1e-12)
+        cert = lmi_stable(sys_, np.diag([0.1, 2.0]))
         assert cert.kind == "ms_stable"
-        assert cert.margin == pytest.approx(0.35, abs=1e-12)
+        assert cert.margin == pytest.approx(0.5, abs=1e-12)
 
     def test_search_finds_certificate(self):
         cert = search_p(self.weighted_system(), seed=0)

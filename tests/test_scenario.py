@@ -245,6 +245,19 @@ def _per_path_schedule(n_paths):
 
 
 CSET = CovarianceSet(2, [np.diag([1.0, 0.5]), np.array([[1.0, 0.3], [0.3, 1.0]])])
+# the last member is singular, so its factor comes from the eigen fallback
+CSET3 = CovarianceSet(3, [np.eye(3), np.array([[2.0, 0.4, 0.1], [0.4, 1.0, 0.2], [0.1, 0.2, 0.5]]),
+                          np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.3]])])
+
+
+def _per_path_members(n_paths):
+    # from step 3 on, each path holds its own member
+    return PiecewiseConstantPolicy([(0, 1), (3, np.arange(n_paths) % 2)])
+
+
+def _sign_b1_members(k, b, aux):
+    return np.where(b[:, 0] >= 0.0, 2, 1)
+
 
 # name -> (policy factory taking n_paths, uncertainty set)
 EQUIVALENCE_CASES = {
@@ -257,7 +270,18 @@ EQUIVALENCE_CASES = {
     "covariance_set": (
         lambda n: BangBangPolicy(lambda k, b, aux: (b[:, 0] >= 0.0).astype(int), name="sign(b1)"),
         CSET),
+    "set_constant": (lambda n: ConstantPolicy(index=1), CSET),
+    "set_piecewise": (lambda n: PiecewiseConstantPolicy([(0, 1), (3, 0), (5, 1)]), CSET),
+    "set_piecewise_per_path": (_per_path_members, CSET),
+    "set_3d": (lambda n: PiecewiseConstantPolicy([(0, 2), (4, 0), (7, 1)]), CSET3),
+    "set_3d_feedback": (lambda n: BangBangPolicy(_sign_b1_members, name="sign(b1)"), CSET3),
+    # a 1-d set: trace holds the members, not the indices
+    "set_1d": (lambda n: PiecewiseConstantPolicy([(0, 1), (2, 0)]),
+               CovarianceSet(1, [np.array([[0.5]]), np.array([[3.0]])])),
 }
+
+# zeros of both signs and subnormals, written over part of the noise block
+SPECIAL_NOISE = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320])
 
 
 def _same_bits(x, y):
@@ -269,31 +293,40 @@ class TestAssembleEquivalence:
     """assemble gives the stepwise recursion's bits, fast paths included."""
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    @given(seed=st.integers(0, 2**64 - 1), n_paths=st.integers(0, 40), n_steps=st.integers(1, 30))
+    @given(seed=st.integers(0, 2**64 - 1), n_paths=st.integers(0, 40), n_steps=st.integers(1, 30),
+           special=st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_matches_stepwise_loop(self, case, seed, n_paths, n_steps):
+    def test_matches_stepwise_loop(self, case, seed, n_paths, n_steps, special):
         make, unc = EQUIVALENCE_CASES[case]
         grid = TimeGrid(0.7, n_steps)
         noise = batch_noise(seed, 0, n_paths, n_steps, unc.dim)
+        if special:
+            picks = np.random.default_rng(seed % 2**32).integers(-len(SPECIAL_NOISE),
+                                                                 len(SPECIAL_NOISE), noise.shape)
+            noise = np.where(picks >= 0, SPECIAL_NOISE[np.maximum(picks, 0)], noise)
         got = assemble(make(n_paths), unc, grid, noise)
         want = reference_assemble(make(n_paths), unc, grid, noise)
         for name, ref in zip(("b", "qvar", "trace", "choices"), want):
             assert _same_bits(getattr(got, name), ref), name
 
-    @pytest.mark.parametrize("policy", [
-        PiecewiseConstantPolicy([(0, 1.5), (4, 2.5)]),
-        ConstantPolicy(value=0.5),
-        BangBangPolicy(lambda k, b, aux: np.where(b[:, 0] > 0.2, 1.5, 2.0), name="offband"),
-        SignSwitchConstant(value=3.0),
-        PiecewiseConstantPolicy([(0, 1.5), (5, np.array([1.5, 2.5] * 8))]),
-    ], ids=["piecewise", "constant", "bangbang", "subclass", "per_path"])
-    def test_same_policy_error(self, policy):
+    @pytest.mark.parametrize("policy,unc", [
+        (PiecewiseConstantPolicy([(0, 1.5), (4, 2.5)]), BAND),
+        (ConstantPolicy(value=0.5), BAND),
+        (BangBangPolicy(lambda k, b, aux: np.where(b[:, 0] > 0.2, 1.5, 2.0), name="offband"), BAND),
+        (SignSwitchConstant(value=3.0), BAND),
+        (PiecewiseConstantPolicy([(0, 1.5), (5, np.array([1.5, 2.5] * 8))]), BAND),
+        (PiecewiseConstantPolicy([(0, 1), (5, 0), (7, 2)]), CSET),
+        (BangBangPolicy(lambda k, b, aux: 0 if k < 6 else np.where(b[:, 0] > 0.0, 1, -1),
+                        name="sign(b1) from step 6"), CSET),
+    ], ids=["piecewise", "constant", "bangbang", "subclass", "per_path", "set_piecewise",
+            "set_feedback"])
+    def test_same_policy_error(self, policy, unc):
         grid = TimeGrid(1.0, 12)
-        noise = batch_noise(4, 0, 16, grid.n_steps, 1)
+        noise = batch_noise(4, 0, 16, grid.n_steps, unc.dim)
         with pytest.raises(PolicyError) as want:
-            reference_assemble(policy, BAND, grid, noise)
+            reference_assemble(policy, unc, grid, noise)
         with pytest.raises(PolicyError) as got:
-            assemble(policy, BAND, grid, noise)
+            assemble(policy, unc, grid, noise)
         assert str(got.value) == str(want.value)
 
     def test_d1_trace_is_read_only_view(self):

@@ -88,6 +88,8 @@ def cases() -> dict:
         "hess_shape": {"dV": {"dt": "0", "grad": ["x1", "x2"], "hess": [["1", "0"], ["0"]]}},
         "missing_p": {"condition": "sandwich", "params": {"c1": 1.0, "c2": 2.0}},
         "lambda": {"condition": "exp_stable", "params": {"lambda": 0.0}},
+        "t_short": {"region": {**duffing_band["region"], "t": [0]}},
+        "nt_text": {"region": {**duffing_band["region"], "nt": "two"}},
     }
     for name, override in errors.items():
         out[f"lyapunov_error_{name}"] = ("lyapunov", {**duffing_band, **override})
@@ -121,6 +123,9 @@ def cases() -> dict:
                                              "grid": {"t_end": 1.0, "n_steps": 10}})
     out["simulate_cov"] = ("simulate", {**COV, "policy": {"kind": "constant", "index": 0},
                                         "grid": {"t_end": 1.0, "n_steps": 5}, "n_paths": 2})
+    out["simulate_cov_piecewise"] = ("simulate", {
+        **COV, "policy": {"kind": "piecewise", "schedule": [[0, 1], [2, 0], [5, 1]]},
+        "grid": {"t_end": 1.0, "n_steps": 8}, "n_paths": 3})
     model = {"alpha": -1.0, "beta": 0.2, "gamma": 0.5, "x0": 1.0}
     out["experiment_moment_decay"] = ("experiment", {
         "kind": "moment_decay", "band": BAND, "family": extremes, "model": model,
@@ -142,6 +147,10 @@ def cases() -> dict:
                                          "band": BAND, "P": [1.0], "mode": "stable"})
     out["linstab_unstable"] = ("linstab", {"n": 1, "F": [3.0], "H": [-1.0], "C": [1.0],
                                            "band": BAND, "P": [1.0], "mode": "unstable"})
+    # under sigma^2 = 2 the second moment grows at rate +1: no certificate
+    out["linstab_ms_counterexample"] = ("linstab", {"n": 1, "F": [-1.0], "H": [0.0],
+                                                    "C": [1.5 ** 0.5], "band": BAND, "P": [3.0],
+                                                    "mode": "stable"})
     out["linstab_search"] = ("linstab", {"n": 2, "F": [-10.0, 0.0, 0.0, -0.6], "H": [0.0] * 4,
                                          "C": [0.0, 3.0, 0.0, 0.0], "band": [1.0, 1.0],
                                          "mode": "search"})
@@ -178,7 +187,13 @@ def cases() -> dict:
         "gsde_localized", f=["1", "0*sqrt(1.5 - x1)"], h=["0", "0"], g=["0", "0"],
         x0=[0.0, 0.0], schedule=[2.0, 4.0, 8.0], grid={"t_end": 5.0, "n_steps": 500})
     out["linstab_error_p"] = variant("linstab_stable", P=[-1.0])
+    out["linstab_error_n_zero"] = variant("linstab_stable", n=0, F=[], H=[], C=[], P=[])
+    out["linstab_error_n_negative"] = variant("linstab_stable", n=-1)
+    out["linstab_error_matrix_text"] = variant("linstab_stable", F=["a"])
+    out["upper_error_no_constants"] = variant("upper_band",
+                                              family={"kind": "constants_only", "n": 0})
     out["experiment_error_times"] = variant("experiment_moment_decay", times=[1.0, 5.0, -2.0])
+    out["experiment_error_t_values_text"] = variant("experiment_bt_over_t", t_values=["a"])
     return out
 
 
