@@ -126,13 +126,13 @@ def _time_grid(cfg) -> TimeGrid:
 
 def _policy(cfg, unc, pointer="/policy"):
     spec = _fetch(cfg, pointer, dict)
-    kind = _fetch(spec, "/kind", str)
+    kind = _fetch(cfg, f"{pointer}/kind", str)
     if kind == "constant":
         if "value" in spec:
-            return ConstantPolicy(value=_fetch(spec, "/value", float))
-        return ConstantPolicy(index=_fetch(spec, "/index", int))
+            return ConstantPolicy(value=_fetch(cfg, f"{pointer}/value", float))
+        return ConstantPolicy(index=_fetch(cfg, f"{pointer}/index", int))
     if kind == "piecewise":
-        sched = _fetch(spec, "/schedule", list)
+        sched = _fetch(cfg, f"{pointer}/schedule", list)
         try:
             return PiecewiseConstantPolicy([(int(k), v) for k, v in sched])
         except (TypeError, ValueError) as e:
@@ -140,7 +140,7 @@ def _policy(cfg, unc, pointer="/policy"):
     if kind == "bangbang_threshold":
         if not isinstance(unc, SigmaBand):
             raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
-        return threshold_bangbang(unc, _fetch(spec, "/theta", float),
+        return threshold_bangbang(unc, _fetch(cfg, f"{pointer}/theta", float),
                                   hi_above=bool(spec.get("hi_above", True)))
     raise UsageError(f"unknown policy kind at {pointer}/kind: {kind!r}")
 
@@ -163,7 +163,7 @@ def _expression(cfg, pointer, variables):
 
 def _family(cfg, unc, pointer="/family") -> PolicyFamily:
     spec = _fetch(cfg, pointer, dict)
-    kind = _fetch(spec, "/kind", str)
+    kind = _fetch(cfg, f"{pointer}/kind", str)
     if kind == "extreme_constants":
         return PolicyFamily.extreme_constants()
     if kind == "constants_only":
@@ -172,7 +172,8 @@ def _family(cfg, unc, pointer="/family") -> PolicyFamily:
     if kind == "bangbang_threshold":
         if not isinstance(unc, SigmaBand):
             raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
-        return PolicyFamily.bangbang_threshold(_fetch(spec, "/thresholds", list))
+        return _coerce(PolicyFamily.bangbang_threshold, _fetch(cfg, f"{pointer}/thresholds", list),
+                       f"{pointer}/thresholds", "a nonempty list of numbers")
     raise UsageError(f"unknown family kind at {pointer}/kind: {kind!r}")
 
 
@@ -367,7 +368,7 @@ def cmd_lyapunov(args, cfg, comments):
     exclude_r0 = _coerce(float, reg.get("exclude_r0", 0.0), "/region/exclude_r0", "a number")
     nt = _coerce(int, reg.get("nt", 2), "/region/nt", "int")
     try:
-        region = CheckRegion(t_end, [tuple(axis) for axis in _fetch(reg, "/box", list)],
+        region = CheckRegion(t_end, [tuple(axis) for axis in _fetch(cfg, "/region/box", list)],
                              exclude_r0, nt)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad region at /region/box: {e}")
@@ -456,9 +457,9 @@ def cmd_experiment(args, cfg, comments):
         except exp_mod.ConfigError as e:
             raise UsageError(f"/t_values: {e}")
     elif kind in ("moment_decay", "lyapunov_exponent"):
-        m = _fetch(cfg, "/model", dict)
-        model = exp_mod.GeometricModel(_fetch(m, "/alpha", float), _fetch(m, "/beta", float),
-                                       _fetch(m, "/gamma", float), _fetch(m, "/x0", float))
+        _fetch(cfg, "/model", dict)  # a /model that is no object is a type error
+        model = exp_mod.GeometricModel(*(_fetch(cfg, f"/model/{name}", float)
+                                         for name in ("alpha", "beta", "gamma", "x0")))
         try:
             ecfg = exp_mod.ExperimentConfig(
                 system=model, unc=unc, p=_fetch(cfg, "/p", float), T=_fetch(cfg, "/T", float),

@@ -192,6 +192,20 @@ class TestExitCodes:
                         "family": {"kind": "extreme_constants"},
                         "t_values": ["a"], "n_paths": 100}, "/t_values"),
         ("upper", UPPER_OK | {"family": {"kind": "constants_only", "n": 0}}, "/family/n"),
+        ("upper", UPPER_OK | {"family": {"kind": "bangbang_threshold", "thresholds": []}},
+         "/family/thresholds"),
+        ("upper", UPPER_OK | {"family": {"kind": "bangbang_threshold", "thresholds": ["a"]}},
+         "/family/thresholds"),
+        ("upper", UPPER_OK | {"family": {"kind": 5}}, "/family/kind"),
+        ("simulate", SIM_OK | {"policy": {"kind": 5}}, "/policy/kind"),
+        ("simulate", SIM_OK | {"policy": {"value": 1.5}}, "/policy/kind"),
+        ("simulate", SIM_OK | {"policy": {"kind": "bangbang_threshold", "theta": "x"}},
+         "/policy/theta"),
+        ("simulate", SIM_OK | {"policy": {"kind": "constant", "index": "0"}}, "/policy/index"),
+        ("experiment", MOMENT_DECAY_OK | {"model": MOMENT_DECAY_OK["model"] | {"alpha": "x"}},
+         "/model/alpha"),
+        ("experiment", MOMENT_DECAY_OK | {"model": {"alpha": -1.0}}, "/model/beta"),
+        ("lyapunov", LYAPUNOV_OK | {"region": {"t": [0, 1]}}, "/region/box"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -205,7 +219,11 @@ class TestExitCodes:
             "upper_n_paths", "simulate_negative_n_paths", "gheat_nx", "gheat_x_equal",
             "gheat_x_reversed", "gheat_t_zero", "gheat_t_negative", "gheat_nt_negative",
             "lyapunov_t_short", "lyapunov_nt_text", "linstab_n_zero", "linstab_n_negative",
-            "linstab_matrix_text", "bt_over_t_text", "upper_no_constants"])
+            "linstab_matrix_text", "bt_over_t_text", "upper_no_constants",
+            "upper_thresholds_empty", "upper_thresholds_text", "upper_family_kind",
+            "simulate_policy_kind", "simulate_policy_no_kind", "simulate_policy_theta",
+            "simulate_policy_index", "experiment_model_alpha", "experiment_model_missing",
+            "lyapunov_region_box"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1

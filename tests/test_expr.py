@@ -245,6 +245,10 @@ def _ref_eval(node, env):
             return a * b
         if node.op == "/":
             return np.divide(a, b)
+        # the documented power rule: an exponent over numbers alone that
+        # equals 2, 3 or 4 is a product of the base
+        if not expr._free_vars(node.right) and b in (2.0, 3.0, 4.0):
+            return a * a if b == 2.0 else a * a * a if b == 3.0 else (a * a) * (a * a)
         return np.power(a, b)
     args = [_ref_eval(a, env) for a in node.args]
     fn = expr._UNARY_FUNCS.get(node.func) or expr._BINARY_FUNCS[node.func]
@@ -281,10 +285,11 @@ ENV = {
 @st.composite
 def any_trees(draw, depth=0):
     """Trees over every node kind, every function and every operator, with
-    signed zeros, infinities and NaN among the literals."""
+    signed zeros, infinities, NaN and the small integer powers 2, 3 and 4
+    among the literals."""
     kind = draw(st.integers(0, 5 if depth < 4 else 1))
     if kind == 0:
-        return expr.Num(draw(st.sampled_from(SPECIAL) | st.floats(-10, 10)))
+        return expr.Num(draw(st.sampled_from(SPECIAL + [2.0, 3.0, 4.0]) | st.floats(-10, 10)))
     if kind == 1:
         return expr.Var(draw(st.sampled_from(["t", "x1", "x2"])))
     if kind == 2:
@@ -351,3 +356,58 @@ class TestCompiledAgainstTreeWalk:
         tab = expr.table(["x1", "y"], (2,), ("x1", "y"))
         with pytest.raises(ExprError, match=r"missing bindings for \['y'\]"):
             expr.fill(tab, {"x1": np.zeros(3)}, (3,))
+
+
+def _draws():
+    """Signed values whose exponents span e-308..e+301 (so cubes and fourth
+    powers under- and overflow), with signed zeros, infinities, NaN,
+    subnormals and 1e103, whose cube overflows."""
+    rng = np.random.default_rng(12)
+    wide = rng.uniform(1.0, 2.0, 20000) * 2.0 ** rng.integers(-1022, 1000, 20000)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+               2.2250738585072014e-308, 1e-103, 1e103, -1e103, 1e78, 1.2, -1.2]
+    return np.concatenate([special, wide * rng.choice([-1.0, 1.0], wide.size)])
+
+
+class TestPowerRule:
+    """u^k with an exponent over numbers alone equal to 2, 3 or 4 compiles
+    to products of u; every other exponent takes np.power."""
+
+    VARS = ("t", "x1", "x2")
+    X = _draws()
+
+    def eval_bits(self, src, **env):
+        return np.asarray(parse(src, self.VARS).eval({"x1": self.X, **env})).view(np.uint64)
+
+    @pytest.mark.parametrize("src,k", [("x1^3", 3), ("x1^4", 4), ("x1^(4-1)", 3), ("x1^(2*2)", 4)])
+    def test_cube_and_fourth_power_are_products(self, src, k):
+        u = self.X
+        with np.errstate(all="ignore"):
+            want = u * u * u if k == 3 else (u * u) * (u * u)
+            pw = np.power(u, float(k))
+        assert np.array_equal(self.eval_bits(src), want.view(np.uint64))
+        # the rule is taken, not np.power: they part in the last bit somewhere
+        assert not np.array_equal(want.view(np.uint64), pw.view(np.uint64))
+
+    def test_square_keeps_np_power_bits(self):
+        with np.errstate(all="ignore"):
+            want = np.power(self.X, 2.0)
+        assert np.array_equal(self.eval_bits("x1^2"), want.view(np.uint64))
+
+    @pytest.mark.parametrize("src,exponent", [("x1^3.5", 3.5), ("x1^-2", -2.0), ("x1^x2", 3.0)])
+    def test_other_exponents_keep_np_power(self, src, exponent):
+        with np.errstate(all="ignore"):
+            want = np.power(self.X, exponent)
+        got = self.eval_bits(src, x2=np.full(self.X.shape, exponent))
+        assert np.array_equal(got, want.view(np.uint64))
+
+    @pytest.mark.parametrize("base", [1.1, 1.2, -1.2, 1e103])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_folded_constant_equals_runtime_value(self, base, k):
+        folded = parse(f"({base!r})^{k}", self.VARS)
+        assert not folded.free_variables
+        runtime = parse(f"x1^{k}", self.VARS).eval({"x1": np.array([base])})
+        exponent = expr.Bin("-", expr.Num(k + 1.0), expr.Num(1.0))  # folds to k
+        simplified = expr._simplify(expr.Bin("^", expr.Num(base), exponent))
+        for value in (folded.eval({}), simplified.value):
+            assert np.asarray([value]).view(np.uint64) == runtime.view(np.uint64)

@@ -90,6 +90,7 @@ def cases() -> dict:
         "lambda": {"condition": "exp_stable", "params": {"lambda": 0.0}},
         "t_short": {"region": {**duffing_band["region"], "t": [0]}},
         "nt_text": {"region": {**duffing_band["region"], "nt": "two"}},
+        "box_missing": {"region": {"t": [0, 2]}},
     }
     for name, override in errors.items():
         out[f"lyapunov_error_{name}"] = ("lyapunov", {**duffing_band, **override})
@@ -194,6 +195,15 @@ def cases() -> dict:
                                               family={"kind": "constants_only", "n": 0})
     out["experiment_error_times"] = variant("experiment_moment_decay", times=[1.0, 5.0, -2.0])
     out["experiment_error_t_values_text"] = variant("experiment_bt_over_t", t_values=["a"])
+    out["upper_error_thresholds_empty"] = variant(
+        "upper_bangbang", family={"kind": "bangbang_threshold", "thresholds": []})
+    out["upper_error_thresholds_text"] = variant(
+        "upper_bangbang", family={"kind": "bangbang_threshold", "thresholds": ["a"]})
+    out["simulate_error_policy_kind"] = variant("simulate_band", policy={"kind": 5})
+    out["simulate_error_policy_theta"] = variant(
+        "simulate_bangbang", policy={"kind": "bangbang_threshold", "theta": "x"})
+    out["experiment_error_model_alpha"] = variant("experiment_moment_decay",
+                                                  model={**model, "alpha": "x"})
     return out
 
 
