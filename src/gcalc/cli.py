@@ -196,11 +196,7 @@ def _emit(args, comments, writer):
 
 
 def _long_rows(header, rows):
-    out = []
-    for i, row in enumerate(rows):
-        for name, value in zip(header, row):
-            out.append((i, name, value))
-    return out
+    return ((i, name, value) for i, row in enumerate(rows) for name, value in zip(header, row))
 
 
 def _maybe_long(args, fh, comments, header, rows):
@@ -296,7 +292,7 @@ def cmd_gheat(args, cfg, comments):
         print(f"u(0, 0) = {sol.value_at(0.0):.6g}", file=sys.stderr)
     except ValueError as e:
         print(f"u(0, 0) not reported: {e}", file=sys.stderr)
-    rows = list(zip(sol.x, sol.u))
+    rows = np.column_stack([sol.x, sol.u]).tolist()
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, ["x", "u"], rows))
     return 0
 
@@ -329,7 +325,7 @@ def cmd_gsde(args, cfg, comments):
     except (gsde_mod.ExplosionSuspectedError, gsde_mod.BlowUpError) as e:
         raise CheckFailed(str(e))
     header = ["t"] + expr_mod.state_variables(coeffs.n)
-    rows = [(t, *x) for t, x in zip(sol.t, sol.x[0])]
+    rows = np.column_stack([sol.t, sol.x[0]]).tolist()
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
     return 0
 

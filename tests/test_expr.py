@@ -275,10 +275,13 @@ def _bits(a):
 
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 2.5, -3.0, 1e-300, 1e300]
+# 1.2 and -1.3 have cubes (and 1.2 a fourth power) that np.power and the
+# product rule round differently, so the bitwise tests see which one ran
 ENV = {
     "t": 0.75,
-    "x1": np.array(SPECIAL),
-    "x2": np.array([-2.0, 0.0, -0.0, 3.0, math.nan, math.inf, -1e-300, 0.5, -0.5, 7.0, -1e300]),
+    "x1": np.array(SPECIAL + [1.2]),
+    "x2": np.array([-2.0, 0.0, -0.0, 3.0, math.nan, math.inf, -1e-300, 0.5, -0.5, 7.0, -1e300,
+                    -1.3]),
 }
 
 
@@ -301,7 +304,11 @@ def any_trees(draw, depth=0):
         return expr.Call(draw(st.sampled_from(sorted(expr._BINARY_FUNCS))),
                          (draw(any_trees(depth=depth + 1)), draw(any_trees(depth=depth + 1))))
     op = draw(st.sampled_from(["+", "-", "*", "/", "^"]))
-    return expr.Bin(op, draw(any_trees(depth=depth + 1)), draw(any_trees(depth=depth + 1)))
+    left = draw(any_trees(depth=depth + 1))
+    if op == "^" and draw(st.booleans()):
+        # half the powers take a small integer exponent, the product rule's case
+        return expr.Bin(op, left, expr.Num(draw(st.sampled_from([2.0, 3.0, 4.0]))))
+    return expr.Bin(op, left, draw(any_trees(depth=depth + 1)))
 
 
 class TestCompiledAgainstTreeWalk:
@@ -329,6 +336,7 @@ class TestCompiledAgainstTreeWalk:
         "log(-1)", "log(0)", "log(x1)", "sqrt(-x1)", "inf - inf", "nan", "inf * 0",
         "x1^0.5", "(-8)^(1/3)", "x2^-1", "0^0", "neg(-0)", "pos(nan)", "min(nan, x1)",
         "max(-0, 0)", "exp(1e3) * 0", "tanh(inf) - 1", "2^0.5 + x1 - (3 - 1)*t",
+        "x1^3", "x2^3", "x1^4 - x2^2", "(x1 + x2)^(1 + 2)",
     ])
     def test_special_constants_bitwise(self, src):
         e = parse(src, self.VARS, {"inf": math.inf, "nan": math.nan})

@@ -6,8 +6,12 @@ BASE_REF is extracted with ``git archive`` into a temporary directory.  Every
 subcommand runs on a built-in set of small configs (valid ones and config
 errors) with seeds 1 and 7, once with BASE_REF's ``src`` and once with the
 working tree's, writing to stdout; ``upper`` cases run once more with
-``--threads 2``.  Any difference in stdout, stderr or exit code is reported
-with the first differing lines.
+``--threads 2``.  Every case that is not a config error or a blow-up also
+runs in its other output formats, so that every writer path is compared: the
+CSV subcommands with ``--emit-plot-data`` (long-format rows) and with
+``--format json``, the JSON subcommands with ``--format csv`` (key/value
+rows).  Any difference in stdout, stderr or exit code is reported with the
+first differing lines.
 
 A change that alters some output on purpose names those cases, one per line,
 in ``tools/cli_cmp_expected.txt`` (``#`` starts a comment); their differences
@@ -31,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "tools" / "cli_cmp_expected.txt"
 SEEDS = (1, 7)
+# subcommands whose default output is a CSV table; the others write JSON
+CSV_SUBCOMMANDS = ("simulate", "gheat", "gsde", "experiment")
 
 BAND = [1.0, 2.0]
 COV = {"dim": 2, "members": [[1.0, 0.0, 0.0, 1.0], [2.0, 0.5, 0.5, 1.0]]}
@@ -207,6 +213,17 @@ def cases() -> dict:
     return out
 
 
+def variants(name: str, sub: str) -> list:
+    """The flag sets a case runs with: the default output, then the
+    subcommand's other writer paths unless the case is an error case."""
+    out = [()] + ([("--threads", "2")] if sub == "upper" else [])
+    if "_error" in name or "_blowup" in name:
+        return out
+    if sub in CSV_SUBCOMMANDS:
+        return out + [("--emit-plot-data",), ("--format", "json")]
+    return out + [("--format", "csv")]
+
+
 def extract(ref: str, dest: Path) -> None:
     blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref],
                           check=True, capture_output=True).stdout
@@ -255,8 +272,7 @@ def main(argv=None) -> int:
         for name, (sub, cfg) in all_cases.items():
             config = tmp / "configs" / f"{name}.json"
             config.write_text(json.dumps(cfg))
-            variants = [()] + ([("--threads", "2")] if sub == "upper" else [])
-            for flags, seed in [(f, s) for f in variants for s in SEEDS]:
+            for flags, seed in [(f, s) for f in variants(name, sub) for s in SEEDS]:
                 case = " ".join([name, f"seed={seed}", *flags])
                 runs += 1
                 base = run(tmp / "base" / "src", sub, config, seed, tmp, flags)
