@@ -359,10 +359,14 @@ def cmd_lyapunov(args, cfg, comments):
     spec = LyapunovSpec(n, parsed("/V", str), mode=mode,
                         nonneg=bool(cfg.get("nonneg", True)), **spec_kwargs)
     reg = _fetch(cfg, "/region", dict)
-    t_end = _coerce(lambda t: float(t[1]), _fetch(cfg, "/region/t", list), "/region/t",
-                    "[t_start, t_end]")
+    t_start, t_end = _coerce(lambda t: (float(t[0]), float(t[1])), _fetch(cfg, "/region/t", list),
+                             "/region/t", "[t_start, t_end]")
+    if t_start != 0.0 or not t_end >= 0.0:
+        raise UsageError("config field /region/t must be [0, t_end] with t_end >= 0")
     exclude_r0 = _coerce(float, reg.get("exclude_r0", 0.0), "/region/exclude_r0", "a number")
     nt = _coerce(int, reg.get("nt", 2), "/region/nt", "int")
+    if nt < 1:
+        raise UsageError("config field /region/nt must be an int >= 1")
     try:
         region = CheckRegion(t_end, [tuple(axis) for axis in _fetch(cfg, "/region/box", list)],
                              exclude_r0, nt)

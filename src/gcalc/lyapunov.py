@@ -8,10 +8,15 @@ The differential operator evaluated here is
 
 with G the sublinear function of the uncertainty set and V's derivatives
 symbolic.  Conditions of the form "for all (t, x)" are certified on finite
-grids; reports carry a crude Lipschitz slack estimated from adjacent grid
-differences so refinement behaviour can be judged.  Candidates like |x|^p
-with p < 2 are not twice differentiable at the origin, so L V is not finite
-there: exclude a ball around 0 via the region.
+grids: every time value of the region paired with every state of its box.
+A check in which t appears in no table it evaluates (V, and for L V also
+dV/dt, the gradient, the Hessian, f, h and g) repeats the t = 0 slice bit
+for bit at every other time, so it evaluates each state once, at t = 0; its
+report still counts every (t, x) point in ``grid_size``.  Reports carry a
+crude Lipschitz slack estimated from adjacent grid differences so
+refinement behaviour can be judged.  Candidates like |x|^p with p < 2 are
+not twice differentiable at the origin, so L V is not finite there: exclude
+a ball around 0 via the region.
 """
 
 from __future__ import annotations
@@ -79,10 +84,16 @@ class LyapunovSpec:
 
 
 class CheckRegion:
-    """Rectangular (t, x) grid with an optional exclusion ball around 0."""
+    """Rectangular (t, x) grid with an optional exclusion ball around 0.
+
+    Its points pair every time value (``times``: ``nt`` >= 1 values from 0
+    to ``t_end`` >= 0, or t = 0 alone when t_end is 0) with every state
+    (``states``: the box lattice outside the ball)."""
 
     def __init__(self, t_end, box, exclude_r0=0.0, nt=2):
         self.t_end = float(t_end)
+        if not self.t_end >= 0.0:
+            raise RegionError("t_end must be >= 0")
         self.box = tuple((float(lo), float(hi), int(count)) for lo, hi, count in box)
         for lo, hi, count in self.box:
             if count < 2:
@@ -90,14 +101,20 @@ class CheckRegion:
             if not lo < hi:
                 raise RegionError("axis bounds need lo < hi")
         self.exclude_r0 = float(exclude_r0)
-        self.nt = max(1, int(nt))
+        self.nt = int(nt)
+        if self.nt < 1:
+            raise RegionError("nt must be >= 1")
 
     @property
     def n(self) -> int:
         return len(self.box)
 
-    def grid(self):
-        """Flattened (t values (M,), states (M, n)) after ball exclusion."""
+    def times(self) -> np.ndarray:
+        """The t values, ascending from 0."""
+        return np.linspace(0.0, self.t_end, self.nt) if self.t_end > 0 else np.zeros(1)
+
+    def states(self) -> np.ndarray:
+        """The distinct states (S, n) in lattice order, after ball exclusion."""
         axes = [np.linspace(lo, hi, count) for lo, hi, count in self.box]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -105,10 +122,13 @@ class CheckRegion:
             pts = pts[np.linalg.norm(pts, axis=-1) >= self.exclude_r0]
         if len(pts) == 0:
             raise RegionError("exclusion ball removed every grid point")
-        tvals = np.linspace(0.0, self.t_end, self.nt) if self.t_end > 0 else np.zeros(1)
-        T = np.repeat(tvals, len(pts))
-        X = np.tile(pts, (len(tvals), 1))
-        return T, X
+        return pts
+
+    def grid(self):
+        """Flattened (t values (M,), states (M, n)): every state at every
+        time value, time-major."""
+        pts, tvals = self.states(), self.times()
+        return np.repeat(tvals, len(pts)), np.tile(pts, (len(tvals), 1))
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -176,10 +196,11 @@ def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _lipschitz_slack(values, region: CheckRegion):
-    """Half-cell bound on how much a grid max can move under refinement."""
+def _lipschitz_slack(values, region: CheckRegion, n_states: int):
+    """Half-cell bound on how much a grid max can move under refinement;
+    ``values`` holds one or more time slices of ``n_states`` states each."""
     shape = tuple(count for _, _, count in region.box)
-    if values.size % int(np.prod(shape)) != 0:
+    if n_states != int(np.prod(shape)):
         return None  # exclusion ball broke the lattice; skip the estimate
     grid_vals = values.reshape((-1,) + shape)
     slack = 0.0
@@ -189,25 +210,42 @@ def _lipschitz_slack(values, region: CheckRegion):
     return slack
 
 
-def _report(condition, violations, T, X, vscale, region, extra=None):
+def _report(condition, violations, T, X, n_states, vscale, region, extra=None):
+    """The report of the largest violation; the grid size counts every
+    (t, x) point of the region, including time slices left unevaluated."""
     idx = int(np.argmax(violations))
     tol = 1e-9 * (1.0 + vscale)
     diag = dict(extra or {})
-    slack = _lipschitz_slack(violations, region)
+    slack = _lipschitz_slack(violations, region, n_states)
     if slack is not None:
         diag["lipschitz_slack"] = slack
-    return CheckReport(condition, violations[idx], T[idx], X[idx], tol, len(T), diag)
+    grid_size = len(region.times()) * n_states
+    return CheckReport(condition, violations[idx], T[idx], X[idx], tol, grid_size, diag)
 
 
 def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
-    """The region's grid points T, X, V there and (if with_lv) L V there.
+    """Points T, X of the region's grid, V there, (if with_lv) L V there, and
+    the number of distinct states.
+
+    When t is free in no table the check evaluates (V; with L V also dV/dt,
+    the gradient, the Hessian, f, h and g), every time slice repeats the
+    t = 0 slice bit for bit, since elementwise ufuncs and einsum treat each
+    point on its own.  T and X then hold that slice alone, each state once;
+    otherwise they hold every (t, x) point, time-major.  Either way argmax
+    finds the same first point and an error names the same point.
 
     ``vet(T, X, v)`` rejects a V unfit for the check before L V is formed."""
-    T, X = region.grid()
+    tables = [spec.v]
+    if with_lv:
+        tables += [spec.dt_expr, spec.grad_exprs, spec.hess_exprs, coeffs.f, coeffs.h, coeffs.g]
+    states, tvals = region.states(), region.times()
+    if not any("t" in tab.free_variables for tab in tables):
+        tvals = tvals[:1]
+    T, X = np.repeat(tvals, len(states)), np.tile(states, (len(tvals), 1))
     v = spec.value(T, X)
     if vet is not None:
         vet(T, X, v)
-    return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None)
+    return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None), len(states)
 
 
 def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
@@ -221,9 +259,10 @@ def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
             i = int(np.argmin(v))
             raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but the nonneg flag is set")
 
-    T, X, v, lv = _grid_v_lv(spec, coeffs, unc, region, vet)
+    T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
     violations = lv - c_ly * v
-    return _report(f"LV <= {c_ly:g} V", violations, T, X, float(np.max(np.abs(v))), region)
+    return _report(f"LV <= {c_ly:g} V", violations, T, X, n_states, float(np.max(np.abs(v))),
+                   region)
 
 
 def find_cly(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: CheckRegion,
@@ -242,12 +281,11 @@ def find_cly_detailed(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: C
                 "exclude a ball around the origin or raise v_min"
             )
 
-    T, X, v, lv = _grid_v_lv(spec, coeffs, unc, region, vet)
+    T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
     ratios = lv / v
     raw = float(np.max(ratios))
-    rep = _report("min c with LV <= c V", ratios, T, X, float(np.max(np.abs(v))), region,
-                  extra={"raw": raw, "clipped": max(raw, 0.0)})
-    return rep
+    return _report("min c with LV <= c V", ratios, T, X, n_states, float(np.max(np.abs(v))),
+                   region, extra={"raw": raw, "clipped": max(raw, 0.0)})
 
 
 _CONDITIONS = ("sandwich", "nonpositive", "exp_stable", "exp_unstable")
@@ -264,7 +302,7 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
     """
     if which not in _CONDITIONS:
         raise ValueError(f"which must be one of {_CONDITIONS}")
-    T, X, v, lv = _grid_v_lv(spec, coeffs, unc, region, with_lv=which != "sandwich")
+    T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, with_lv=which != "sandwich")
     vscale = float(np.max(np.abs(v)))
     if which == "sandwich":
         p = float(params["p"])
@@ -274,17 +312,17 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
         xp = np.linalg.norm(X, axis=-1) ** p
         violations = np.maximum(c1 * xp - v, v - c2 * xp)
         return _report(f"{c1:g}|x|^{p:g} <= V <= {c2:g}|x|^{p:g}", violations, T, X,
-                       max(vscale, float(np.max(xp))), region)
+                       n_states, max(vscale, float(np.max(xp))), region)
     if which == "nonpositive":
-        return _report("LV <= 0", lv, T, X, vscale, region)
+        return _report("LV <= 0", lv, T, X, n_states, vscale, region)
     lam = float(params["lam"] if "lam" in params and "lambda" not in params else params["lambda"])
     if lam <= 0:
         raise ValueError("need lambda > 0")
     if which == "exp_stable":
         violations = lv + lam * v
-        return _report(f"LV <= -{lam:g} V", violations, T, X, vscale, region)
+        return _report(f"LV <= -{lam:g} V", violations, T, X, n_states, vscale, region)
     violations = lam * v - lv
-    return _report(f"LV >= {lam:g} V", violations, T, X, vscale, region)
+    return _report(f"LV >= {lam:g} V", violations, T, X, n_states, vscale, region)
 
 
 class MomentBoundReport:

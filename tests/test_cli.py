@@ -206,6 +206,11 @@ class TestExitCodes:
          "/model/alpha"),
         ("experiment", MOMENT_DECAY_OK | {"model": {"alpha": -1.0}}, "/model/beta"),
         ("lyapunov", LYAPUNOV_OK | {"region": {"t": [0, 1]}}, "/region/box"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"nt": 0}}, "/region/nt"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"nt": -3}}, "/region/nt"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"t": [3, 5]}}, "/region/t"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"t": [0, -2]}},
+         "/region/t"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -223,7 +228,8 @@ class TestExitCodes:
             "upper_thresholds_empty", "upper_thresholds_text", "upper_family_kind",
             "simulate_policy_kind", "simulate_policy_no_kind", "simulate_policy_theta",
             "simulate_policy_index", "experiment_model_alpha", "experiment_model_missing",
-            "lyapunov_region_box"])
+            "lyapunov_region_box", "lyapunov_nt_zero", "lyapunov_nt_negative",
+            "lyapunov_t_start", "lyapunov_t_negative"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1

@@ -22,6 +22,7 @@ from gcalc import (
     verify_moment_bound,
 )
 from gcalc import expr as expr_mod
+from gcalc import lyapunov as lyapunov_mod
 from gcalc.expr import Expression, ExprError
 from gcalc.lyapunov import RegionError
 
@@ -254,6 +255,37 @@ class TestRegion:
         region = CheckRegion(1.0, [(-1, 1, 3), (-1, 1, 3)], exclude_r0=0.5)
         _, pts = region.grid()
         assert np.all(np.linalg.norm(pts, axis=1) >= 0.5)
+
+    @pytest.mark.parametrize("nt", [0, -3])
+    def test_time_count_at_least_one(self, nt):
+        with pytest.raises(RegionError, match="nt must be >= 1"):
+            CheckRegion(1.0, [(-1, 1, 3)], nt=nt)
+
+    def test_end_time_nonnegative(self):
+        with pytest.raises(RegionError, match="t_end must be >= 0"):
+            CheckRegion(-2.0, [(-1, 1, 3)])
+
+    @pytest.mark.parametrize("t_end, nt, times", [(2.0, 3, [0.0, 1.0, 2.0]), (2.0, 1, [0.0]),
+                                                  (0.0, 4, [0.0])])
+    def test_grid_pairs_every_time_with_every_state(self, t_end, nt, times):
+        region = CheckRegion(t_end, [(-1, 1, 3), (-1, 1, 3)], exclude_r0=0.5, nt=nt)
+        states = region.states()
+        assert region.times().tolist() == times and len(states) == 8
+        T, X = region.grid()
+        assert T.tolist() == [t for t in times for _ in states]
+        assert np.array_equal(X, np.tile(states, (len(times), 1)))
+
+    @pytest.mark.parametrize("v", ["x1^2", "(1 + t)*x1^2"])
+    def test_no_slack_once_the_ball_breaks_the_lattice(self, v):
+        # 3 states left of 4 at 4 times: 12 values would fill the 4-point
+        # lattice three times over, out of register with it
+        coeffs = coefficients(1, 1, ["-x1"], ["0"], ["0"])
+        spec = LyapunovSpec(1, v, mode="finite_difference")
+        region = CheckRegion(1.0, [(-1, 2, 4)], exclude_r0=0.5, nt=4)
+        rep = check_growth_condition(spec, coeffs, BAND, region, 1.0)
+        assert rep.grid_size == 12 and "lipschitz_slack" not in rep.diagnostics
+        whole = CheckRegion(1.0, [(-1, 2, 4)], nt=4)
+        assert "lipschitz_slack" in check_growth_condition(spec, coeffs, BAND, whole, 1.0).diagnostics
 
 
 def _mixed_family():
@@ -500,3 +532,113 @@ class TestOneVPass:
         spec = LyapunovSpec(1, "1 / x1", mode="finite_difference")
         with pytest.raises(ExprError, match=r"not finite at t=0.0, x=\[0.0\]"):
             eval_L(spec, coeffs, BAND, 0.0, np.array([[1.0], [0.0]]))
+
+
+# --- reference: the full (t, x) grid that time-free checks no longer evaluate
+
+
+def full_grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
+    """T, X, V, L V on every (t, x) point, whether or not t appears."""
+    T, X = region.grid()
+    v = spec.value(T, X)
+    if vet is not None:
+        vet(T, X, v)
+    return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None), len(region.states())
+
+
+def condition_outcomes(spec, coeffs, unc, region):
+    """The JSON report of every condition, or the error it raises, as text."""
+    params = {"lambda": 0.5, "p": 2.0, "c1": 0.5, "c2": 3.0}
+    runs = [lambda: check_growth_condition(spec, coeffs, unc, region, 1.0),
+            lambda: find_cly_detailed(spec, coeffs, unc, region)]
+    runs += [lambda w=w: check_stability_conditions(spec, coeffs, unc, region, params, w)
+             for w in ("sandwich", "nonpositive", "exp_stable", "exp_unstable")]
+    out = []
+    for run in runs:
+        try:
+            out.append(json.dumps(run().to_json_dict()))
+        except (RegionError, ExprError) as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+# x{k} stands for a state variable; 1/x{a} is infinite at x{a} = 0, a grid
+# point of every symmetric axis with an odd count
+TIME_FREE_TERMS = ("x{a}^2", "sin(x{a})*x{b}", "x{a}*x{b}^3", "abs(x{a})^1.5", "1/x{a}",
+                   "log(1 + x{b}^2)")
+TIMED_TERMS = ("exp(-t)*x{a}^2", "(1 + t)*x{b}", "cos(t*x{a})")
+
+
+@st.composite
+def time_checks(draw):
+    """(spec, coefficients, uncertainty, region), with t free in V and in
+    the coefficients each by a coin."""
+    n = draw(st.integers(1, 2))
+    unc = draw(st.sampled_from([BAND, COV]))
+    d = unc.dim
+
+    def term(timed):
+        src = draw(st.sampled_from(TIME_FREE_TERMS + (TIMED_TERMS if timed else ())))
+        return src.format(a=draw(st.integers(1, n)), b=draw(st.integers(1, n)))
+
+    v_timed, coeff_timed = draw(st.booleans()), draw(st.booleans())
+    v = f"{draw(st.sampled_from(['0', '2']))} + {term(v_timed)} + {term(v_timed)}"
+    if draw(st.booleans()):
+        spec = LyapunovSpec(n, v, mode="finite_difference", nonneg=draw(st.booleans()))
+    else:
+        spec = LyapunovSpec(n, v, mode="analytic", dt=term(v_timed),
+                            grad=[term(v_timed) for _ in range(n)],
+                            hess=[[term(v_timed) for _ in range(n)] for _ in range(n)])
+    coeffs = coefficients(n, d, [term(coeff_timed) for _ in range(n)],
+                          [[[term(coeff_timed) for _ in range(d)] for _ in range(d)]
+                           for _ in range(n)],
+                          [[term(coeff_timed) for _ in range(d)] for _ in range(n)])
+    box = []
+    for _ in range(n):
+        lo = draw(st.sampled_from([-2.0, -1.0]))
+        box.append((lo, draw(st.sampled_from([-lo, 1.5])), draw(st.integers(2, 5))))
+    region = CheckRegion(draw(st.sampled_from([0.0, 0.5, 2.0])), box,
+                         exclude_r0=draw(st.sampled_from([0.0, 0.3, 0.8])),
+                         nt=draw(st.integers(1, 4)))
+    return spec, coeffs, unc, region
+
+
+class TestTimeFreeGrid:
+    @given(time_checks())
+    @settings(max_examples=80, deadline=None)
+    def test_reports_match_full_grid_bytewise(self, check):
+        got = condition_outcomes(*check)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lyapunov_mod, "_grid_v_lv", full_grid_v_lv)
+            want = condition_outcomes(*check)
+        assert got == want
+
+    @pytest.mark.parametrize("v, damping, slices", [
+        ("x1^2 + x2^2", "x2", 1),
+        ("exp(-t)*(x1^2 + x2^2)", "x2", 3),
+        ("x1^2 + x2^2", "(1 + t)*x2", 3),
+    ], ids=["time_free", "t_in_v", "t_in_h"])
+    def test_eval_L_sees_each_state_once_when_time_free(self, monkeypatch, v, damping, slices):
+        coeffs = coefficients(2, 1, ["0", "0"], ["x2", f"-x1 - {damping}"], ["0", "1"])
+        spec = LyapunovSpec(2, v, mode="finite_difference")
+        region = CheckRegion(2.0, [(-2, 2, 5), (-2, 2, 5)], exclude_r0=0.5, nt=3)
+        seen = []
+        original = lyapunov_mod.eval_L
+
+        def spy(spec, coeffs, unc, t, x):
+            seen.append((np.shape(t), x.shape))
+            return original(spec, coeffs, unc, t, x)
+
+        monkeypatch.setattr(lyapunov_mod, "eval_L", spy)
+        rep = check_growth_condition(spec, coeffs, BAND, region, 1.0)
+        states = len(region.states())
+        assert seen == [((slices * states,), (slices * states, 2))]
+        assert rep.grid_size == 3 * states
+
+    @pytest.mark.parametrize("v", ["2 + x1^2 + 1/x2", "2 + exp(-t)*x1^2 + 1/x2"])
+    def test_non_finite_point_named_at_t_zero(self, v):
+        coeffs = coefficients(2, 1, ["-x1", "-x2"], ["0", "0"], ["0", "0"])
+        spec = LyapunovSpec(2, v, mode="finite_difference", nonneg=False)
+        region = CheckRegion(2.0, [(-2, 2, 5), (-2, 2, 5)], nt=3)
+        with pytest.raises(ExprError, match=r"not finite at t=0.0, x=\[-2.0, 0.0\]"):
+            check_growth_condition(spec, coeffs, BAND, region, 1.0)

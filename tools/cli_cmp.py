@@ -54,6 +54,11 @@ CANDIDATES = {
     "cov": (COV_SYSTEM, "x1^2 + x2^2",
             {"dt": "0", "grad": ["2*x1", "2*x2"], "hess": [["2", "0"], ["0", "2"]]},
             {"t": [0, 1], "box": [[-2, 2, 9], [-2, 2, 9]], "exclude_r0": 0.25}),
+    # t appears in V, so every time slice of the grid is evaluated
+    "time": (DUFFING, "exp(-t)*(1 + x1^2 + x2^2)",
+             {"dt": "-exp(-t)*(1 + x1^2 + x2^2)", "grad": ["2*exp(-t)*x1", "2*exp(-t)*x2"],
+              "hess": [["2*exp(-t)", "0"], ["0", "2*exp(-t)"]]},
+             {"t": [0, 2], "box": [[-2, 2, 9], [-2, 2, 9]], "nt": 3}),
 }
 CONDITIONS = {"growth": {"c_ly": 1.0}, "find_cly": {}, "sandwich": {"p": 2.0, "c1": 0.5, "c2": 3.0},
               "nonpositive": {}, "exp_stable": {"lambda": 0.5}, "exp_unstable": {"lambda": 0.5}}
@@ -84,6 +89,10 @@ def cases() -> dict:
             "region": {"t": [0, 1], "box": [[-1, 1, 5]]}, "condition": "nonpositive"}
     out["lyapunov_kink_excluded"] = ("lyapunov", {
         **kink, "region": {**kink["region"], "exclude_r0": 0.25}})
+    # a time-free V with t in a coefficient takes the full grid as well
+    out["lyapunov_time_coefficient"] = ("lyapunov", lyapunov_cfg(
+        "band", "finite_difference", "growth",
+        system={**DUFFING, "h": ["x2", "-x1 - x1^3 - (1 + 0.5*sin(t))*x2"]}))
     duffing_band = lyapunov_cfg("band", "analytic", "growth")
     errors = {
         "axis_count": {"region": {"t": [0, 1], "box": [[-1, 1, 1], [-1, 1, 3]]}},
@@ -96,6 +105,10 @@ def cases() -> dict:
         "lambda": {"condition": "exp_stable", "params": {"lambda": 0.0}},
         "t_short": {"region": {**duffing_band["region"], "t": [0]}},
         "nt_text": {"region": {**duffing_band["region"], "nt": "two"}},
+        "nt_zero": {"region": {**duffing_band["region"], "nt": 0}},
+        "nt_negative": {"region": {**duffing_band["region"], "nt": -3}},
+        "t_start": {"region": {**duffing_band["region"], "t": [3, 5]}},
+        "t_negative": {"region": {**duffing_band["region"], "t": [0, -2]}},
         "box_missing": {"region": {"t": [0, 2]}},
     }
     for name, override in errors.items():
