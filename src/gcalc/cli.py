@@ -358,13 +358,13 @@ def cmd_lyapunov(args, cfg, comments):
                        "hess": parsed("/dV/hess", list, (n, n))}
     spec = LyapunovSpec(n, parsed("/V", str), mode=mode,
                         nonneg=bool(cfg.get("nonneg", True)), **spec_kwargs)
-    reg = _fetch(cfg, "/region", dict)
+    _fetch(cfg, "/region", dict)  # a /region that is no object is a type error
     t_start, t_end = _coerce(lambda t: (float(t[0]), float(t[1])), _fetch(cfg, "/region/t", list),
                              "/region/t", "[t_start, t_end]")
     if t_start != 0.0 or not t_end >= 0.0:
         raise UsageError("config field /region/t must be [0, t_end] with t_end >= 0")
-    exclude_r0 = _coerce(float, reg.get("exclude_r0", 0.0), "/region/exclude_r0", "a number")
-    nt = _coerce(int, reg.get("nt", 2), "/region/nt", "int")
+    exclude_r0 = _fetch(cfg, "/region/exclude_r0", float, required=False, default=0.0)
+    nt = _fetch(cfg, "/region/nt", int, required=False, default=2)
     if nt < 1:
         raise UsageError("config field /region/nt must be an int >= 1")
     try:

@@ -186,8 +186,6 @@ def moment_decay_curve(cfg: ExperimentConfig) -> ExperimentResult:
     indices = [grid.index_of(t) for t in times]
     c0 = cfg.x0_norm() ** cfg.p
 
-    # the index list gives a column-major copy; the axis-0 sums of bound_rows
-    # run in that layout's order
     _, vals = _terminal_states(cfg, grid, lambda norms: norms[:, indices] ** cfg.p)
     bounds = [c0 * float(np.exp(-lam * t)) for t in times]
     rows, passed = bound_rows(times, vals, bounds, cfg.slack)

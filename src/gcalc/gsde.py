@@ -39,7 +39,7 @@ import numpy as np
 from . import expr as expr_mod
 from .scenario import PathBatch, TimeGrid
 from .uncertainty import SigmaBand
-from .upper_expectation import _mean_se, evaluate_family
+from .upper_expectation import evaluate_family, family_sup
 
 
 class BlowUpError(RuntimeError):
@@ -377,7 +377,8 @@ def initial_sensitivity(coeffs: CoefficientSet, x, y, unc, grid: TimeGrid,
     """Estimate sup-policy E[sup_t |X^x_t - X^y_t|^p] / |x - y|^p.
 
     Needs globally Lipschitz coefficients; returns ratio 0 by convention
-    when x == y."""
+    when x == y.  The numerator is the argmax policy's mean, so a policy
+    whose mean is nan makes the ratio nan."""
     if coeffs.lipschitz_tag != "global":
         raise ValueError("initial sensitivity is defined for globally Lipschitz coefficients")
     x = np.asarray(x, dtype=float).reshape(coeffs.n)
@@ -390,8 +391,10 @@ def initial_sensitivity(coeffs: CoefficientSet, x, y, unc, grid: TimeGrid,
         return np.max(np.linalg.norm(solx.x - soly.x, axis=-1), axis=1) ** p
 
     policies, gaps = evaluate_family(sup_gap, family, unc, grid, n_paths, seed)
-    table = [(policy.describe(), *_mean_se(vals)) for policy, vals in zip(policies, gaps)]
-    best = max([-np.inf] + [mean for _, mean, _ in table])
+    means, ses, (best,) = family_sup(gaps)
+    table = [(policy.describe(), float(m), float(s))
+             for policy, m, s in zip(policies, means[:, 0], ses[:, 0])]
     if denom == 0.0:
         return SensitivityReport(0.0, 0.0, 0.0, p, table)
-    return SensitivityReport(best / denom, best, denom, p, table)
+    top = float(means[best, 0])
+    return SensitivityReport(top / denom, top, denom, p, table)

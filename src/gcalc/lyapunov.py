@@ -178,15 +178,16 @@ def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x):
     x = np.asarray(x, dtype=float)
     vt, grad, hess = spec.derivatives(t, x)
     fv, hv, gv = coeffs._eval_fhg(t, x)
-    h_sym = hv + np.swapaxes(hv, -1, -2)
-    eta = np.einsum("...n,...nij->...ij", grad, h_sym) + np.einsum(
-        "...mn,...mi,...nj->...ij", hess, gv, gv
-    )
-    if isinstance(unc, SigmaBand):
-        gval = g_scalar(unc, eta[..., 0, 0])
-    else:
-        gval = g_matrix(unc, eta)
-    out = vt + np.einsum("...n,...n->...", grad, fv) + gval
+    with np.errstate(all="ignore"):  # a non-finite point raises below
+        h_sym = hv + np.swapaxes(hv, -1, -2)
+        eta = np.einsum("...n,...nij->...ij", grad, h_sym) + np.einsum(
+            "...mn,...mi,...nj->...ij", hess, gv, gv
+        )
+        if isinstance(unc, SigmaBand):
+            gval = g_scalar(unc, eta[..., 0, 0])
+        else:
+            gval = g_matrix(unc, eta)
+        out = vt + np.einsum("...n,...n->...", grad, fv) + gval
     finite = np.isfinite(out)
     if not np.all(finite):
         i = np.unravel_index(np.argmin(finite), out.shape)

@@ -7,6 +7,9 @@ of the true supremum; acceptance checks against exact oracles are
 therefore one-sided unless convexity pins the optimum at an extreme
 constant policy.  The quoted standard error is the argmax policy's; the
 selection bias of taking a max is absorbed by test tolerances.
+Every family sup takes per-policy means, standard errors and argmaxes
+from family_sup, which reduces each column on its own, so the bits do not
+depend on the values' memory layout.
 """
 
 from __future__ import annotations
@@ -123,12 +126,6 @@ class EstimateReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _mean_se(values: np.ndarray):
-    m = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else float("nan")
-    return m, se
-
-
 def evaluate_family(fn, family, unc, grid: TimeGrid, n_paths: int, seed: int):
     """(policies, [fn(batch) for each policy]) in family order.
 
@@ -143,6 +140,21 @@ def evaluate_family(fn, family, unc, grid: TimeGrid, n_paths: int, seed: int):
     return policies, [fn(assemble(p, unc, grid, noise, seed=seed)) for p in policies]
 
 
+def family_sup(values):
+    """(means, ses, best) of per-policy values, one (P,) or (P, m) array each.
+
+    means and ses are (N, m): column j of policy i on its own, as np.mean
+    and np.std(ddof=1) / sqrt(P) give them on that column, with se nan when
+    P = 1.  best[j] is the policy of the largest mean in column j (the
+    first nan, if any)."""
+    columns = [np.asarray(v, dtype=float).reshape(len(v), -1).T for v in values]
+    n_paths = columns[0].shape[1]
+    means = np.array([[np.mean(col) for col in c] for c in columns])
+    ses = (np.array([[np.std(col, ddof=1) for col in c] for c in columns]) / np.sqrt(n_paths)
+           if n_paths > 1 else np.full_like(means, np.nan))
+    return means, ses, np.argmax(means, axis=0)
+
+
 def bound_rows(times, values, bounds, slack):
     """Rows (t, estimate, se, bound, ok) and whether every ok holds.
 
@@ -150,31 +162,15 @@ def bound_rows(times, values, bounds, slack):
     the estimate is the largest policy mean in each column and se that
     policy's standard error, and ok is estimate <= bound (1 + slack) + 3 se.
     """
-    means = np.asarray([v.mean(axis=0) for v in values])
-    ses = np.asarray([v.std(axis=0, ddof=1) / np.sqrt(len(v)) for v in values])
-    best = np.argmax(means, axis=0)
+    means, ses, best = family_sup(values)
     rows = []
     passed = True
-    for j, (t, bound) in enumerate(zip(times, bounds)):
-        est = float(means[best[j], j])
-        se = float(ses[best[j], j])
+    for j, (t, bound, b) in enumerate(zip(times, bounds, best)):
+        est, se = float(means[b, j]), float(ses[b, j])
         ok = est <= bound * (1.0 + slack) + 3.0 * se
         passed &= ok
         rows.append((t, est, se, bound, ok))
     return rows, passed
-
-
-def _assemble_reports(policies, results, n_paths):
-    means = np.array([m for m, _ in results])
-    best = int(np.argmax(means))
-    table = [PolicyEstimate(p.describe(), m, s) for p, (m, s) in zip(policies, results)]
-    return EstimateReport(
-        value=float(means[best]),
-        std_error=results[best][1],
-        argmax_policy=policies[best],
-        n_paths=n_paths,
-        table=table,
-    )
 
 
 def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int):
@@ -200,15 +196,16 @@ def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int)
         return vals
 
     policies, all_vals = evaluate_family(checked, family, unc, grid, n_paths, seed)
-    first = np.asarray(all_vals[0])
-    if first.ndim == 1:
-        results = [_mean_se(v) for v in all_vals]
-        return _assemble_reports(policies, results, n_paths)
-    reports = []
-    for j in range(first.shape[1]):
-        results = [_mean_se(np.asarray(v)[:, j]) for v in all_vals]
-        reports.append(_assemble_reports(policies, results, n_paths))
-    return reports
+    means, ses, best = family_sup(all_vals)
+    reports = [EstimateReport(
+        value=float(means[b, j]),
+        std_error=float(ses[b, j]),
+        argmax_policy=policies[b],
+        n_paths=n_paths,
+        table=[PolicyEstimate(p.describe(), float(m), float(s))
+               for p, m, s in zip(policies, means[:, j], ses[:, j])],
+    ) for j, b in enumerate(best)]
+    return reports if all_vals[0].ndim == 2 else reports[0]
 
 
 def optimize_bangbang(payoff, unc, grid: TimeGrid, thresholds, n_paths: int,

@@ -211,6 +211,12 @@ class TestExitCodes:
         ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"t": [3, 5]}}, "/region/t"),
         ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"t": [0, -2]}},
          "/region/t"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"nt": 2.7}}, "/region/nt"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"nt": "3"}}, "/region/nt"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"exclude_r0": "0.6"}},
+         "/region/exclude_r0"),
+        ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"exclude_r0": True}},
+         "/region/exclude_r0"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -229,7 +235,8 @@ class TestExitCodes:
             "simulate_policy_kind", "simulate_policy_no_kind", "simulate_policy_theta",
             "simulate_policy_index", "experiment_model_alpha", "experiment_model_missing",
             "lyapunov_region_box", "lyapunov_nt_zero", "lyapunov_nt_negative",
-            "lyapunov_t_start", "lyapunov_t_negative"])
+            "lyapunov_t_start", "lyapunov_t_negative", "lyapunov_nt_float", "lyapunov_nt_string",
+            "lyapunov_exclude_r0_string", "lyapunov_exclude_r0_bool"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1

@@ -2,8 +2,12 @@
 
 estimate_upper, initial_sensitivity, verify_moment_bound, the experiments'
 terminal-state loop and bt_over_t all draw one noise block, assemble each
-policy on it and reduce.  The loops they ran before sharing
-evaluate_family are kept here as references and compared bit for bit.
+policy on it and reduce; the first four take per-policy means, standard
+errors and argmaxes from family_sup, which reduces each column on its own.
+The loops they ran before sharing evaluate_family are kept here as
+references and compared bit for bit.  Each reference reduces a column as
+np.mean and np.std(ddof=1) / sqrt(P) do on that column alone, whatever
+the layout of the values it was sampled into.
 """
 
 import numpy as np
@@ -36,7 +40,7 @@ from gcalc import (
 )
 from gcalc.experiments import LOG_FLOOR
 from gcalc.scenario import assemble, batch_noise
-from gcalc.upper_expectation import evaluate_family
+from gcalc.upper_expectation import bound_rows, evaluate_family, family_sup
 
 BAND = SigmaBand(1.0, 2.0)
 CSET = CovarianceSet(2, [np.diag([1.0, 0.5]), np.array([[1.0, 0.3], [0.3, 1.0]])])
@@ -160,8 +164,8 @@ def _ref_verify_moment_bound(spec, coeffs, unc, x0, times, family, n_paths, seed
         states = sol.x[:, indices, :]
         tarr = np.asarray(times)[None, :]
         vals = spec.value(np.broadcast_to(tarr, states.shape[:2]), states)
-        means.append(vals.mean(axis=0))
-        ses.append(vals.std(axis=0, ddof=1) / np.sqrt(n_paths))
+        means.append([np.mean(col) for col in vals.T])
+        ses.append([np.std(col, ddof=1) / np.sqrt(n_paths) for col in vals.T])
         del batch, sol
     means = np.asarray(means)
     ses = np.asarray(ses)
@@ -335,6 +339,47 @@ class TestEvaluateFamily:
             evaluate_family(len, [], BAND, GRID, 4, 0)
 
 
+class TestFamilySup:
+    @pytest.mark.parametrize("n_paths", [8, 9, 64, 1000])
+    def test_c_and_f_order_give_the_same_bits(self, n_paths):
+        rng = np.random.default_rng(n_paths)
+        scales = 10.0 ** rng.integers(-3, 4, size=15)
+        c_vals = [np.exp(rng.standard_normal((n_paths, 15))) * scales for _ in range(3)]
+        f_vals = [np.asfortranarray(v) for v in c_vals]
+        assert all(v.flags.c_contiguous and not v.flags.f_contiguous for v in c_vals)
+        assert all(v.flags.f_contiguous and not v.flags.c_contiguous for v in f_vals)
+        times, bounds = list(range(15)), [1.0] * 15
+        _same_rows(bound_rows(times, c_vals, bounds, 0.05)[0],
+                   bound_rows(times, f_vals, bounds, 0.05)[0])
+        for means, ses, _ in (family_sup(c_vals), family_sup(f_vals)):
+            assert _bits(means) == _bits([[np.mean(col) for col in v.T] for v in c_vals])
+            assert _bits(ses) == _bits([[np.std(col, ddof=1) / np.sqrt(n_paths) for col in v.T]
+                                        for v in c_vals])
+
+    @pytest.mark.parametrize("n_paths", [2, 7, 300, 4097, 20000])
+    def test_vector_is_the_one_column_case(self, n_paths):
+        rng = np.random.default_rng(n_paths)
+        vals = [rng.standard_normal(n_paths) + k for k in range(3)]
+        flat = family_sup(vals)
+        column = family_sup([v[:, None] for v in vals])
+        assert all(_bits(a) == _bits(b) for a, b in zip(flat, column))
+        assert flat[0].shape == (3, 1)
+
+    def test_one_path_has_nan_se_without_warning(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means, ses, best = family_sup([np.array([1.0]), np.array([3.0]), np.array([2.0])])
+        assert means[:, 0].tolist() == [1.0, 3.0, 2.0]
+        assert np.isnan(ses).all()
+        assert best.tolist() == [1]
+
+    def test_nan_mean_is_the_argmax(self):
+        _, _, best = family_sup([np.array([[1.0, 5.0]] * 3), np.array([[np.nan, 2.0]] * 3)])
+        assert best.tolist() == [1, 0]
+
+
 def _lipschitz_system(unc):
     if isinstance(unc, SigmaBand):
         return coefficients(1, 1, ["-x1 + 0.3*sin(x1)"], ["0.2*x1"], ["0.5*x1 + 0.1"])
@@ -355,6 +400,18 @@ class TestInitialSensitivity:
         assert _bits([rep.ratio, rep.numerator, rep.denominator]) == _bits([ratio, num, den])
         assert rep.p == 1.5
         _same_rows(rep.table, table)
+
+    def test_nan_policy_mean_makes_the_ratio_nan(self):
+        # under sigma2 = 100 the first Euler step jumps past x = 2, where
+        # sqrt(2 - x1) is nan; under sigma2 = 0.01 the gap stays 0.5
+        coeffs = coefficients(1, 1, ["0"], ["sqrt(2 - x1)"], ["0"])
+        band = SigmaBand(0.01, 100.0)
+        rep = initial_sensitivity(coeffs, [1.0], [0.5], band, TimeGrid(1.0, 10),
+                                  PolicyFamily.extreme_constants(), 8, 3)
+        assert [e[0] for e in rep.table] == ["const(sigma2=0.01)", "const(sigma2=100)"]
+        assert rep.table[0][1] == 0.25 and np.isnan(rep.table[1][1])
+        assert np.isnan(rep.numerator) and np.isnan(rep.ratio)
+        assert rep.denominator == 0.25
 
 
 def _lyapunov_case(unc):

@@ -85,6 +85,18 @@ class TestEvalL:
         b = eval_L(fd, coeffs, BAND, 0.0, pts)
         assert np.max(np.abs(a - b) / (1.0 + np.abs(a))) <= 1e-6
 
+    @pytest.mark.parametrize("unc", [BAND, CovarianceSet(1, [np.eye(1), 2.0 * np.eye(1)])])
+    def test_singular_point_raises_without_numpy_warning(self, unc):
+        # f = inf and h = -inf at x1 = 0, so grad.f + G(eta) is inf - inf
+        import warnings
+
+        coeffs = coefficients(1, 1, ["1/x1"], ["-1/x1"], ["0"])
+        spec = LyapunovSpec(1, "x1", mode="analytic", dt="0", grad=["1"], hess=[["0"]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExprError, match=r"not finite at t=0.0, x=\[0.0\]"):
+                eval_L(spec, coeffs, unc, 0.0, np.array([[1.0], [0.0]]))
+
 
 class TestModeAgreement:
     def test_random_polynomial_specs(self):

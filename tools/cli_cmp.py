@@ -107,6 +107,10 @@ def cases() -> dict:
         "nt_text": {"region": {**duffing_band["region"], "nt": "two"}},
         "nt_zero": {"region": {**duffing_band["region"], "nt": 0}},
         "nt_negative": {"region": {**duffing_band["region"], "nt": -3}},
+        "nt_float": {"region": {**duffing_band["region"], "nt": 2.7}},
+        "nt_string": {"region": {**duffing_band["region"], "nt": "3"}},
+        "exclude_r0_string": {"region": {**duffing_band["region"], "exclude_r0": "0.6"}},
+        "exclude_r0_bool": {"region": {**duffing_band["region"], "exclude_r0": True}},
         "t_start": {"region": {**duffing_band["region"], "t": [3, 5]}},
         "t_negative": {"region": {**duffing_band["region"], "t": [0, -2]}},
         "box_missing": {"region": {"t": [0, 2]}},
