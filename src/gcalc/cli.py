@@ -50,7 +50,7 @@ from . import experiments as exp_mod
 from . import expr as expr_mod
 from . import gheat as gheat_mod
 from . import gsde as gsde_mod
-from .lyapunov import RegionError
+from .lyapunov import RegionError, SuppliedDerivativeError
 from .runio import config_hash, standard_comments, write_json, write_table
 
 SUBCOMMANDS = ("simulate", "upper", "gheat", "gsde", "lyapunov", "linstab", "experiment")
@@ -141,7 +141,8 @@ def _policy(cfg, unc, pointer="/policy"):
         if not isinstance(unc, SigmaBand):
             raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
         return threshold_bangbang(unc, _fetch(cfg, f"{pointer}/theta", float),
-                                  hi_above=bool(spec.get("hi_above", True)))
+                                  hi_above=_fetch(cfg, f"{pointer}/hi_above", bool,
+                                                  required=False, default=True))
     raise UsageError(f"unknown policy kind at {pointer}/kind: {kind!r}")
 
 
@@ -162,12 +163,13 @@ def _expression(cfg, pointer, variables):
 
 
 def _family(cfg, unc, pointer="/family") -> PolicyFamily:
-    spec = _fetch(cfg, pointer, dict)
+    _fetch(cfg, pointer, dict)  # a family that is no object is a type error
     kind = _fetch(cfg, f"{pointer}/kind", str)
     if kind == "extreme_constants":
         return PolicyFamily.extreme_constants()
     if kind == "constants_only":
-        return _coerce(lambda n: PolicyFamily.constants_only(int(n)), spec.get("n", 5),
+        return _coerce(PolicyFamily.constants_only,
+                       _fetch(cfg, f"{pointer}/n", int, required=False, default=5),
                        f"{pointer}/n", "an int >= 1")
     if kind == "bangbang_threshold":
         if not isinstance(unc, SigmaBand):
@@ -223,10 +225,7 @@ def cmd_simulate(args, cfg, comments):
     unc = _uncertainty(cfg)
     grid = _time_grid(cfg)
     policy = _policy(cfg, unc)
-    try:
-        n_paths = int(cfg.get("n_paths", 1))
-    except (TypeError, ValueError):
-        raise UsageError("config field /n_paths must be int")
+    n_paths = _fetch(cfg, "/n_paths", int, required=False, default=1)
     if n_paths < 0:
         raise UsageError("config field /n_paths must be >= 0")
     batch = _simulate(policy, unc, grid, args.seed, n_paths)
@@ -341,9 +340,12 @@ def cmd_lyapunov(args, cfg, comments):
     n = coeffs.n
     variables = ["t"] + expr_mod.state_variables(n)
 
-    def parsed(pointer, kind, dims=(), default=None):
-        """The expression table at pointer; errors name the pointer."""
-        src = _fetch(cfg, pointer, kind, required=default is None, default=default)
+    def parsed(pointer, kind, dims=(), required=True):
+        """The expression table at pointer (None if absent and not required);
+        errors name the pointer."""
+        src = _fetch(cfg, pointer, kind, required=required)
+        if src is None:
+            return None
         try:
             return expr_mod.table(src, dims, variables, cfg.get("constants"), pointer)
         except expr_mod.ExprError as e:
@@ -351,13 +353,12 @@ def cmd_lyapunov(args, cfg, comments):
         except ValueError as e:  # a table of the wrong shape
             raise UsageError(str(e))
 
-    spec_kwargs = {}
-    if mode == "analytic":
-        spec_kwargs = {"dt": parsed("/dV/dt", str, default="0"),
-                       "grad": parsed("/dV/grad", list, (n,)),
-                       "hess": parsed("/dV/hess", list, (n, n))}
+    _fetch(cfg, "/dV", dict, required=False)  # a /dV that is no object is a type error
     spec = LyapunovSpec(n, parsed("/V", str), mode=mode,
-                        nonneg=bool(cfg.get("nonneg", True)), **spec_kwargs)
+                        nonneg=_fetch(cfg, "/nonneg", bool, required=False, default=True),
+                        dt=parsed("/dV/dt", str, required=False),
+                        grad=parsed("/dV/grad", list, (n,), required=False),
+                        hess=parsed("/dV/hess", list, (n, n), required=False))
     _fetch(cfg, "/region", dict)  # a /region that is no object is a type error
     t_start, t_end = _coerce(lambda t: (float(t[0]), float(t[1])), _fetch(cfg, "/region/t", list),
                              "/region/t", "[t_start, t_end]")
@@ -375,7 +376,7 @@ def cmd_lyapunov(args, cfg, comments):
     if region.n != n:
         raise UsageError(f"/region/box has {region.n} axes but the system has n={n}")
     condition = _fetch(cfg, "/condition", str)
-    params = cfg.get("params", {})
+    params = _fetch(cfg, "/params", dict, required=False, default={})
     try:
         if condition == "growth":
             report = check_growth_condition(spec, coeffs, unc, region,
@@ -388,6 +389,8 @@ def cmd_lyapunov(args, cfg, comments):
             raise UsageError(f"unknown value at /condition: {condition!r}")
     except RegionError as e:
         raise UsageError(f"/V on /region: {e}")
+    except SuppliedDerivativeError as e:
+        raise UsageError(f"/dV/{e.entry} disagrees with /V: {e}")
     except expr_mod.ExprError as e:  # a kink of V or a singularity on the grid
         raise UsageError(f"/V on /region: {e}; keep it off the grid, "
                          "e.g. exclude a ball around 0 with /region/exclude_r0")
@@ -428,7 +431,7 @@ def cmd_linstab(args, cfg, comments):
         if mode == "stable":
             certify, wanted = lmi_stable, "ms_stable"
         elif mode == "unstable":
-            certify, wanted = lmi_unstable, "q_unstable"
+            certify, wanted = lmi_unstable, "ms_unstable"
         else:
             raise UsageError(f"unknown value at /mode: {mode!r}")
         try:

@@ -6,10 +6,13 @@ LV(x) = x' sym(2PF) x + 2G(x'Mx) with M = sym(2PH + C'PC), linear in P.
 On a band, 2G(a) = max(lo*a, hi*a), so the stability test is exact: LV <=
 -(1 + margin)|x|^2 for every x if and only if sym(2PF) + I + sigma*M has
 largest eigenvalue at most -margin for both sigma in {lo, hi}.  The
-instability test uses the tightest coupling constant alpha* = lambda_min(M),
-which needs no scan over alpha because the scalar sublinear function is
-monotone.  The certificates are not invariant under rescaling P: the
-identity terms in the inequalities fix the normalization.
+instability test is its mirror.  Under the constant scenario sigma the
+generator of V is x'(sym(2PF) + sigma*M)x, linear in sigma, so it is at
+least (1 + margin)|x|^2 for every x and every sigma in [lo, hi] if and only
+if sym(2PF) - I + sigma*M has smallest eigenvalue at least margin for both
+ends; margin >= 0 proves that the second moment grows exponentially in
+every scenario (ms_unstable).  The certificates are not invariant under
+rescaling P: the identity terms in the inequalities fix the normalization.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ class LinearGSystem:
 
 @dataclass
 class Certificate:
-    kind: str  # ms_stable | q_unstable | inconclusive
+    kind: str  # ms_stable | ms_unstable | inconclusive
     P: np.ndarray
     alpha: float
     margin: float
@@ -121,17 +124,25 @@ def riccati_value(sys: LinearGSystem, P, x) -> float:
     return quad_f + g_scalar(sys.band, quad_c)
 
 
+def _band_ends(sys: LinearGSystem, P, sign: float):
+    """(alpha, lambda_lo, lambda_hi) for sign = +1 (largest eigenvalues) or
+    -1 (smallest): lambda at sigma in {lo, hi} is the extreme eigenvalue of
+    sym(2PF) + sign*I + sigma*M, and alpha that of M = sym(2PH + C'PC)."""
+    extreme = np.max if sign > 0 else np.min
+    coupling = sys.coupling_matrix(P)
+    drift = _sym(2.0 * P @ sys.F) + sign * np.eye(sys.n)
+    lam_lo, lam_hi = (float(extreme(np.linalg.eigvalsh(drift + sigma2 * coupling)))
+                      for sigma2 in (sys.band.sigma2_lo, sys.band.sigma2_hi))
+    return float(extreme(np.linalg.eigvalsh(coupling))), lam_lo, lam_hi
+
+
 def lmi_stable(sys: LinearGSystem, P) -> Certificate:
     """Mean-square stability test: margin = -max over sigma in {lo, hi} of
     lambda_max(sym(2PF) + I + sigma*M), M = sym(2PH + C'PC), so that
     LV <= -(1 + margin)|x|^2 for V = x'Px, with equality along the top
     eigenvector; ``alpha`` reports alpha* = lambda_max(M)."""
     P = _check_spd(P, sys.n)
-    coupling = sys.coupling_matrix(P)
-    alpha = float(np.max(np.linalg.eigvalsh(coupling)))
-    drift = _sym(2.0 * P @ sys.F) + np.eye(sys.n)
-    lam_lo, lam_hi = (float(np.max(np.linalg.eigvalsh(drift + sigma2 * coupling)))
-                      for sigma2 in (sys.band.sigma2_lo, sys.band.sigma2_hi))
+    alpha, lam_lo, lam_hi = _band_ends(sys, P, +1.0)
     margin = -max(lam_lo, lam_hi)
     kind = "ms_stable" if margin >= 0.0 else "inconclusive"
     return Certificate(kind, P, alpha, margin,
@@ -139,16 +150,17 @@ def lmi_stable(sys: LinearGSystem, P) -> Certificate:
 
 
 def lmi_unstable(sys: LinearGSystem, P) -> Certificate:
-    """Instability test: lambda_min(sym(2PF) - I) >= -G(alpha*)
-    with alpha* = lambda_min(sym(2PH + C'PC))."""
+    """Mean-square instability test, the mirror of lmi_stable: margin = min
+    over sigma in {lo, hi} of lambda_min(sym(2PF) - I + sigma*M), so that
+    under every scenario sigma in [lo, hi] the generator of V = x'Px is at
+    least (1 + margin)|x|^2, and E|X_t|^2 grows exponentially when margin
+    >= 0; ``alpha`` reports lambda_min(M)."""
     P = _check_spd(P, sys.n)
-    alpha = float(np.min(np.linalg.eigvalsh(sys.coupling_matrix(P))))
-    lhs = float(np.min(np.linalg.eigvalsh(_sym(2.0 * P @ sys.F) - np.eye(sys.n))))
-    threshold = -g_scalar(sys.band, alpha)
-    margin = lhs - threshold
-    kind = "q_unstable" if margin >= 0.0 else "inconclusive"
+    alpha, lam_lo, lam_hi = _band_ends(sys, P, -1.0)
+    margin = min(lam_lo, lam_hi)
+    kind = "ms_unstable" if margin >= 0.0 else "inconclusive"
     return Certificate(kind, P, alpha, margin,
-                       details={"lambda_min_drift": lhs, "g_alpha": g_scalar(sys.band, alpha)})
+                       details={"lambda_min_lo": lam_lo, "lambda_min_hi": lam_hi})
 
 
 @dataclass(frozen=True)

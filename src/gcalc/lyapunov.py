@@ -7,16 +7,17 @@ The differential operator evaluated here is
            + sum_{mu,nu} d2V/dx_mu dx_nu * g_mu_i * g_nu_j,
 
 with G the sublinear function of the uncertainty set and V's derivatives
-symbolic.  Conditions of the form "for all (t, x)" are certified on finite
-grids: every time value of the region paired with every state of its box.
-A check in which t appears in no table it evaluates (V, and for L V also
-dV/dt, the gradient, the Hessian, f, h and g) repeats the t = 0 slice bit
-for bit at every other time, so it evaluates each state once, at t = 0; its
-report still counts every (t, x) point in ``grid_size``.  Reports carry a
-crude Lipschitz slack estimated from adjacent grid differences so
-refinement behaviour can be judged.  Candidates like |x|^p with p < 2 are
-not twice differentiable at the origin, so L V is not finite there: exclude
-a ball around 0 via the region.
+symbolic; hand-written derivative tables are only compared with them.
+Conditions of the form "for all (t, x)" are certified on finite grids:
+every time value of the region paired with every state of its box.  A check
+in which t appears in no table it evaluates (V and the supplied derivative
+tables, and for L V also dV/dt, the gradient, the Hessian, f, h and g)
+repeats the t = 0 slice bit for bit at every other time, so it evaluates
+each state once, at t = 0; its report still counts every (t, x) point in
+``grid_size``.  Reports carry a crude Lipschitz slack estimated from
+adjacent grid differences so refinement behaviour can be judged.
+Candidates like |x|^p with p < 2 are not twice differentiable at the
+origin, so L V is not finite there: exclude a ball around 0 via the region.
 """
 
 from __future__ import annotations
@@ -34,16 +35,29 @@ class RegionError(ValueError):
     pass
 
 
+class SuppliedDerivativeError(ValueError):
+    """A supplied derivative entry disagrees with V's symbolic derivative;
+    ``entry`` names it as a path such as "dt", "grad/0" or "hess/0/1"."""
+
+    def __init__(self, entry, message):
+        super().__init__(message)
+        self.entry = entry
+
+
 class LyapunovSpec:
     """Candidate V(t, x) with expression tables for dV/dt, the gradient and
     the Hessian, which derivatives() evaluates.
 
-    In analytic mode the caller supplies the three tables.  In the default
-    mode (still named "finite_difference" so configs keep working) they are
-    V's symbolic derivatives: dt_expr = dV/dt, grad_exprs[i] = dV/dx_i and
-    hess_exprs[i][j] = d grad_i / dx_j.  Where V is not C^2 (abs, pos, neg,
-    min, max at their kinks) the derivatives are NaN, so eval_L rejects
-    the point: keep kinks off the grid.
+    The tables are V's symbolic derivatives: dt_expr = dV/dt, grad_exprs[i]
+    = dV/dx_i and hess_exprs[i][j] = d grad_i / dx_j.  Where V is not C^2
+    (abs, pos, neg, min, max at their kinks) the derivatives are NaN, so
+    eval_L rejects the point: keep kinks off the grid.
+
+    Hand-written ``dt``, ``grad`` and ``hess`` tables, any of them, are kept
+    in ``supplied`` and never evaluated in place of the symbolic ones: every
+    grid check compares them with their symbolic twins (check_supplied).
+    ``mode`` must be "analytic" or "finite_difference", the names older
+    configs use; it changes nothing.
     """
 
     def __init__(self, n, v, mode="finite_difference", dt=None, grad=None, hess=None,
@@ -54,19 +68,16 @@ class LyapunovSpec:
         self.v = expr_mod.table(v, (), variables, constants)
         if mode not in ("analytic", "finite_difference"):
             raise ValueError("mode must be 'analytic' or 'finite_difference'")
-        self.mode = mode
         self.nonneg = bool(nonneg)
-        if mode == "analytic":
-            if dt is None or grad is None or hess is None:
-                raise ValueError("analytic mode needs dt, grad, and hess expressions")
-        else:
-            d = expr_mod.differentiate_symbolic
-            dt = d(self.v, "t")
-            grad = tuple(d(self.v, x) for x in state)
-            hess = tuple(tuple(d(g, x) for x in state) for g in grad)
-        self.dt_expr = expr_mod.table(dt, (), variables, constants)
-        self.grad_exprs = expr_mod.table(grad, (self.n,), variables, constants, "grad")
-        self.hess_exprs = expr_mod.table(hess, (self.n, self.n), variables, constants, "hess")
+        d = expr_mod.differentiate_symbolic
+        self.dt_expr = d(self.v, "t")
+        self.grad_exprs = expr_mod.table([d(self.v, x) for x in state], (self.n,), variables)
+        self.hess_exprs = expr_mod.table([[d(g, x) for x in state] for g in self.grad_exprs],
+                                         (self.n, self.n), variables)
+        dims = {"dt": (), "grad": (self.n,), "hess": (self.n, self.n)}
+        given = {"dt": dt, "grad": grad, "hess": hess}
+        self.supplied = {name: expr_mod.table(src, dims[name], variables, constants, name)
+                         for name, src in given.items() if src is not None}
 
     def value(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -81,6 +92,37 @@ class LyapunovSpec:
         return (expr_mod.evaluate(self.dt_expr, env, shape),
                 expr_mod.fill(self.grad_exprs, env, shape),
                 expr_mod.fill(self.hess_exprs, env, shape))
+
+    def check_supplied(self, t, x):
+        """Raise SuppliedDerivativeError, naming the worst point, unless each
+        supplied entry is within 1e-9 (1 + |s|) of its symbolic twin s at
+        every point (t, x) where s is finite; where s is not, eval_L
+        rejects the point."""
+        x = np.asarray(x, dtype=float)
+        shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
+        env = expr_mod.bind(t, x)
+        twins = {"dt": self.dt_expr, "grad": self.grad_exprs, "hess": self.hess_exprs}
+        for name, tab in self.supplied.items():
+            for (idx, given), (_, twin) in zip(_entries(tab), _entries(twins[name])):
+                want = expr_mod.evaluate(twin, env, shape)
+                got = expr_mod.evaluate(given, env, shape)
+                with np.errstate(all="ignore"):
+                    excess = np.abs(got - want) - 1e-9 * (1.0 + np.abs(want))
+                bad = np.isfinite(want) & ~(excess <= 0.0)
+                if np.any(bad):
+                    # the largest excess, or the first NaN, which argmax ranks above all
+                    i = np.unravel_index(np.argmax(np.where(bad, excess, -np.inf)), shape)
+                    entry = "/".join([name, *map(str, idx[1:])])
+                    tt = float(np.broadcast_to(t, shape)[i])
+                    xx = np.broadcast_to(x, shape + x.shape[-1:])[i].tolist()
+                    raise SuppliedDerivativeError(
+                        entry, f"supplied {entry} is {float(got[i])!r} where V's symbolic "
+                               f"derivative is {float(want[i])!r}, at t={tt}, x={xx}")
+
+
+def _entries(tab):
+    """(index, Expression) of every entry of a Table, or of one Expression."""
+    return tab.leaves if isinstance(tab, expr_mod.Table) else [((...,), tab)]
 
 
 class CheckRegion:
@@ -235,8 +277,10 @@ def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
     otherwise they hold every (t, x) point, time-major.  Either way argmax
     finds the same first point and an error names the same point.
 
-    ``vet(T, X, v)`` rejects a V unfit for the check before L V is formed."""
-    tables = [spec.v]
+    ``vet(T, X, v)`` rejects a V unfit for the check; then the supplied
+    derivative tables, which count among the tables evaluated, are checked
+    against the symbolic ones; then L V is formed."""
+    tables = [spec.v, *spec.supplied.values()]
     if with_lv:
         tables += [spec.dt_expr, spec.grad_exprs, spec.hess_exprs, coeffs.f, coeffs.h, coeffs.g]
     states, tvals = region.states(), region.times()
@@ -246,6 +290,7 @@ def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
     v = spec.value(T, X)
     if vet is not None:
         vet(T, X, v)
+    spec.check_supplied(T, X)
     return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None), len(states)
 
 

@@ -175,7 +175,7 @@ def test_criterion_09_linear_certificates():
         for v in rng.normal(size=(10_000, 1))
     )
     cert_u = g.lmi_unstable(g.LinearGSystem([[3.0]], [[0.0]], [[0.0]], BAND), [[1.0]])
-    ok = margin_ok and sound and cert_u.kind == "q_unstable"
+    ok = margin_ok and sound and cert_u.kind == "ms_unstable"
     report(9, "derived stable/unstable certificates with sound margins", ok,
            f"margin={cert.margin:.10f} unstable={cert_u.kind}")
 

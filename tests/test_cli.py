@@ -73,6 +73,13 @@ LYAPUNOV_OK = {
 KINK_OK = {"system": {"n": 1, "d": 1, "band": [1.0, 2.0], "f": ["-x1"], "h": ["0"], "g": ["1"]},
            "V": "abs(x1)", "region": {"t": [0, 1], "box": [[-1, 1, 5]]},
            "condition": "nonpositive"}
+# dX = 0.5X dt grows: with V = x^2, LV = x^2 and exp_stable fails; a
+# wrong-sign /dV/grad would make LV = -x^2 and pass it
+GROWING = {"system": {"n": 1, "d": 1, "band": [1.0, 2.0], "f": ["0.5*x1"], "h": ["0"],
+                      "g": ["0"]},
+           "V": "x1^2", "region": {"t": [0, 1], "box": [[-1, 1, 5]]},
+           "condition": "exp_stable", "params": {"lambda": 0.5}}
+WRONG_SIGN = GROWING | {"mode": "analytic", "dV": {"grad": ["-2*x1"], "hess": [["2"]]}}
 # dX = -3X dt + 0.5X d<B> + X dB with V = x^2 has LV = -2V exactly
 EXACT_RATE = {"system": {"n": 1, "d": 1, "band": [1.0, 2.0], "f": ["-3*x1"], "h": ["0.5*x1"],
                          "g": ["x1"]},
@@ -217,6 +224,14 @@ class TestExitCodes:
          "/region/exclude_r0"),
         ("lyapunov", LYAPUNOV_OK | {"region": LYAPUNOV_OK["region"] | {"exclude_r0": True}},
          "/region/exclude_r0"),
+        ("lyapunov", LYAPUNOV_OK | {"params": "x"}, "/params"),
+        ("lyapunov", LYAPUNOV_OK | {"nonneg": "false"}, "/nonneg"),
+        ("simulate", SIM_OK | {"policy": {"kind": "bangbang_threshold", "theta": 0.0,
+                                          "hi_above": "false"}}, "/policy/hi_above"),
+        ("simulate", SIM_OK | {"n_paths": 2.7}, "/n_paths"),
+        ("upper", UPPER_OK | {"family": {"kind": "constants_only", "n": 2.7}}, "/family/n"),
+        ("lyapunov", WRONG_SIGN, "/dV/grad/0"),
+        ("lyapunov", LYAPUNOV_OK | {"dV": "x"}, "/dV"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -236,7 +251,9 @@ class TestExitCodes:
             "simulate_policy_index", "experiment_model_alpha", "experiment_model_missing",
             "lyapunov_region_box", "lyapunov_nt_zero", "lyapunov_nt_negative",
             "lyapunov_t_start", "lyapunov_t_negative", "lyapunov_nt_float", "lyapunov_nt_string",
-            "lyapunov_exclude_r0_string", "lyapunov_exclude_r0_bool"])
+            "lyapunov_exclude_r0_string", "lyapunov_exclude_r0_bool", "lyapunov_params_text",
+            "lyapunov_nonneg_text", "simulate_hi_above_text", "simulate_n_paths_float",
+            "upper_family_n_float", "lyapunov_dv_sign", "lyapunov_dv_text"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
@@ -244,6 +261,49 @@ class TestExitCodes:
         assert err.startswith(f"gcalc {sub}: error: ")
         assert pointer in err
         assert err.count("\n") == 1
+
+    def test_wrong_sign_gradient_names_the_entry(self, tmp_path, capsys):
+        # the supplied table used to decide the verdict: pass, exit 0
+        assert main(["lyapunov", "--config", write_cfg(tmp_path, "w.json", WRONG_SIGN)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("gcalc lyapunov: error: /dV/grad/0 disagrees with /V: supplied grad/0 is "
+                       "2.0 where V's symbolic derivative is -2.0, at t=0.0, x=[-1.0]\n")
+        out = tmp_path / "rep.json"
+        assert main(["lyapunov", "--config", write_cfg(tmp_path, "g.json", GROWING),
+                     "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["max_violation"] == 1.5
+
+    @pytest.mark.parametrize("dv", [
+        {"dt": "0", "grad": ["2*x1"], "hess": [["2"]]},
+        {"grad": ["2*x1"]},
+        {"hess": [["2"]], "dt": "0*t"},
+    ], ids=["all", "grad_only", "hess_and_timed_dt"])
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    def test_agreeing_dv_leaves_bytes_unchanged(self, tmp_path, capsys, dv, mode):
+        def run(cfg):
+            # the report after its meta lines, which hold the config hash
+            code = main(["lyapunov", "--config", write_cfg(tmp_path, "c.json", cfg)])
+            out, err = capsys.readouterr()
+            return code, out[out.index('  "condition"'):], err
+
+        for lam in (2.0, 2.5):
+            cfg = EXACT_RATE | {"params": {"lambda": lam}}
+            assert run(cfg | {"mode": mode, "dV": dv}) == run(cfg)
+
+    def test_linstab_noise_free_decay_is_not_unstable(self, tmp_path, capsys):
+        # X_t = x0 exp(1.3t - 1.5<B>_t) decays in every scenario
+        cfg = LINSTAB_OK | {"F": [1.3], "H": [-1.5], "C": [0.0], "mode": "unstable"}
+        out = tmp_path / "cert.json"
+        assert main(["linstab", "--config", write_cfg(tmp_path, "u.json", cfg),
+                     "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["kind"] == "inconclusive" and doc["margin"] == pytest.approx(-4.4, abs=1e-12)
+        growing = cfg | {"F": [0.6], "H": [0.0], "C": [1.0]}
+        assert main(["linstab", "--config", write_cfg(tmp_path, "g.json", growing),
+                     "--out", str(tmp_path / "g_cert.json")]) == 0
+        doc = json.loads((tmp_path / "g_cert.json").read_text())
+        assert doc["kind"] == "ms_unstable" and set(doc["details"]) == {"lambda_min_lo",
+                                                                        "lambda_min_hi"}
 
     def test_schema_violation_names_pointer(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {

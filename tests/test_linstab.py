@@ -130,7 +130,7 @@ class TestLMIStable:
 class TestLMIUnstable:
     def test_expanding_scalar(self):
         cert = lmi_unstable(LinearGSystem([[3.0]], [[0.0]], [[0.0]], BAND), [[1.0]])
-        assert cert.kind == "q_unstable"
+        assert cert.kind == "ms_unstable"
         assert cert.margin == pytest.approx(5.0)
 
     def test_origin_inconclusive(self):
@@ -139,9 +139,54 @@ class TestLMIUnstable:
 
     def test_h_driven_instability(self):
         cert = lmi_unstable(LinearGSystem([[1.0]], [[1.0]], [[0.0]], BAND), [[1.0]])
-        assert cert.kind == "q_unstable"
+        assert cert.kind == "ms_unstable"
         assert cert.alpha == pytest.approx(2.0)
         assert cert.margin == pytest.approx(3.0)
+
+    def test_noise_free_decay_not_certified(self):
+        # dX = 1.3X dt - 1.5X d<B>: X_t = x0 exp(1.3t - 1.5<B>_t) decays at a
+        # rate of at least 0.2 under every scenario; with V = x^2 the binding
+        # sigma^2 = 2 gives 2.6 - 1 - 6 = -4.4
+        cert = lmi_unstable(LinearGSystem([[1.3]], [[-1.5]], [[0.0]], BAND), [[1.0]])
+        assert cert.kind == "inconclusive"
+        assert cert.alpha == pytest.approx(-3.0)
+        assert cert.margin == pytest.approx(-4.4, abs=1e-12)
+        assert cert.details == {"lambda_min_lo": pytest.approx(-1.4, abs=1e-12),
+                                "lambda_min_hi": pytest.approx(-4.4, abs=1e-12)}
+
+    @pytest.mark.parametrize("F, H, C, margin", [(0.6, 0.0, 1.0, 1.2), (3.0, -1.0, 1.0, 3.0)])
+    def test_second_moment_growth_certified(self, F, H, C, margin):
+        # E[X_t^2] grows at rate 2F + sigma^2 (2H + C^2) >= 1 + margin
+        cert = lmi_unstable(LinearGSystem([[F]], [[H]], [[C]], BAND), [[1.0]])
+        assert cert.kind == "ms_unstable"
+        assert cert.margin == pytest.approx(margin, abs=1e-12)
+
+    def test_margin_is_exact_for_every_band_end(self):
+        # for V = x'Px under each constant scenario sigma in {lo, hi},
+        # LV >= (1 + lambda_min)|x|^2 at every x, with equality along the
+        # bottom eigenvector; the margin is the smaller end
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            sys_ = LinearGSystem(rng.normal(size=(n, n)), 0.3 * rng.normal(size=(n, n)),
+                                 0.8 * rng.normal(size=(n, n)), BAND)
+            A = rng.normal(size=(n, n))
+            P = A @ A.T + 0.5 * np.eye(n)
+            cert = lmi_unstable(sys_, P)
+            lams = cert.details["lambda_min_lo"], cert.details["lambda_min_hi"]
+            assert cert.margin == min(lams)
+            assert cert.alpha == pytest.approx(np.min(np.linalg.eigvalsh(sys_.coupling_matrix(P))))
+            v = " + ".join(f"({float(P[i, j])!r})*x{i + 1}*x{j + 1}"
+                           for i in range(n) for j in range(n))
+            spec, coeffs = LyapunovSpec(n, v, nonneg=False), sys_.to_coefficients()
+            xs = np.stack([random_unit(rng, n) for _ in range(250)])
+            for sigma2, lam in zip((BAND.sigma2_lo, BAND.sigma2_hi), lams):
+                scenario = SigmaBand(sigma2, sigma2)
+                assert np.all(eval_L(spec, coeffs, scenario, 0.0, xs) >= 1.0 + lam - 1e-9)
+                matrix = P @ sys_.F + sys_.F.T @ P + sigma2 * sys_.coupling_matrix(cert.P)
+                bottom = np.linalg.eigh(matrix)[1][:, 0]
+                lv = eval_L(spec, coeffs, scenario, 0.0, bottom[None, :])[0]
+                assert lv == pytest.approx(1.0 + lam, abs=1e-9)
 
 
 class TestAdmissiblePRange:

@@ -24,7 +24,7 @@ from gcalc import (
 from gcalc import expr as expr_mod
 from gcalc import lyapunov as lyapunov_mod
 from gcalc.expr import Expression, ExprError
-from gcalc.lyapunov import RegionError
+from gcalc.lyapunov import RegionError, SuppliedDerivativeError
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -96,25 +96,6 @@ class TestEvalL:
             warnings.simplefilter("error")
             with pytest.raises(ExprError, match=r"not finite at t=0.0, x=\[0.0\]"):
                 eval_L(spec, coeffs, unc, 0.0, np.array([[1.0], [0.0]]))
-
-
-class TestModeAgreement:
-    def test_random_polynomial_specs(self):
-        rng = np.random.default_rng(3)
-        for trial in range(10):
-            c = rng.uniform(-1.5, 1.5, size=6)
-            k0, k1, k12, k2 = f"{2 + c[0]**2:.4f}", f"{1 + c[1]**2:.4f}", f"{c[2]:.4f}", f"{1 + c[3]**2:.4f}"
-            v_src = f"{k0} + {k1}*x1^2 + {k12}*x1*x2 + {k2}*x2^2"
-            grad = [f"2*{k1}*x1 + {k12}*x2", f"{k12}*x1 + 2*{k2}*x2"]
-            hess = [[f"2*{k1}", k12], [k12, f"2*{k2}"]]
-            coeffs = coefficients(2, 1, [f"{c[4]:.4f}*x2", f"{c[5]:.4f}*x1"],
-                                  ["x1", "x2"], ["x2", "x1"])
-            analytic = LyapunovSpec(2, v_src, mode="analytic", dt="0", grad=grad, hess=hess)
-            fd = LyapunovSpec(2, v_src, mode="finite_difference")
-            pts = rng.uniform(-2, 2, size=(100, 2))
-            a = eval_L(analytic, coeffs, BAND, 0.0, pts)
-            b = eval_L(fd, coeffs, BAND, 0.0, pts)
-            assert np.max(np.abs(a - b) / (1.0 + np.abs(a))) <= 1e-5
 
 
 class TestOperatorStructure:
@@ -342,7 +323,8 @@ class TestMomentBound:
         assert rep.region_exceeded["max_norm"] > 0.5
 
 
-# --- references: the per-expression loops that LyapunovSpec and eval_L replaced
+# --- references: the finite-difference stencil that LyapunovSpec replaced, and
+# eval_L assembled from separate eval_* calls
 
 
 def _ref_env(n, t, x):
@@ -353,22 +335,10 @@ def _ref_env(n, t, x):
 
 
 def ref_derivatives(spec, t, x, h_fd=1e-5, h_fd2=1e-4):
-    """The analytic loops and the copy-and-shift stencil, one entry at a time."""
+    """The copy-and-shift stencil, one entry at a time."""
     x = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(np.shape(t), x.shape[:-1])
     n = spec.n
-    if spec.mode == "analytic":
-        env = _ref_env(n, t, x)
-        vt = np.broadcast_to(np.asarray(spec.dt_expr.eval(env), dtype=float), shape)
-        grad = np.empty(shape + (n,))
-        for i, e in enumerate(spec.grad_exprs):
-            grad[..., i] = np.broadcast_to(np.asarray(e.eval(env), dtype=float), shape)
-        hess = np.empty(shape + (n, n))
-        for i in range(n):
-            for j in range(n):
-                hess[..., i, j] = np.broadcast_to(
-                    np.asarray(spec.hess_exprs[i][j].eval(env), dtype=float), shape)
-        return vt, grad, hess
     xnorm = np.linalg.norm(x, axis=-1)
     h1 = h_fd * (1.0 + xnorm)
     h2 = h_fd2 * (1.0 + xnorm)
@@ -405,9 +375,9 @@ def ref_derivatives(spec, t, x, h_fd=1e-5, h_fd2=1e-4):
 
 
 def ref_eval_L(spec, coeffs, unc, t, x):
-    """L V from the reference derivatives and three separate eval_* calls."""
+    """L V from spec's derivative arrays and three separate eval_* calls."""
     x = np.asarray(x, dtype=float)
-    vt, grad, hess = ref_derivatives(spec, t, x)
+    vt, grad, hess = spec.derivatives(t, x)
     fv = coeffs.eval_f(t, x)
     hv = coeffs.eval_h(t, x)
     gv = coeffs.eval_g(t, x)
@@ -427,7 +397,7 @@ TERMS = ("exp(-t)*x{a}^2", "sin(x{a})*x{b}", "log(1 + x{a}^2)", "sqrt(1 + t + x{
 
 @st.composite
 def candidates(draw):
-    """(n, V source, grad sources, hess sources, coefficients, uncertainty)."""
+    """(n, V source, coefficients, uncertainty)."""
     n = draw(st.integers(1, 3))
 
     def term():
@@ -438,46 +408,32 @@ def candidates(draw):
         return " + ".join(term() for _ in range(k))
 
     v = terms(draw(st.integers(1, 3)))
-    grad = [term() for _ in range(n)]
-    hess = [[term() for _ in range(n)] for _ in range(n)]
     unc = draw(st.sampled_from([BAND, COV]))
     d = unc.dim
     coeffs = coefficients(n, d, [term() for _ in range(n)],
                           [[[term() for _ in range(d)] for _ in range(d)] for _ in range(n)],
                           [[term() for _ in range(d)] for _ in range(n)])
-    return n, v, grad, hess, coeffs, unc
+    return n, v, coeffs, unc
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-def _analytic_twin(spec):
-    """The analytic-mode spec holding spec's own derivative tables."""
-    return LyapunovSpec(spec.n, spec.v, mode="analytic", dt=spec.dt_expr,
-                        grad=spec.grad_exprs, hess=spec.hess_exprs)
-
-
 class TestReferenceEquivalence:
     @given(candidates(), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_derivatives_and_L_bitwise(self, cand, seed, scalar_t):
-        n, v, grad, hess, coeffs, unc = cand
+        n, v, coeffs, unc = cand
         rng = np.random.default_rng(seed)
         x = rng.uniform(-2.0, 2.0, size=(17, n))
         t = 0.7 if scalar_t else rng.uniform(0.0, 3.0, size=17)
-        analytic = LyapunovSpec(n, v, mode="analytic", dt=v, grad=grad, hess=hess)
-        default = LyapunovSpec(n, v, mode="finite_difference")
-        twin = _analytic_twin(default)
-        for spec in (analytic, twin):
-            for got, want in zip(spec.derivatives(t, x), ref_derivatives(spec, t, x)):
-                assert got.shape == want.shape and _bits(got) == _bits(want)
-            assert _bits(eval_L(spec, coeffs, unc, t, x)) == _bits(ref_eval_L(spec, coeffs, unc, t, x))
-        # the symbolic tables evaluate like their analytic twin and agree with
-        # the stencil to its accuracy, estimated from a stencil at half steps
-        assert _bits(eval_L(default, coeffs, unc, t, x)) == _bits(eval_L(twin, coeffs, unc, t, x))
-        for got, full, half in zip(default.derivatives(t, x), ref_derivatives(default, t, x),
-                                   ref_derivatives(default, t, x, 0.5e-5, 0.5e-4)):
+        spec = LyapunovSpec(n, v)
+        assert _bits(eval_L(spec, coeffs, unc, t, x)) == _bits(ref_eval_L(spec, coeffs, unc, t, x))
+        # the symbolic tables agree with the stencil to its accuracy,
+        # estimated from a stencil at half steps
+        for got, full, half in zip(spec.derivatives(t, x), ref_derivatives(spec, t, x),
+                                   ref_derivatives(spec, t, x, 0.5e-5, 0.5e-4)):
             tol = 1e-6 * (1.0 + np.abs(full)) + 4.0 * np.abs(full - half)
             assert got.shape == full.shape and np.all(np.abs(got - full) <= tol)
 
@@ -499,10 +455,11 @@ class TestOneVPass:
 
     @pytest.mark.parametrize("condition", ["growth", "find_cly", "exp_stable", "sandwich"])
     def test_default_mode_checks_evaluate_v_once(self, monkeypatch, condition):
-        # the default mode evaluates V once on the grid and its derivative
-        # tables once each, and reports what the hand-written tables report;
-        # V and dV/dt are single expressions, the gradient and Hessian are
-        # compiled tables that expr.fill runs without Expression.eval
+        # a spec without supplied tables evaluates V once on the grid and its
+        # derivative tables once each, and reports what a spec with agreeing
+        # hand-written tables reports; V and dV/dt are single expressions,
+        # the gradient and Hessian are compiled tables that expr.fill runs
+        # without Expression.eval
         coeffs, analytic = duffing()
         spec = LyapunovSpec(2, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", mode="finite_difference")
         region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)])
@@ -546,6 +503,89 @@ class TestOneVPass:
             eval_L(spec, coeffs, BAND, 0.0, np.array([[1.0], [0.0]]))
 
 
+class TestSuppliedDerivatives:
+    # dX = 0.5X dt grows; V = x^2 has LV = x^2, and the wrong-sign gradient
+    # -2x would make it -x^2 <= -0.5 V
+    GROWING = coefficients(1, 1, ["0.5*x1"], ["0"], ["0"])
+    REGION = CheckRegion(1.0, [(-1, 1, 5)])
+
+    @pytest.mark.parametrize("which", ["sandwich", "nonpositive", "exp_stable", "exp_unstable"])
+    def test_wrong_sign_gradient_raises(self, which):
+        spec = LyapunovSpec(1, "x1^2", mode="analytic", grad=["-2*x1"], hess=[["2"]])
+        params = {"lambda": 0.5, "p": 2.0, "c1": 0.5, "c2": 2.0}
+        with pytest.raises(SuppliedDerivativeError) as err:
+            check_stability_conditions(spec, self.GROWING, BAND, self.REGION, params, which)
+        assert err.value.entry == "grad/0"
+        assert str(err.value) == ("supplied grad/0 is 2.0 where V's symbolic derivative is "
+                                  "-2.0, at t=0.0, x=[-1.0]")
+        # the verdict comes from V's own derivatives
+        plain = LyapunovSpec(1, "x1^2")
+        if which == "exp_stable":
+            rep = check_stability_conditions(plain, self.GROWING, BAND, self.REGION, params, which)
+            assert not rep.passed and rep.max_violation == 1.5
+
+    @pytest.mark.parametrize("run", [
+        lambda s, c, r: check_growth_condition(s, c, BAND, r, 0.0),
+        lambda s, c, r: find_cly_detailed(s, c, BAND, r),
+    ], ids=["growth", "find_cly"])
+    def test_every_check_compares(self, run):
+        spec = LyapunovSpec(1, "1 + x1^2", mode="analytic", dt="0", grad=["2*x1"],
+                            hess=[["2 + x1"]])
+        with pytest.raises(SuppliedDerivativeError, match=r"hess/0/0 is 1.0 .* x=\[-1.0\]"):
+            run(spec, self.GROWING, self.REGION)
+
+    def test_time_in_a_supplied_table_is_checked_at_every_time(self):
+        # V and the system are time-free, so without /dV the check would
+        # evaluate t = 0 alone, where 2*x1 + t agrees with dV/dx1
+        spec = LyapunovSpec(1, "x1^2", grad=["2*x1 + t"])
+        region = CheckRegion(2.0, [(-1, 1, 5)], nt=3)
+        with pytest.raises(SuppliedDerivativeError, match=r"grad/0 is 2.0 .* is 0.0, at t=2.0"):
+            check_growth_condition(spec, self.GROWING, BAND, region, 1.0)
+        assert spec.supplied["grad"].free_variables == {"t", "x1"}
+
+    @pytest.mark.parametrize("offset, ok", [(0.5e-9, True), (2e-9, False)])
+    def test_tolerance(self, offset, ok):
+        # |supplied - s| <= 1e-9 (1 + |s|), with s = 0 at x = 0
+        spec = LyapunovSpec(1, "x1^2", grad=[f"2*x1 + {offset!r}"])
+        try:
+            check_growth_condition(spec, self.GROWING, BAND, self.REGION, 1.0)
+            passed = True
+        except SuppliedDerivativeError as e:
+            passed = False
+            assert "at t=0.0, x=[0.0]" in str(e)
+        assert passed == ok
+
+    def test_non_finite_symbolic_point_left_to_eval_L(self):
+        # V's derivatives of |x1| are NaN at the kink, whatever the supplied
+        # value there, and agree with these tables elsewhere
+        coeffs = coefficients(1, 1, ["-x1"], ["0"], ["1"])
+        spec = LyapunovSpec(1, "abs(x1)", grad=["x1/abs(x1)"], hess=[["0"]])
+        with pytest.raises(ExprError, match=r"not finite at t=0.0, x=\[0.0\]"):
+            check_stability_conditions(spec, coeffs, BAND, self.REGION, {}, "nonpositive")
+
+    @pytest.mark.parametrize("v, dv", [
+        ("1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4",
+         {"dt": "0", "grad": ["x1 + x1^3", "x2"], "hess": [["1 + 3*x1^2", "0"], ["0", "1"]]}),
+        ("exp(-t)*(1 + x1^2 + x2^2)",
+         {"dt": "-exp(-t)*(1 + x1^2 + x2^2)", "grad": ["2*exp(-t)*x1", "2*exp(-t)*x2"],
+          "hess": [["2*exp(-t)", "0"], ["0", "2*exp(-t)"]]}),
+    ], ids=["time_free", "timed"])
+    def test_agreeing_tables_leave_reports_unchanged(self, v, dv):
+        coeffs = coefficients(2, 1, ["0", "0"], ["x2", "-x1 - x1^3 - x2"], ["0", "1"])
+        region = CheckRegion(2.0, [(-2, 2, 9), (-2, 2, 9)], exclude_r0=0.3, nt=3)
+        plain = condition_outcomes(LyapunovSpec(2, v), coeffs, BAND, region)
+        assert condition_outcomes(LyapunovSpec(2, v, mode="analytic", **dv),
+                                  coeffs, BAND, region) == plain
+        assert not any(o.startswith("SuppliedDerivativeError") for o in plain)
+
+    def test_mode_is_checked_but_changes_nothing(self):
+        with pytest.raises(ValueError, match="mode must be"):
+            LyapunovSpec(1, "x1^2", mode="symbolic")
+        a, b = LyapunovSpec(1, "x1^2", mode="analytic"), LyapunovSpec(1, "x1^2")
+        assert (a.dt_expr, a.grad_exprs, a.hess_exprs, a.supplied) == \
+            (b.dt_expr, b.grad_exprs, b.hess_exprs, {})
+
+
 # --- reference: the full (t, x) grid that time-free checks no longer evaluate
 
 
@@ -555,6 +595,7 @@ def full_grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
     v = spec.value(T, X)
     if vet is not None:
         vet(T, X, v)
+    spec.check_supplied(T, X)
     return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None), len(region.states())
 
 
@@ -569,7 +610,7 @@ def condition_outcomes(spec, coeffs, unc, region):
     for run in runs:
         try:
             out.append(json.dumps(run().to_json_dict()))
-        except (RegionError, ExprError) as e:
+        except (RegionError, ExprError, SuppliedDerivativeError) as e:
             out.append(f"{type(e).__name__}: {e}")
     return out
 
@@ -595,12 +636,13 @@ def time_checks(draw):
 
     v_timed, coeff_timed = draw(st.booleans()), draw(st.booleans())
     v = f"{draw(st.sampled_from(['0', '2']))} + {term(v_timed)} + {term(v_timed)}"
+    spec = LyapunovSpec(n, v, nonneg=draw(st.booleans()))
     if draw(st.booleans()):
-        spec = LyapunovSpec(n, v, mode="finite_difference", nonneg=draw(st.booleans()))
-    else:
-        spec = LyapunovSpec(n, v, mode="analytic", dt=term(v_timed),
-                            grad=[term(v_timed) for _ in range(n)],
-                            hess=[[term(v_timed) for _ in range(n)] for _ in range(n)])
+        # hand-written tables: V's derivatives as a user would write them
+        spec = LyapunovSpec(n, v, mode="analytic", nonneg=spec.nonneg,
+                            dt=spec.dt_expr.to_source(),
+                            grad=[e.to_source() for e in spec.grad_exprs],
+                            hess=[[e.to_source() for e in row] for row in spec.hess_exprs])
     coeffs = coefficients(n, d, [term(coeff_timed) for _ in range(n)],
                           [[[term(coeff_timed) for _ in range(d)] for _ in range(d)]
                            for _ in range(n)],

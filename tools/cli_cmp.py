@@ -114,10 +114,19 @@ def cases() -> dict:
         "t_start": {"region": {**duffing_band["region"], "t": [3, 5]}},
         "t_negative": {"region": {**duffing_band["region"], "t": [0, -2]}},
         "box_missing": {"region": {"t": [0, 2]}},
+        "params_text": {"params": "x"},
+        "nonneg_text": {"nonneg": "false"},
+        "dv_text": {"dV": "x"},
     }
     for name, override in errors.items():
         out[f"lyapunov_error_{name}"] = ("lyapunov", {**duffing_band, **override})
     out["lyapunov_error_kink"] = ("lyapunov", kink)
+    # dX = 0.5X dt grows, yet a wrong-sign gradient of V = x^2 makes LV = -x^2
+    out["lyapunov_error_dv_sign"] = ("lyapunov", {
+        "system": {**EXACT, "f": ["0.5*x1"], "h": ["0"], "g": ["0"]}, "V": "x1^2",
+        "mode": "analytic", "dV": {"grad": ["-2*x1"], "hess": [["2"]]},
+        "region": {"t": [0, 1], "box": [[-1, 1, 5]]}, "condition": "exp_stable",
+        "params": {"lambda": 0.5}})
 
     oscillator = {**DUFFING, "lipschitz_tag": "local", "f": ["x2", "-x1 - x1^3"],
                   "h": ["0", "-0.2*x2"], "g": ["0", "0.5*x1"]}
@@ -171,6 +180,10 @@ def cases() -> dict:
                                          "band": BAND, "P": [1.0], "mode": "stable"})
     out["linstab_unstable"] = ("linstab", {"n": 1, "F": [3.0], "H": [-1.0], "C": [1.0],
                                            "band": BAND, "P": [1.0], "mode": "unstable"})
+    # X_t = x0 exp(1.3t - 1.5<B>_t) decays in every scenario: no certificate
+    out["linstab_unstable_counterexample"] = ("linstab", {
+        "n": 1, "F": [1.3], "H": [-1.5], "C": [0.0], "band": BAND, "P": [1.0],
+        "mode": "unstable"})
     # under sigma^2 = 2 the second moment grows at rate +1: no certificate
     out["linstab_ms_counterexample"] = ("linstab", {"n": 1, "F": [-1.0], "H": [0.0],
                                                     "C": [1.5 ** 0.5], "band": BAND, "P": [3.0],
@@ -225,6 +238,12 @@ def cases() -> dict:
     out["simulate_error_policy_kind"] = variant("simulate_band", policy={"kind": 5})
     out["simulate_error_policy_theta"] = variant(
         "simulate_bangbang", policy={"kind": "bangbang_threshold", "theta": "x"})
+    out["simulate_error_hi_above_text"] = variant(
+        "simulate_bangbang", policy={"kind": "bangbang_threshold", "theta": 0.0,
+                                     "hi_above": "false"})
+    out["simulate_error_n_paths_float"] = variant("simulate_band", n_paths=2.7)
+    out["upper_error_family_n_float"] = variant("upper_band",
+                                                family={"kind": "constants_only", "n": 2.7})
     out["experiment_error_model_alpha"] = variant("experiment_moment_decay",
                                                   model={**model, "alpha": "x"})
     return out
