@@ -54,6 +54,8 @@ from .lyapunov import RegionError, SuppliedDerivativeError
 from .runio import config_hash, standard_comments, write_json, write_table
 
 SUBCOMMANDS = ("simulate", "upper", "gheat", "gsde", "lyapunov", "linstab", "experiment")
+# the numeric /params of gcalc lyapunov, read as float fields; others are ignored
+_CHECK_PARAMS = ("c_ly", "p", "c1", "c2", "lambda", "lam")
 
 
 class UsageError(Exception):
@@ -376,11 +378,12 @@ def cmd_lyapunov(args, cfg, comments):
     if region.n != n:
         raise UsageError(f"/region/box has {region.n} axes but the system has n={n}")
     condition = _fetch(cfg, "/condition", str)
-    params = _fetch(cfg, "/params", dict, required=False, default={})
+    params = {name: _fetch(cfg, f"/params/{name}", float)
+              for name in _fetch(cfg, "/params", dict, required=False, default={})
+              if name in _CHECK_PARAMS}
     try:
         if condition == "growth":
-            report = check_growth_condition(spec, coeffs, unc, region,
-                                            float(params.get("c_ly", 0.0)))
+            report = check_growth_condition(spec, coeffs, unc, region, params.get("c_ly", 0.0))
         elif condition == "find_cly":
             report = find_cly_detailed(spec, coeffs, unc, region)
         elif condition in ("sandwich", "nonpositive", "exp_stable", "exp_unstable"):
@@ -468,7 +471,8 @@ def cmd_experiment(args, cfg, comments):
                 system=model, unc=unc, p=_fetch(cfg, "/p", float), T=_fetch(cfg, "/T", float),
                 dt=_fetch(cfg, "/dt", float), family=family,
                 n_paths=_fetch(cfg, "/n_paths", int), seed=args.seed,
-                lam=cfg.get("lambda"), times=tuple(cfg.get("times", ())),
+                lam=_fetch(cfg, "/lambda", float, required=False),
+                times=tuple(cfg.get("times", ())),
             )
             runner = exp_mod.moment_decay_curve if kind == "moment_decay" else exp_mod.lyapunov_exponent
             result = runner(ecfg)

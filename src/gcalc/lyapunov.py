@@ -249,7 +249,10 @@ def _lipschitz_slack(values, region: CheckRegion, n_states: int):
     slack = 0.0
     for axis in range(1, grid_vals.ndim):
         if grid_vals.shape[axis] > 1:
-            slack = max(slack, 0.5 * float(np.max(np.abs(np.diff(grid_vals, axis=axis)))))
+            # two adjacent infinite values of one sign differ by nan
+            with np.errstate(invalid="ignore"):
+                step = np.diff(grid_vals, axis=axis)
+            slack = max(slack, 0.5 * float(np.max(np.abs(step))))
     return slack
 
 

@@ -9,9 +9,10 @@ random numbers across policies for free.  Paths come in a PathBatch; a
 single path is a one-path batch, and simulate_batch(..., n_paths=1,
 first_index=i) gives path i of any larger batch bit for bit.
 
-assemble builds B for either kind of set with one recursion: a choice
-check and an increment rule per kind, one cumsum for open-loop policies,
-one step loop for feedback policies, and one qvar build.
+Noise blocks and PathBatch arrays are step-major views: path-first
+shapes over (K, P, ...) storage.  assemble builds every batch with one
+step loop: a choice check and an increment rule per kind of set, and B and
+qvar accumulated row by row.
 
 Discrete integrals here and downstream are left-endpoint sums.
 """
@@ -26,6 +27,7 @@ from .uncertainty import CovarianceSet, SigmaBand, g_value
 
 _MASK64 = (1 << 64) - 1
 _EIG_CLAMP = 1e-12
+_NOISE_BLOCK = 64  # paths drawn per block in batch_noise
 
 
 class PolicyError(ValueError):
@@ -187,15 +189,18 @@ def path_noise(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
 def batch_noise(seed: int, first_index: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
     """Rows first_index .. first_index + n_paths - 1 of the noise stream,
     shape (n_paths, n_steps, d); row p equals path_noise(seed, first_index + p).
+    It is a view of (n_steps, n_paths, d) storage: noise[:, k] is contiguous.
 
     One Philox and one Generator serve the whole block.  A freshly keyed
     Philox has counter 0, the given key and an empty output buffer, and a
     Generator keeps no state of its own, so writing exactly that state
     into the bit generator before each row reproduces a new
     Generator(Philox(key=...)) bit for bit, without the per-path
-    construction cost (which dominates at the usual path lengths).
+    construction cost (which dominates at the usual path lengths).  Paths
+    are drawn into a small block, copied step-major while still in cache.
     """
-    out = np.empty((n_paths, n_steps, d))
+    out = np.empty((n_steps, n_paths, d))
+    block = np.empty((min(_NOISE_BLOCK, n_paths), n_steps, d))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     # key words are little-endian: (path index, seed), as in path_noise
@@ -204,11 +209,14 @@ def batch_noise(seed: int, first_index: int, n_paths: int, n_steps: int, d: int)
     fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
              "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     first_index = int(first_index)
-    for p in range(n_paths):
-        key[0] = (first_index + p) & _MASK64
-        bitgen.state = fresh
-        gen.standard_normal(out=out[p])
-    return out
+    for start in range(0, n_paths, _NOISE_BLOCK):
+        rows = block[:min(_NOISE_BLOCK, n_paths - start)]
+        for p, row in enumerate(rows, start):
+            key[0] = (first_index + p) & _MASK64
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
+        out[:, start:start + len(rows)] = rows.transpose(1, 0, 2)
+    return out.transpose(1, 0, 2)
 
 
 def _sqrt_factor(m: np.ndarray) -> np.ndarray:
@@ -222,7 +230,11 @@ def _sqrt_factor(m: np.ndarray) -> np.ndarray:
 
 
 class PathBatch:
-    """n_paths simulated under one policy with shared (seed, index) noise."""
+    """n_paths simulated under one policy with shared (seed, index) noise.
+
+    From assemble the arrays are step-major views, not C-contiguous: b[:, k]
+    is contiguous.  Elementwise results have the same bits as on a C-ordered
+    copy; an axis sum of a 2-d slice (np.sum(b[:, :, 0], axis=1)) may not."""
 
     def __init__(self, grid, unc, b, qvar, trace, choices, noise, seed, first_index, policy_descriptor):
         self.grid = grid
@@ -270,19 +282,24 @@ class PathBatch:
 
 def _choice(policy, k, b_k, aux, unc, n_paths, bang):
     """Step-k choices (n_paths,), checked against the set: variances under
-    a band, member indices under a covariance set."""
+    a band, member indices under a covariance set.  The policy's value is
+    checked before it is broadcast; an empty batch takes no choice, so it
+    checks none."""
     choice = policy.choose(k, b_k, aux)
     if isinstance(unc, CovarianceSet):
-        idx = np.broadcast_to(np.asarray(choice).astype(int), (n_paths,))
-        if np.any((idx < 0) | (idx >= len(unc))):
-            raise PolicyError(f"member index out of range at step {k}")
-        return idx
-    c = np.broadcast_to(np.asarray(choice, dtype=float), (n_paths,))
-    if bang:
-        if not np.all((c == unc.sigma2_lo) | (c == unc.sigma2_hi)):
-            raise PolicyError(f"bang-bang choice off the extremes at step {k}")
-    elif not np.all(unc.contains(c)):
-        raise PolicyError(f"variance choice outside the band at step {k}")
+        c = np.asarray(choice).astype(int)
+        ok, what = np.all((c >= 0) & (c < len(unc))), "member index out of range"
+    else:
+        c = np.asarray(choice, dtype=float)
+        if bang:
+            ok = np.all((c == unc.sigma2_lo) | (c == unc.sigma2_hi))
+            what = "bang-bang choice off the extremes"
+        else:
+            ok, what = np.all(unc.contains(c)), "variance choice outside the band"
+    if c.shape != (n_paths,):
+        c = np.broadcast_to(c, (n_paths,))
+    if n_paths and not ok:
+        raise PolicyError(f"{what} at step {k}")
     return c
 
 
@@ -293,16 +310,14 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
     The step recursion is B_{k+1} = B_k + incr_k with incr_k = sqrt(c_k dt) Z_k
     under a SigmaBand (c_k the chosen variance) and sqrt(dt) L_k Z_k under a
     CovarianceSet (L_k L_k^T the chosen member); qvar accumulates
-    gamma_k * dt.  B values up to step k depend only on noise before step k
-    (adaptedness by construction).
+    gamma_k * dt (its first step is gamma_0 * dt itself, not 0 + gamma_0 * dt).
+    B values up to step k depend only on noise before step k (adaptedness
+    by construction).
 
-    ConstantPolicy and PiecewiseConstantPolicy (exactly those types; a
-    subclass may override choose) are open loop: their choices never look
-    at B or aux, so all of them are taken and checked step by step first,
-    and B is one cumsum of the increments behind a leading 0.  That performs
-    the same floating-point additions in the same order as B_k + incr_k, so
-    both give the same bits.  Every other policy is feedback and runs the
-    step loop.  Under a band ``trace`` is a read-only view of ``choices``.
+    Every policy runs one step loop over step-major arrays, so each step
+    reads and writes contiguous (P, ...) rows; the batch holds transposed
+    views of them, and under a band ``trace`` is a read-only view of
+    ``choices``.
     """
     band = isinstance(unc, SigmaBand)
     if not (band or isinstance(unc, CovarianceSet)):
@@ -314,60 +329,42 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
     n_paths, n_steps, _ = noise.shape
     dt = grid.dt
 
+    ck = np.empty((n_steps, n_paths))
     if band:
+        tk = ck[:, :, None, None]
+
         def increment(c, z, out):
-            # on squeezed rows: (P,) or (P, K) instead of a trailing axis of 1
-            np.multiply(np.sqrt(c * dt), z[..., 0], out=out[..., 0])
+            np.multiply(np.sqrt(c * dt), z[:, 0], out=out[:, 0])
     else:
+        tk = np.empty((n_steps, n_paths, d, d))
+        members = unc.member_stack()
         factors = np.stack([_sqrt_factor(m) for m in unc.members])
         sqdt = np.sqrt(dt)
 
         def increment(c, z, out):
-            np.einsum("...ij,...j->...i", factors[c], z, out=out)
+            np.einsum("pij,pj->pi", factors[c], z, out=out)
             np.multiply(sqdt, out, out=out)
 
     bang = isinstance(policy, BangBangPolicy)
-    if type(policy) in (ConstantPolicy, PiecewiseConstantPolicy):
-        cs = [_choice(policy, k, None, None, unc, n_paths, bang) for k in range(n_steps)]
-        if n_paths and all(c.strides == (0,) for c in cs):
-            # one choice per step for every path: work on that (K,) row
-            c = np.array([c[0] for c in cs])
-        else:
-            c = np.stack(cs, axis=1)
-        choices = np.empty((n_paths, n_steps))
-        choices[...] = c
-        b = np.zeros((n_paths, n_steps + 1, d))
-        increment(c, noise, b[:, 1:])
-        np.cumsum(b, axis=1, out=b)
-    else:
-        # step-major scratch, so the rule reads and the update writes
-        # contiguous (P, d) rows instead of rows strided by the path length.
-        # The noise is read in place: a transposed copy costs as much as the
-        # strided reads it saves.  Rows are indexed, not bound to names, so
-        # no view outlives the loop and ``del bk`` frees the scratch.
-        bk = np.zeros((n_steps + 1, n_paths, d))
-        ck = np.empty((n_steps, n_paths))
-        aux = policy.init_aux(n_paths)
-        for k in range(n_steps):
-            c = ck[k] = _choice(policy, k, bk[k], aux, unc, n_paths, bang)
-            increment(c, noise[:, k], bk[k + 1])
-            np.add(bk[k], bk[k + 1], out=bk[k + 1])
-            aux = policy.update_aux(k, bk[k + 1], aux)
-        b = np.ascontiguousarray(bk.transpose(1, 0, 2))
-        del bk
-        choices = np.ascontiguousarray(ck.T)
-        del ck
+    bk = np.zeros((n_steps + 1, n_paths, d))
+    qk = np.zeros((n_steps + 1, n_paths, d, d))
+    aux = policy.init_aux(n_paths)
+    for k in range(n_steps):
+        c = ck[k] = _choice(policy, k, bk[k], aux, unc, n_paths, bang)
+        if not band:
+            tk[k] = members[c]
+        increment(c, noise[:, k], bk[k + 1])
+        np.add(bk[k], bk[k + 1], out=bk[k + 1])
+        np.multiply(tk[k], dt, out=qk[k + 1])
+        if k:
+            np.add(qk[k], qk[k + 1], out=qk[k + 1])
+        aux = policy.update_aux(k, bk[k + 1], aux)
 
+    trace = tk.transpose(1, 0, 2, 3)
     if band:
-        trace = choices[:, :, None, None]
         trace.flags.writeable = False
-    else:
-        trace = unc.member_stack()[choices.astype(int)]
-    qvar = np.zeros((n_paths, n_steps + 1, d, d))
-    dqv = qvar[:, 1:]
-    np.multiply(trace, dt, out=dqv)
-    np.cumsum(dqv, axis=1, out=dqv)
-    return PathBatch(grid, unc, b, qvar, trace, choices, noise, seed, first_index, policy.describe())
+    return PathBatch(grid, unc, bk.transpose(1, 0, 2), qk.transpose(1, 0, 2, 3), trace, ck.T,
+                     noise, seed, first_index, policy.describe())
 
 
 def simulate_batch(policy, unc, grid, seed, n_paths, first_index=0) -> PathBatch:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,17 @@ class TestExitCodes:
         ("upper", UPPER_OK | {"family": {"kind": "constants_only", "n": 2.7}}, "/family/n"),
         ("lyapunov", WRONG_SIGN, "/dV/grad/0"),
         ("lyapunov", LYAPUNOV_OK | {"dV": "x"}, "/dV"),
+        ("lyapunov", GROWING | {"params": {"lambda": True}}, "/params/lambda"),
+        ("lyapunov", GROWING | {"params": {"lam": "0.5"}}, "/params/lam"),
+        ("lyapunov", LYAPUNOV_OK | {"params": {"c_ly": "1.0"}}, "/params/c_ly"),
+        ("lyapunov", LYAPUNOV_OK | {"condition": "sandwich",
+                                    "params": {"p": True, "c1": 0.5, "c2": 3.0}}, "/params/p"),
+        ("lyapunov", LYAPUNOV_OK | {"condition": "sandwich",
+                                    "params": {"p": 2.0, "c1": "0.5", "c2": 3.0}}, "/params/c1"),
+        ("lyapunov", LYAPUNOV_OK | {"condition": "sandwich",
+                                    "params": {"p": 2.0, "c1": 0.5, "c2": False}}, "/params/c2"),
+        ("experiment", MOMENT_DECAY_OK | {"lambda": True}, "/lambda"),
+        ("experiment", MOMENT_DECAY_OK | {"lambda": "0.5"}, "/lambda"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -253,7 +265,10 @@ class TestExitCodes:
             "lyapunov_t_start", "lyapunov_t_negative", "lyapunov_nt_float", "lyapunov_nt_string",
             "lyapunov_exclude_r0_string", "lyapunov_exclude_r0_bool", "lyapunov_params_text",
             "lyapunov_nonneg_text", "simulate_hi_above_text", "simulate_n_paths_float",
-            "upper_family_n_float", "lyapunov_dv_sign", "lyapunov_dv_text"])
+            "upper_family_n_float", "lyapunov_dv_sign", "lyapunov_dv_text",
+            "lyapunov_lambda_bool", "lyapunov_lam_string", "lyapunov_c_ly_string",
+            "lyapunov_p_bool", "lyapunov_c1_string", "lyapunov_c2_bool",
+            "experiment_lambda_bool", "experiment_lambda_string"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
@@ -304,6 +319,17 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "g_cert.json").read_text())
         assert doc["kind"] == "ms_unstable" and set(doc["details"]) == {"lambda_min_lo",
                                                                         "lambda_min_hi"}
+
+    def test_infinite_grid_values_emit_no_warning(self, tmp_path, capsys):
+        # V is infinite on the x1 = 0 line: adjacent grid values differ by nan
+        cfg = LYAPUNOV_OK | {"V": "2 + x2^2 + 1/x1^2", "condition": "sandwich",
+                             "params": {"p": 2.0, "c1": 0.5, "c2": 3.0},
+                             "region": {"t": [0, 1], "box": [[-1, 1, 3], [-1, 1, 3]]}}
+        path = write_cfg(tmp_path, "s.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["lyapunov", "--config", path])
+        assert "Warning" not in capsys.readouterr().err
 
     def test_schema_violation_names_pointer(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {

@@ -9,16 +9,24 @@ from gcalc import (
     BangBangPolicy,
     ConstantPolicy,
     CovarianceSet,
+    ExperimentConfig,
+    GeometricModel,
+    PathBatch,
     PiecewiseConstantPolicy,
     PolicyError,
+    PolicyFamily,
     SigmaBand,
     TimeGrid,
+    closed_form_geometric,
+    estimate_upper,
+    moment_decay_curve,
     qv_compensation_check_batch,
     path_noise,
     qvar_bounds_check_batch,
     simulate_batch,
     threshold_bangbang,
 )
+from gcalc import upper_expectation
 from gcalc.runio import write_table
 from gcalc.scenario import (UnsupportedDimensionError, _gap_scan, _sqrt_factor, assemble,
                             batch_noise)
@@ -57,6 +65,19 @@ class TestNoise:
         block = batch_noise(9, 4, 3, 8, 2)
         for p in range(3):
             assert np.array_equal(block[p], path_noise(9, 4 + p, 8, 2))
+
+    # path counts on both sides of batch_noise's 64-path block edges
+    @pytest.mark.parametrize("n_paths", [63, 64, 65, 129])
+    def test_batch_matches_per_path_across_blocks(self, n_paths):
+        block = batch_noise(9, 4, n_paths, 8, 2)
+        assert block.shape == (n_paths, 8, 2)
+        for p in range(n_paths):
+            assert np.array_equal(block[p], path_noise(9, 4 + p, 8, 2))
+
+    def test_batch_is_step_major(self):
+        block = batch_noise(9, 4, 65, 8, 2)
+        assert not block.flags.c_contiguous
+        assert all(block[:, k].flags.c_contiguous for k in range(8))
 
     # sha256 of batch_noise(seed, first_index, n_paths, n_steps, d) as
     # little-endian float64.  A mismatch means the noise stream changed:
@@ -329,10 +350,92 @@ class TestAssembleEquivalence:
             assemble(policy, unc, grid, noise)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("policy,unc", [(ConstantPolicy(value=3.0), BAND),
+                                            (threshold_bangbang(BAND, 0.0), BAND),
+                                            (ConstantPolicy(index=5), CSET)],
+                             ids=["off_band_constant", "feedback", "set_out_of_range"])
+    def test_empty_batch(self, policy, unc):
+        # no path takes a choice, so none is checked
+        grid = TimeGrid(1.0, 6)
+        batch = assemble(policy, unc, grid, batch_noise(0, 0, 0, grid.n_steps, unc.dim))
+        d = unc.dim
+        assert len(batch) == 0
+        assert batch.b.shape == (0, 7, d) and batch.qvar.shape == (0, 7, d, d)
+        assert batch.trace.shape == (0, 6, d, d) and batch.choices.shape == (0, 6)
+
+    def test_arrays_are_step_major_views(self):
+        grid = TimeGrid(1.0, 8)
+        for policy, unc in ((ConstantPolicy(value=1.5), BAND), (ConstantPolicy(index=1), CSET)):
+            batch = simulate_batch(policy, unc, grid, seed=0, n_paths=5)
+            for name in ("b", "qvar", "trace", "choices", "noise"):
+                arr = getattr(batch, name)
+                assert not arr.flags.c_contiguous, name
+                assert arr[:, 3].flags.c_contiguous, name
+
     def test_d1_trace_is_read_only_view(self):
         batch = simulate_batch(ConstantPolicy(value=1.5), BAND, TimeGrid(1.0, 8), seed=0, n_paths=3)
         assert np.shares_memory(batch.trace, batch.choices)
         assert not batch.trace.flags.writeable
+
+
+def reference_batch(policy, unc, grid, noise, seed=0, first_index=0):
+    """assemble's signature and result type, built from reference_assemble's
+    C-ordered arrays."""
+    b, qvar, trace, choices = reference_assemble(policy, unc, grid, noise)
+    return PathBatch(grid, unc, b, qvar, trace, choices, np.ascontiguousarray(noise), seed,
+                     first_index, policy.describe())
+
+
+class TestStepMajorEstimates:
+    """Above numpy's 8192-element reduction buffer, where a strided and a
+    contiguous reduction can round differently, estimates from step-major
+    batches keep the bits of estimates from C-ordered ones."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(upper_expectation, "assemble", reference_batch)
+            want = run()
+        return got, want
+
+    @staticmethod
+    def payoff(batch):
+        # terminal values as raw views, a running max and a qvar functional
+        return np.column_stack([batch.b[:, -1, 0], batch.b[:, -1, 0] ** 2,
+                                np.max(np.abs(batch.b[:, :, 0]), axis=1),
+                                np.exp(batch.b[:, 4, 0] - 0.5 * batch.qvar[:, 4, 0, 0])])
+
+    @pytest.mark.parametrize("n_paths", [10_000, 25_000])
+    @pytest.mark.parametrize("family", [PolicyFamily.constants_only(3),
+                                        PolicyFamily.bangbang_threshold([-0.5, 0.0, 0.5])],
+                             ids=["open_loop", "feedback"])
+    def test_estimate_upper(self, monkeypatch, family, n_paths):
+        grid = TimeGrid(1.0, 10)
+
+        def run():
+            reports = estimate_upper(self.payoff, family, BAND, grid, n_paths, seed=3)
+            single = estimate_upper(lambda batch: batch.b[:, -1, 0], family, BAND, grid,
+                                    n_paths, seed=3)
+            return [r.to_json() for r in reports + [single]]
+
+        got, want = self.both(monkeypatch, run)
+        assert got == want
+
+    @pytest.mark.parametrize("n_paths", [10_000, 25_000])
+    def test_closed_form_geometric(self, monkeypatch, n_paths):
+        model = GeometricModel(alpha=-1.0, beta=0.2, gamma=0.5, x0=1.0)
+        grid = TimeGrid(1.0, 10)
+        noise = batch_noise(5, 0, n_paths, grid.n_steps, 1)
+        for policy in (ConstantPolicy(value=1.5), threshold_bangbang(BAND, 0.0)):
+            got, want = (closed_form_geometric(model.alpha, model.beta, model.gamma, model.x0,
+                                               build(policy, BAND, grid, noise))
+                         for build in (assemble, reference_batch))
+            assert _same_bits(got.x, want.x)
+        cfg = ExperimentConfig(system=model, unc=BAND, p=2.0, T=1.0, dt=0.1,
+                               family=PolicyFamily.extreme_constants(), n_paths=n_paths, seed=5)
+        got, want = self.both(monkeypatch, lambda: moment_decay_curve(cfg).rows)
+        assert repr(got) == repr(want)
 
 
 class TestQvarBounds:

@@ -117,6 +117,9 @@ def cases() -> dict:
         "params_text": {"params": "x"},
         "nonneg_text": {"nonneg": "false"},
         "dv_text": {"dV": "x"},
+        "lambda_bool": {"condition": "exp_stable", "params": {"lambda": True}},
+        "c_ly_string": {"params": {"c_ly": "1.0"}},
+        "p_string": {"condition": "sandwich", "params": {"p": "2", "c1": 0.5, "c2": 3.0}},
     }
     for name, override in errors.items():
         out[f"lyapunov_error_{name}"] = ("lyapunov", {**duffing_band, **override})
@@ -127,6 +130,11 @@ def cases() -> dict:
         "mode": "analytic", "dV": {"grad": ["-2*x1"], "hess": [["2"]]},
         "region": {"t": [0, 1], "box": [[-1, 1, 5]]}, "condition": "exp_stable",
         "params": {"lambda": 0.5}})
+
+    # V is infinite on the x1 = 0 line, so adjacent grid values differ by nan
+    out["lyapunov_singular_sandwich"] = ("lyapunov", {
+        "system": DUFFING, "V": "2 + x2^2 + 1/x1^2", "region": {"t": [0, 1], "box": [[-1, 1, 3]] * 2},
+        "condition": "sandwich", "params": CONDITIONS["sandwich"]})
 
     oscillator = {**DUFFING, "lipschitz_tag": "local", "f": ["x2", "-x1 - x1^3"],
                   "h": ["0", "-0.2*x2"], "g": ["0", "0.5*x1"]}
@@ -246,6 +254,8 @@ def cases() -> dict:
                                                 family={"kind": "constants_only", "n": 2.7})
     out["experiment_error_model_alpha"] = variant("experiment_moment_decay",
                                                   model={**model, "alpha": "x"})
+    out["experiment_error_lambda_bool"] = variant("experiment_moment_decay", **{"lambda": True})
+    out["experiment_error_lambda_string"] = variant("experiment_moment_decay", **{"lambda": "0.5"})
     return out
 
 
