@@ -8,9 +8,14 @@ difference forced to zero (linear extrapolation), which is adequate when
 the domain is padded well beyond the diffusion range of the data.
 
 Every solve runs one march: all nt steps in place, with numpy's out= into
-scratch allocated once per march.  A step applies the ufuncs
-d2 = ((r - 2c) + l) / dx^2 and c += dt * G(d2) in that order, G being
-uncertainty.g_scalar, so the bits are those of the plain array expression.
+scratch allocated once per march.  A step is eleven ufunc calls in this
+order: d2 = ((r - 2c) + l) / dx^2 (multiply, subtract, add, true_divide),
+G(d2) = 0.5 * (max(hi*d2, lo*d2) + 0.0) (two multiplies, maximum, add,
+multiply; uncertainty.g_scalar, the one temporary being lo*d2), then
+c += dt * G(d2) (multiply, add), so the bits are those of the plain array
+expression.  On a row of a few thousand cells each call costs one to two
+microseconds of numpy overhead, far more than its arithmetic, so the
+count of calls sets the cost of a step.
 A stack of value rows (the inner stage of solve_two_step) is marched in
 blocks of rows that fit a per-core L2 cache, each copied to column-major
 order so that every ufunc runs on contiguous memory; rows do not interact,

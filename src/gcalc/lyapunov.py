@@ -22,6 +22,8 @@ origin, so L V is not finite there: exclude a ball around 0 via the region.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr as expr_mod
@@ -192,7 +194,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
+        return math.isfinite(self.max_violation) and self.max_violation <= self.tolerance
 
     @property
     def verdict(self) -> str:
@@ -256,9 +258,19 @@ def _lipschitz_slack(values, region: CheckRegion, n_states: int):
     return slack
 
 
+def _finite_max_abs(values) -> float:
+    """Largest |value| over the finite entries (0 if none), so that an
+    infinite V cannot make a tolerance infinite."""
+    m = float(np.max(np.abs(values)))
+    if math.isfinite(m):
+        return m
+    return float(np.max(np.abs(values[np.isfinite(values)]), initial=0.0))
+
+
 def _report(condition, violations, T, X, n_states, vscale, region, extra=None):
-    """The report of the largest violation; the grid size counts every
-    (t, x) point of the region, including time slices left unevaluated."""
+    """The report of the largest violation, with tolerance 1e-9 (1 + vscale);
+    the grid size counts every (t, x) point of the region, including time
+    slices left unevaluated."""
     idx = int(np.argmax(violations))
     tol = 1e-9 * (1.0 + vscale)
     diag = dict(extra or {})
@@ -299,7 +311,8 @@ def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
 
 def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
                            region: CheckRegion, c_ly: float) -> CheckReport:
-    """Grid max of L V - c_ly V; passes when <= 1e-9*(1 + max|V|)."""
+    """Grid max of L V - c_ly V; passes when finite and <= 1e-9*(1 + max|V|),
+    the max over the finite values of V."""
     if c_ly < 0:
         raise ValueError("c_ly must be >= 0")
 
@@ -310,8 +323,7 @@ def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
 
     T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
     violations = lv - c_ly * v
-    return _report(f"LV <= {c_ly:g} V", violations, T, X, n_states, float(np.max(np.abs(v))),
-                   region)
+    return _report(f"LV <= {c_ly:g} V", violations, T, X, n_states, _finite_max_abs(v), region)
 
 
 def find_cly(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: CheckRegion,
@@ -333,7 +345,7 @@ def find_cly_detailed(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: C
     T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
     ratios = lv / v
     raw = float(np.max(ratios))
-    return _report("min c with LV <= c V", ratios, T, X, n_states, float(np.max(np.abs(v))),
+    return _report("min c with LV <= c V", ratios, T, X, n_states, _finite_max_abs(v),
                    region, extra={"raw": raw, "clipped": max(raw, 0.0)})
 
 
@@ -352,7 +364,7 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
     if which not in _CONDITIONS:
         raise ValueError(f"which must be one of {_CONDITIONS}")
     T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, with_lv=which != "sandwich")
-    vscale = float(np.max(np.abs(v)))
+    vscale = _finite_max_abs(v)
     if which == "sandwich":
         p = float(params["p"])
         c1, c2 = float(params["c1"]), float(params["c2"])
@@ -361,7 +373,7 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
         xp = np.linalg.norm(X, axis=-1) ** p
         violations = np.maximum(c1 * xp - v, v - c2 * xp)
         return _report(f"{c1:g}|x|^{p:g} <= V <= {c2:g}|x|^{p:g}", violations, T, X,
-                       n_states, max(vscale, float(np.max(xp))), region)
+                       n_states, max(vscale, _finite_max_abs(xp)), region)
     if which == "nonpositive":
         return _report("LV <= 0", lv, T, X, n_states, vscale, region)
     lam = float(params["lam"] if "lam" in params and "lambda" not in params else params["lambda"])

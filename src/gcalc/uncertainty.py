@@ -114,19 +114,24 @@ class CovarianceSet:
 
 
 def g_scalar(band: SigmaBand, a, out=None):
-    """G(a) = (hi*a_plus - lo*a_minus)/2, elementwise on arrays.
+    """G(a) = 0.5 * (max(hi*a, lo*a) + 0.0), elementwise on arrays.
 
-    This is the closed form of (1/2)*sup over sigma^2 in [lo, hi] of sigma^2*a.
+    This is the closed form of (1/2)*sup over sigma^2 in [lo, hi] of
+    sigma^2*a, bit for bit the same as (hi*a_plus - lo*a_minus)/2 in five
+    ufuncs and one temporary.  Since lo > 0 and rounding is monotone, hi*a
+    >= lo*a exactly when a >= 0, so max picks the rounded product the
+    a_plus/a_minus form keeps.  That form's difference is never -0.0, while
+    the max is -0.0 at a = -0.0 and where lo*a underflows to -0.0; adding
+    +0.0 turns exactly those into +0.0 and leaves every other value alone.
+    A halving that underflows to -0.0 (a = -5e-324) happens in both forms.
     As for a numpy ufunc, out (which may be a itself) receives the result;
     the same operations run with or without it, so the bits are the same.
     """
     a = np.asarray(a, dtype=float)
-    minus = np.negative(a, out=np.empty(a.shape))
-    np.maximum(minus, 0.0, out=minus)
-    np.multiply(band.sigma2_lo, minus, out=minus)
-    val = np.maximum(a, 0.0, out=np.empty(a.shape) if out is None else out)
-    np.multiply(band.sigma2_hi, val, out=val)
-    np.subtract(val, minus, out=val)
+    low = np.multiply(band.sigma2_lo, a)
+    val = np.multiply(band.sigma2_hi, a, out=np.empty(a.shape) if out is None else out)
+    np.maximum(val, low, out=val)
+    np.add(val, 0.0, out=val)
     np.multiply(0.5, val, out=val)
     return float(val) if val.ndim == 0 else val
 

@@ -331,6 +331,20 @@ class TestExitCodes:
             main(["lyapunov", "--config", path])
         assert "Warning" not in capsys.readouterr().err
 
+    def test_infinite_v_fails_with_a_finite_tolerance(self, tmp_path, capsys):
+        # V = inf on the x1 = 0 line violates V <= 3|x|^2 by inf; the
+        # tolerance scale is the largest finite |V| or |x|^2, here 4
+        cfg = LYAPUNOV_OK | {"V": "2 + x2^2 + 1/x1^2", "condition": "sandwich",
+                             "params": {"p": 2.0, "c1": 0.5, "c2": 3.0},
+                             "region": {"t": [0, 1], "box": [[-1, 1, 3], [-1, 1, 3]]}}
+        out = tmp_path / "rep.json"
+        assert main(["lyapunov", "--config", write_cfg(tmp_path, "s.json", cfg),
+                     "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "fail" and doc["max_violation"] == float("inf")
+        assert doc["tolerance"] == 1e-9 * (1.0 + 4.0)
+        assert "check failed" in capsys.readouterr().err
+
     def test_schema_violation_names_pointer(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
             "band": [1.0, 2.0], "policy": {"kind": "constant", "value": 2.0},

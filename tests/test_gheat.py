@@ -282,6 +282,56 @@ class TestMarchBits:
         assert _bits(v) == _bits(_ref_terminal(BAND, payload, grid))
 
 
+# payload entries that reach G's signed zeros and subnormal products
+TINY = [0.0, -0.0, 5e-324, -5e-324, 3e-323, -1.5e-323, 1e-310, -1e-310,
+        2.2250738585072014e-308, -2.2250738585072014e-308]
+
+
+def _tiny_stack(rows, nx, seed):
+    """Rows of TINY entries, except every eighth row from row 4 on: a smooth profile."""
+    rng = np.random.default_rng(seed)
+    v = rng.choice(TINY, size=(rows, nx))
+    x = np.linspace(-1.0, 1.0, nx)
+    v[4::8] = np.maximum(1.0 - 4.0 * np.abs(x), 0.0) * rng.uniform(-1.0, 1.0, (len(v[4::8]), 1))
+    return v
+
+
+def _unit_grid(band, nx, nt):
+    """Grid of spacing 1, so that d2 keeps its neighbours' subnormal size
+    and lo * d2 can underflow to -0.0 next to a -0.0 cell."""
+    half = 0.5 * (nx - 1)
+    return SpaceTimeGrid(-half, half, nx, 0.5 * nt / band.sigma2_hi, nt)
+
+
+class TestMarchTinyValues:
+    """The march with signed zeros and subnormals is the reference step
+    loop bit for bit, on one row and on stacks of several default blocks."""
+
+    # a -0.0 cell that G's sign decides stays -0.0 or turns +0.0 at once, and
+    # diffusion from the larger entries covers it within a few steps
+    @pytest.mark.parametrize("nt", [1, 2, 30])
+    @pytest.mark.parametrize("band", [BAND, SigmaBand(1.5, 1.5), SigmaBand(0.01, 4.0)])
+    def test_single_row(self, band, nt):
+        grid = _unit_grid(band, 401, nt)
+        payload = _tiny_stack(1, 401, 3)[0]
+        v = payload.copy()
+        gheat._march(v, band, grid.dt, grid.dx, grid.nt)
+        assert _bits(v) == _bits(_ref_terminal(band, payload, grid))
+
+    @pytest.mark.parametrize("band", [BAND, SigmaBand(0.01, 4.0)])
+    @pytest.mark.parametrize("rows", ["square", "three_blocks_and_one"])
+    def test_stacks_past_one_block(self, rows, band):
+        nx = 401
+        width = gheat._BLOCK_BYTES // (8 * nx)
+        rows = nx if rows == "square" else 3 * width + 1
+        grid = _unit_grid(band, nx, 8)
+        payload = _tiny_stack(rows, nx, 4)
+        v = payload.copy()
+        gheat._march(v, band, grid.dt, grid.dx, grid.nt)
+        assert len(payload) > width
+        assert _bits(v) == _bits(_ref_terminal(band, payload, grid))
+
+
 class TestGScalarOut:
     A = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310,
                   -1e-310, 1.5, -2.5, 1e308, -1e308])

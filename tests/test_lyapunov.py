@@ -229,6 +229,21 @@ class TestStabilityConditions:
         report = check_stability_conditions(spec, coeffs, BAND, region, {}, "nonpositive")
         assert report.passed
 
+    def test_infinite_v_sets_no_tolerance(self):
+        # V = inf at x1 = 0: the tolerance scale is max |V| over the finite
+        # values, 1 + 1 = 2 at x1 = +-1, and the infinite violation fails
+        spec = LyapunovSpec(1, "1 + 1/x1^2")
+        region = CheckRegion(1.0, [(-1, 1, 3)])
+        report = check_stability_conditions(spec, None, BAND, region,
+                                            {"p": 2.0, "c1": 0.5, "c2": 3.0}, "sandwich")
+        assert report.max_violation == np.inf and report.tolerance == 1e-9 * 3.0
+        assert not report.passed and report.verdict == "fail"
+
+    @pytest.mark.parametrize("violation", [np.inf, -np.inf, np.nan])
+    def test_non_finite_violation_never_passes(self, violation):
+        for tol in (1e-9, np.inf):
+            assert not lyapunov_mod.CheckReport("c", violation, 0.0, [0.0], tol, 1).passed
+
     def test_parameter_validation(self):
         coeffs, spec, region = self.linear_system(-3.0)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcalc import CovarianceSet, DimensionMismatchError, SigmaBand, g_matrix, g_scalar, g_value, load_uncertainty
 
@@ -66,6 +67,75 @@ class TestGScalar:
             endpoints = 0.5 * max(0.7 * a, 3.1 * a)
             assert interval == pytest.approx(endpoints, abs=1e-12)
             assert g_scalar(band, a) == pytest.approx(endpoints, rel=1e-14)
+
+
+def ref_g_scalar(band, a, out=None):
+    """Reference: the (hi*a_plus - lo*a_minus)/2 form g_scalar computed
+    before its five-ufunc max form."""
+    a = np.asarray(a, dtype=float)
+    minus = np.negative(a, out=np.empty(a.shape))
+    np.maximum(minus, 0.0, out=minus)
+    np.multiply(band.sigma2_lo, minus, out=minus)
+    val = np.maximum(a, 0.0, out=np.empty(a.shape) if out is None else out)
+    np.multiply(band.sigma2_hi, val, out=val)
+    np.subtract(val, minus, out=val)
+    np.multiply(0.5, val, out=val)
+    return float(val) if val.ndim == 0 else val
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit where want is not NaN; NaN exactly where want is."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    bad = (got.view(np.uint64) != want.view(np.uint64)) & ~nan
+    assert not bad.any(), (got[bad][:5], want[bad][:5])
+
+
+G_BANDS = [SigmaBand(1.0, 2.0), SigmaBand(1.5, 1.5), SigmaBand(0.01, 4.0), SigmaBand(1e-300, 1e300)]
+# signed zeros, subnormals, the normal/subnormal boundary, near-overflow, inf, NaN
+G_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                      -2.2250738585072014e-308, 1e-300, -1e-300, 1e308, -1e308,
+                      1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf,
+                      np.nan, -np.nan, 1.0, -1.0])
+
+
+def random_doubles(n, seed):
+    """n random 64-bit patterns (every exponent equally likely) and the specials."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64)
+    return np.concatenate([bits.view(np.float64), G_SPECIAL])
+
+
+class TestGScalarBits:
+    """g_scalar's max form is the a_plus/a_minus form bit for bit."""
+
+    @pytest.mark.parametrize("band", G_BANDS)
+    def test_random_bit_patterns(self, band):
+        a = random_doubles(100_000, 11)
+        with np.errstate(all="ignore"):
+            assert_same_bits(g_scalar(band, a), ref_g_scalar(band, a))
+            # a strided view takes numpy's other inner loops
+            assert_same_bits(g_scalar(band, a[::3]), ref_g_scalar(band, a[::3]))
+
+    @pytest.mark.parametrize("band", G_BANDS)
+    def test_in_place_and_scalars(self, band):
+        a = random_doubles(2_000, 12)
+        with np.errstate(all="ignore"):
+            want = ref_g_scalar(band, a)
+            inplace = a.copy()
+            assert g_scalar(band, inplace, out=inplace) is inplace
+            assert_same_bits(inplace, want)
+            for x, w in zip(a[-len(G_SPECIAL) - 200:], want[-len(G_SPECIAL) - 200:]):
+                got = g_scalar(band, x)
+                assert type(got) is float
+                assert_same_bits(got, w)
+
+    @given(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(G_BANDS))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, a, band):
+        with np.errstate(all="ignore"):
+            assert_same_bits(g_scalar(band, a), ref_g_scalar(band, a))
+            assert_same_bits(g_scalar(band, np.array([a, -a])), ref_g_scalar(band, np.array([a, -a])))
 
 
 class TestGMatrix:

@@ -184,6 +184,18 @@ def cases() -> dict:
                                         "grid": {"x_lo": -8.0, "x_hi": 8.0, "nx": 161, "T": 1.0}})
     out["gheat_off_grid"] = ("gheat", {"band": BAND, "payoff": "x^2",
                                        "grid": {"x_lo": 1.0, "x_hi": 5.0, "nx": 41, "T": 1.0}})
+    # edge cases of G's bits: a far tail of subnormals and zeros, -0.0 cells
+    # (x > 0), a zero-width band and a band with a small lower variance
+    out["gheat_butterfly_tail"] = ("gheat", {"band": BAND, "payoff": "pos(1 - abs(x))",
+                                             "grid": {"x_lo": -80.0, "x_hi": 80.0, "nx": 3201,
+                                                      "T": 2.0}})
+    out["gheat_negative_zero"] = ("gheat", {"band": BAND, "payoff": "-(0*x)",
+                                            "grid": {"x_lo": -8.0, "x_hi": 8.0, "nx": 161, "T": 1.0}})
+    out["gheat_zero_width_band"] = ("gheat", {"band": [1.5, 1.5], "payoff": "pos(1 - abs(x))",
+                                              "grid": {"x_lo": -8.0, "x_hi": 8.0, "nx": 161,
+                                                       "T": 1.0}})
+    out["gheat_wide_band"] = ("gheat", {"band": [0.01, 4.0], "payoff": "pos(1 - abs(x))",
+                                        "grid": {"x_lo": -8.0, "x_hi": 8.0, "nx": 161, "T": 1.0}})
     out["linstab_stable"] = ("linstab", {"n": 1, "F": [-3.0], "H": [-1.0], "C": [1.0],
                                          "band": BAND, "P": [1.0], "mode": "stable"})
     out["linstab_unstable"] = ("linstab", {"n": 1, "F": [3.0], "H": [-1.0], "C": [1.0],
