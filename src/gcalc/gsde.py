@@ -14,17 +14,29 @@ A path that reaches R exhausts the schedule.
 Exit detection uses grid values only, a discretization bias that shrinks
 with dt.
 
+The one Euler pass gives everything localization reads.  The clamp
+computes each step's norms by np.linalg.norm's own arithmetic, and under a
+radius the pass keeps their running maximum step by step (np.maximum, as
+np.maximum.accumulate applies it), ending with the final state's norm; the
+solution is seeded with it.  Unclamped solutions compute it from the
+states when first read.
+
 The Euler step advances a contiguous (P, n) working state, which is
 copied into the solution array after each step, and evaluates f, h and g
 through their compiled expression tables.  A drift table whose entries
 are all the number +0.0 (as in oscillators driven through d<B>) is not
 evaluated: the step adds the scalar 0.0, which gives the same bits as
-adding 0.0 * dt.
+adding 0.0 * dt.  A table free of variables is filled once per solve.
+For d = 1 the h d<B> and g dB terms are products, h q + 0.0 and g z + 0.0:
+einsum sums its one term into a zeroed output, so adding +0.0 gives its
+bits (+0.0 where the bare product is -0.0).  d >= 2 contracts with einsum.
 
 Solvers take a PathBatch and return a SolutionBatch; a single path is a
 one-path batch.  integrate_batch and solve_localized_batch record
 non-finite states per row in diagnostics["blowup_steps"], while integrate
-and solve_localized raise BlowUpError for the lowest such row.
+and solve_localized raise BlowUpError for the lowest such row.  One flat
+isfinite screen of the whole solution runs first, and the per-row scan
+only when it fails.  A finite state whose norm overflows is no blow-up.
 """
 
 from __future__ import annotations
@@ -86,21 +98,22 @@ class CoefficientSet:
 
     def _env(self, t, x):
         """Bindings of t and the clamped state, and the state's leading shape."""
-        x = self._clamp(np.asarray(x, dtype=float))
+        x, _ = self._clamp(np.asarray(x, dtype=float))
         return expr_mod.bind(t, x), x.shape[:-1]
 
     def _clamp(self, x):
-        """x with the rows beyond the radius scaled onto it; x itself when
-        none is.  The norms are np.linalg.norm's own arithmetic."""
+        """(x with the rows beyond the radius scaled onto it, the rows'
+        norms); x itself when no row is beyond, and no norms when there is
+        no radius."""
         if self.radius is None:
-            return x
-        norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+            return x, None
+        norms = _norms(x)
         beyond = norms > self.radius
         if not beyond.any():
-            return x
+            return x, norms
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(beyond, self.radius / norms, 1.0)
-        return x * scale
+        return x * scale[..., None], norms
 
     def eval_f(self, t, x):
         return expr_mod.fill(self.f, *self._env(t, x))
@@ -199,6 +212,11 @@ def truncate(coeffs: CoefficientSet, radius: float) -> CoefficientSet:
     )
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """|x| along the last axis, by np.linalg.norm's own arithmetic."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _exit_steps(running_max: np.ndarray, radius: float) -> np.ndarray:
     """First step with |X| >= radius along the last axis, -1 where none.
 
@@ -209,11 +227,14 @@ def _exit_steps(running_max: np.ndarray, radius: float) -> np.ndarray:
 
 
 class SolutionBatch:
-    def __init__(self, grid: TimeGrid, x: np.ndarray, n0_used=None, diagnostics=None):
+    def __init__(self, grid: TimeGrid, x: np.ndarray, n0_used=None, diagnostics=None,
+                 running_max=None):
         self.grid = grid
         self.x = x  # (P, K+1, n)
         self.n0_used = n0_used
         self.diagnostics = dict(diagnostics or {})
+        if running_max is not None:  # the Euler pass's own, same bits as computed here
+            self.running_max = running_max
 
     def __len__(self):
         return self.x.shape[0]
@@ -235,7 +256,9 @@ class SolutionBatch:
         return _exit_steps(self.running_max, radius)
 
 
-def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid) -> np.ndarray:
+def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid):
+    """The (P, K+1, n) states and, for clamped coefficients, the (P, K+1)
+    running maximum of their norms (None otherwise)."""
     P = b.shape[0]
     K = grid.n_steps
     dt = grid.dt
@@ -246,28 +269,57 @@ def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid) -> np.ndarray:
     xk = np.empty((P, coeffs.n))  # the contiguous working state
     xk[...] = x0
     x[:, 0, :] = xk
+    # step-major, so each step writes a contiguous row
+    rmax = None if coeffs.radius is None else np.empty((K + 1, P))
     db = np.diff(b, axis=1)
     # the model's quadratic-variation increments are gamma_k dt exactly
     dqv = trace * dt
+    if coeffs.d == 1:  # products with einsum's bits (see the module docstring)
+        dqv = dqv[..., 0]
+
+        def h_term(h, q):
+            return np.multiply(h[..., 0, 0], q) + 0.0
+
+        def g_term(g, z):
+            return np.multiply(g[..., 0], z) + 0.0
+    else:
+        def h_term(h, q):
+            return np.einsum("pnij,pij->pn", h, q)
+
+        def g_term(g, z):
+            return np.einsum("pnj,pj->pn", g, z)
+
+    def values_at(tab):
+        """env -> tab's values; a table free of variables is filled once."""
+        if tab.free_variables:
+            return lambda env: expr_mod.fill(tab, env, (P,))
+        values = expr_mod.fill(tab, {}, (P,))
+        return lambda env: values
+
+    f_at, h_at, g_at = values_at(coeffs.f), values_at(coeffs.h), values_at(coeffs.g)
     t = grid.t
     # an all-+0.0 drift times a finite dt is +0.0 in every entry, and adding
     # the scalar +0.0 gives the same bits, so the drift is not evaluated
     fold_drift = coeffs.f.is_zero and np.isfinite(dt)
     for k in range(K):
-        env, shape = coeffs._env(t[k], xk)
-        fdt = 0.0 if fold_drift else expr_mod.fill(coeffs.f, env, shape) * dt
-        xk = (
-            xk
-            + fdt
-            + np.einsum("pnij,pij->pn", expr_mod.fill(coeffs.h, env, shape), dqv[:, k])
-            + np.einsum("pnj,pj->pn", expr_mod.fill(coeffs.g, env, shape), db[:, k])
-        )
+        xc, norms = coeffs._clamp(xk)
+        if rmax is not None:
+            np.maximum(rmax[k - 1] if k else norms, norms, out=rmax[k])
+        env = expr_mod.bind(t[k], xc)
+        fdt = 0.0 if fold_drift else f_at(env) * dt
+        xk = xk + fdt + h_term(h_at(env), dqv[:, k]) + g_term(g_at(env), db[:, k])
         x[:, k + 1, :] = xk
-    return x
+    if rmax is not None:
+        np.maximum(rmax[K - 1], _norms(xk), out=rmax[K])
+        rmax = rmax.T
+    return x, rmax
 
 
 def _blowup_steps(x: np.ndarray) -> dict:
-    """Row -> first step with a non-finite state, for rows that have one."""
+    """Row -> first step with a non-finite state, for rows that have one.
+    One flat screen first: the per-row scan runs only when it fails."""
+    if np.isfinite(x).all():
+        return {}
     bad = ~np.isfinite(x).all(axis=-1)
     rows = np.flatnonzero(bad.any(axis=1))
     return {int(i): int(k) for i, k in zip(rows, np.argmax(bad[rows], axis=1))}
@@ -292,10 +344,10 @@ def integrate(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
 
 
 def integrate_batch(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
-    x = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
+    x, running_max = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
     bad = _blowup_steps(x)
     diag = {"blowup_steps": bad} if bad else {}
-    return SolutionBatch(batch.grid, x, diagnostics=diag)
+    return SolutionBatch(batch.grid, x, diagnostics=diag, running_max=running_max)
 
 
 def _settle(running_max: np.ndarray, radii: tuple):

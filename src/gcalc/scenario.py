@@ -280,12 +280,14 @@ class PathBatch:
         return header, table
 
 
-def _choice(policy, k, b_k, aux, unc, n_paths, bang):
+_UNCHECKED = object()
+
+
+def _choice(choice, k, unc, n_paths, bang):
     """Step-k choices (n_paths,), checked against the set: variances under
     a band, member indices under a covariance set.  The policy's value is
     checked before it is broadcast; an empty batch takes no choice, so it
     checks none."""
-    choice = policy.choose(k, b_k, aux)
     if isinstance(unc, CovarianceSet):
         c = np.asarray(choice).astype(int)
         ok, what = np.all((c >= 0) & (c < len(unc))), "member index out of range"
@@ -349,8 +351,16 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
     bk = np.zeros((n_steps + 1, n_paths, d))
     qk = np.zeros((n_steps + 1, n_paths, d, d))
     aux = policy.init_aux(n_paths)
+    # the last scalar choice, whose checked row c is reused while the policy
+    # returns that same (immutable) object, as open-loop policies do while a
+    # value holds; arrays may change in place, so they are checked every step
+    last = _UNCHECKED
     for k in range(n_steps):
-        c = ck[k] = _choice(policy, k, bk[k], aux, unc, n_paths, bang)
+        choice = policy.choose(k, bk[k], aux)
+        if choice is not last:
+            c = _choice(choice, k, unc, n_paths, bang)
+            last = choice if isinstance(choice, (int, float, np.generic)) else _UNCHECKED
+        ck[k] = c
         if not band:
             tk[k] = members[c]
         increment(c, noise[:, k], bk[k + 1])

@@ -285,7 +285,7 @@ def _ref_solve_localized(coeffs, x0, path, schedule=None):
     schedule = schedule or TruncationSchedule.doubling()
     records = {}
     for radius in schedule.radii:
-        x = _euler(truncate(coeffs, radius), x0, path.b, path.trace, path.grid)[0]
+        x = _euler(truncate(coeffs, radius), x0, path.b, path.trace, path.grid)[0][0]
         bad = _ref_first_bad_step(x)
         if bad is not None:
             raise BlowUpError(bad, path.first_index)
@@ -310,7 +310,7 @@ def _ref_solve_localized_batch(coeffs, x0, batch, schedule=None):
     fractions = {}
     radii_used = []
     for radius in schedule.radii:
-        x = _euler(truncate(coeffs, radius), x0, batch.b, batch.trace, batch.grid)
+        x, _ = _euler(truncate(coeffs, radius), x0, batch.b, batch.trace, batch.grid)
         hit = np.maximum.accumulate(np.linalg.norm(x, axis=-1), axis=1) >= radius
         exits = np.argmax(hit, axis=1)
         exits[~hit.any(axis=1)] = -1
@@ -632,6 +632,19 @@ def _ref_euler(coeffs, x0, b, trace, grid):
     return x
 
 
+def _ref_blowup_steps(x):
+    """Reference: the per-row scan of non-finite states, run on every solve."""
+    bad = ~np.isfinite(x).all(axis=-1)
+    rows = np.flatnonzero(bad.any(axis=1))
+    return {int(i): int(k) for i, k in zip(rows, np.argmax(bad[rows], axis=1))}
+
+
+def _ref_running_max(x):
+    """Reference: the running maximum as SolutionBatch computes it from states."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.maximum.accumulate(np.linalg.norm(x, axis=-1), axis=1)
+
+
 COV2 = CovarianceSet(2, [[[1.0, -0.5], [-0.5, 1.0]], [[2.0, 0.3], [0.3, 0.5]]])
 COV3 = CovarianceSet(3, [[[1.0, -0.3, 0.2], [-0.3, 1.0, -0.4], [0.2, -0.4, 1.0]], np.eye(3)])
 # name -> (coefficients, uncertainty, policies); every zero kind appears:
@@ -651,8 +664,16 @@ EULER_SYSTEMS = {
     "cov3_zero_g": (coefficients(1, 3, ["0"], [[["0.1*x1", "0", "0"], ["0", "0", "-x1"],
                                                  ["0", "0", "0"]]], [["0", "0", "0"]]),
                     COV3, [ConstantPolicy(index=0)]),
+    # constant h and g tables, filled once per solve, with -0 entries
+    "constant_signed_hg": (coefficients(2, 1, ["x2", "-x1"], ["-0", "0.5"], ["-0", "1.5"]),
+                           BAND, [ConstantPolicy(value=1.5)]),
+    # at x1 = -0.0 both d = 1 products are -0.0; einsum's sums make them +0.0
+    "negative_zero_products": (coefficients(1, 1, ["x1"], ["x1"], ["-0"]),
+                               BAND, [ConstantPolicy(value=1.0)]),
 }
 SIGNED = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0])
+# non-finite states and a finite one whose norm overflows
+SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200])
 
 
 class TestEulerAgainstReference:
@@ -673,9 +694,56 @@ class TestEulerAgainstReference:
         if data.draw(st.booleans()):  # one initial state per path
             x0 = data.draw(st.lists(st.lists(SIGNED, min_size=coeffs.n, max_size=coeffs.n),
                                     min_size=n_paths, max_size=n_paths))
-        got = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
+        got, _ = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
         want = _ref_euler(coeffs, x0, batch.b, batch.trace, batch.grid)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("system", sorted(EULER_SYSTEMS))
+    @given(seed=st.integers(0, 2**63 - 1), n_paths=st.integers(1, 8), data=st.data(),
+           radius=st.sampled_from([None, 0.5, 2.0, 1e6]))
+    @settings(max_examples=12, deadline=None)
+    def test_running_max_and_blowups(self, system, seed, n_paths, data, radius):
+        """The running maximum from the clamp's norms and the flat blow-up
+        screen match the states' own, with NaN, +-inf and overflowing rows."""
+        coeffs, unc, policies = EULER_SYSTEMS[system]
+        if radius is not None:
+            coeffs = truncate(coeffs, radius)
+        batch = simulate_batch(policies[0], unc, TimeGrid(2.0, 40), seed, n_paths)
+        x0 = data.draw(st.lists(st.lists(SIGNED | SPECIAL, min_size=coeffs.n, max_size=coeffs.n),
+                                min_size=n_paths, max_size=n_paths))
+        with np.errstate(all="ignore"):
+            want = _ref_euler(coeffs, x0, batch.b, batch.trace, batch.grid)
+            _, running_max = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
+            sol = integrate_batch(coeffs, x0, batch)
+            assert _same_bits(sol.running_max, _ref_running_max(want))
+        assert (running_max is None) == (radius is None)  # only a clamped pass keeps it
+        assert _same_bits(sol.x, want)
+        assert sol.diagnostics.get("blowup_steps", {}) == _ref_blowup_steps(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [None, 1e6, 1e300])
+    def test_overflowing_norm_is_no_blowup(self, n, radius):
+        """A finite state of 1e200 has an infinite norm but is no blow-up."""
+        coeffs = coefficients(n, 1, ["0"] * n, ["0"] * n, ["0"] * n)
+        if radius is not None:
+            coeffs = truncate(coeffs, radius)
+        batch = simulate_batch(ConstantPolicy(value=1.5), BAND, TimeGrid(1.0, 10), 0, 3)
+        with np.errstate(over="ignore"):
+            sol = integrate_batch(coeffs, [1e200] * n, batch)
+            assert np.all(sol.running_max == np.inf)
+        assert np.all(sol.x == 1e200)
+        assert sol.diagnostics == {}
+
+    def test_d1_products_have_einsum_zero_sign(self):
+        """x1 = -0.0 makes both d = 1 products -0.0; einsum's sums, hence the
+        step, give +0.0, where bare products would keep -0.0."""
+        coeffs, unc, policies = EULER_SYSTEMS["negative_zero_products"]
+        batch = simulate_batch(policies[0], unc, TimeGrid(1.0, 5), 0, 2)
+        got, _ = _euler(coeffs, [-0.0], batch.b, batch.trace, batch.grid)
+        want = _ref_euler(coeffs, [-0.0], batch.b, batch.trace, batch.grid)
+        assert _same_bits(got, want)
+        assert got[:, 0, 0].view(np.uint64).tolist() == [0x8000000000000000] * 2
+        assert got[:, 1:].view(np.uint64).tolist() == np.zeros((2, 5, 1), np.uint64).tolist()
 
     @pytest.mark.parametrize("n", range(1, 9))
     @given(data=st.data())
@@ -697,9 +765,12 @@ class TestEulerAgainstReference:
         strided = np.zeros((len(x), 3, n))
         strided[:, 1, :] = x
         with np.errstate(over="ignore", invalid="ignore"):  # 1e300 squared, inf scaled by 0
-            clamped = truncate(coefficients(n, 1, ["0"] * n, ["0"] * n, ["0"] * n), radius)._clamp(x)
+            clamped, norms = truncate(coefficients(n, 1, ["0"] * n, ["0"] * n, ["0"] * n),
+                                      radius)._clamp(x)
             want = _ref_clamp(strided[:, 1, :], radius)
-            beyond = np.linalg.norm(x, axis=-1) > radius
+            want_norms = np.linalg.norm(strided[:, 1, :], axis=-1)
+            beyond = want_norms > radius
         assert clamped.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert norms.view(np.uint64).tolist() == want_norms.view(np.uint64).tolist()
         if not beyond.any():
             assert clamped is x  # an inactive clamp returns the state itself

@@ -350,6 +350,26 @@ class TestAssembleEquivalence:
             assemble(policy, unc, grid, noise)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("k", [1, 5, 11])
+    def test_piecewise_leaving_band_names_its_step(self, k):
+        # a value that holds is checked on its first step only
+        policy = PiecewiseConstantPolicy([(0, 1.5), (k, 2.5), (k + 1, 1.5)])
+        with pytest.raises(PolicyError, match=f"^variance choice outside the band at step {k}$"):
+            simulate_batch(policy, BAND, TimeGrid(1.0, 12), seed=0, n_paths=3)
+
+    def test_reused_feedback_array_is_checked_every_step(self):
+        # a feedback rule may return the same array object, changed in place
+        choices = np.full(4, BAND.sigma2_lo)
+
+        def rule(k, b, aux):
+            if k == 6:
+                choices[:] = 1.5
+            return choices
+
+        with pytest.raises(PolicyError, match="^bang-bang choice off the extremes at step 6$"):
+            simulate_batch(BangBangPolicy(rule, name="buffer"), BAND, TimeGrid(1.0, 12), seed=0,
+                           n_paths=4)
+
     @pytest.mark.parametrize("policy,unc", [(ConstantPolicy(value=3.0), BAND),
                                             (threshold_bangbang(BAND, 0.0), BAND),
                                             (ConstantPolicy(index=5), CSET)],
