@@ -75,13 +75,18 @@ def _fetch(cfg, pointer: str, kind, required=True, default=None):
                 raise UsageError(f"missing config field at {pointer}")
             return default
         node = node[part]
-    if kind is float and isinstance(node, (int, float)) and not isinstance(node, bool):
+    if kind is float and _is_number(node, (int, float)):
         return float(node)
-    if kind is int and isinstance(node, int) and not isinstance(node, bool):
+    if kind is int and _is_number(node, int):
         return int(node)
     if kind is not None and not isinstance(node, kind):
         raise UsageError(f"config field {pointer} must be {getattr(kind, '__name__', kind)}")
     return node
+
+
+def _is_number(node, kinds) -> bool:
+    """A JSON number of the given Python types; true and false are not numbers."""
+    return isinstance(node, kinds) and not isinstance(node, bool)
 
 
 def _coerce(convert, value, pointer: str, what: str):
@@ -135,8 +140,12 @@ def _policy(cfg, unc, pointer="/policy"):
         return ConstantPolicy(index=_fetch(cfg, f"{pointer}/index", int))
     if kind == "piecewise":
         sched = _fetch(cfg, f"{pointer}/schedule", list)
+        for i, entry in enumerate(sched):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and _is_number(entry[0], int) and _is_number(entry[1], (int, float))):
+                raise UsageError(f"config field {pointer}/schedule/{i} must be [int step, number]")
         try:
-            return PiecewiseConstantPolicy([(int(k), v) for k, v in sched])
+            return PiecewiseConstantPolicy(sched)
         except (TypeError, ValueError) as e:
             raise UsageError(f"bad schedule at {pointer}/schedule: {e}")
     if kind == "bangbang_threshold":

@@ -198,16 +198,24 @@ def batch_noise(seed: int, first_index: int, n_paths: int, n_steps: int, d: int)
     Generator(Philox(key=...)) bit for bit, without the per-path
     construction cost (which dominates at the usual path lengths).  Paths
     are drawn into a small block, copied step-major while still in cache.
+
+    Per path the loop costs little more than its two calls into the
+    generator, so what surrounds them is kept small.  The state template
+    holds Python ints in lists: the setter reads those word by word faster
+    than numpy uint64 arrays, and a list item is cheaper to write than an
+    array element.  Each path is drawn into a flat (n_steps * d,) row, the
+    same values in the same order as an (n_steps, d) draw at a lower call
+    cost; the block is viewed as (rows, n_steps, d) only for the step-major
+    copy.
     """
     out = np.empty((n_steps, n_paths, d))
-    block = np.empty((min(_NOISE_BLOCK, n_paths), n_steps, d))
+    block = np.empty((min(_NOISE_BLOCK, n_paths), n_steps * d))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     # key words are little-endian: (path index, seed), as in path_noise
-    key = np.array([0, int(seed) & _MASK64], dtype=np.uint64)
-    zero = np.zeros(4, dtype=np.uint64)
-    fresh = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = [0, int(seed) & _MASK64]
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     first_index = int(first_index)
     for start in range(0, n_paths, _NOISE_BLOCK):
         rows = block[:min(_NOISE_BLOCK, n_paths - start)]
@@ -215,7 +223,7 @@ def batch_noise(seed: int, first_index: int, n_paths: int, n_steps: int, d: int)
             key[0] = (first_index + p) & _MASK64
             bitgen.state = fresh
             gen.standard_normal(out=row)
-        out[:, start:start + len(rows)] = rows.transpose(1, 0, 2)
+        out[:, start:start + len(rows)] = rows.reshape(-1, n_steps, d).transpose(1, 0, 2)
     return out.transpose(1, 0, 2)
 
 
@@ -287,9 +295,15 @@ def _choice(choice, k, unc, n_paths, bang):
     """Step-k choices (n_paths,), checked against the set: variances under
     a band, member indices under a covariance set.  The policy's value is
     checked before it is broadcast; an empty batch takes no choice, so it
-    checks none."""
+    checks none.  A member index must be integral: a fractional or
+    non-finite one is an error, not truncated."""
     if isinstance(unc, CovarianceSet):
-        c = np.asarray(choice).astype(int)
+        c = np.asarray(choice)
+        if c.dtype.kind not in "biu":
+            c = np.asarray(c, dtype=float)
+            if n_paths and not np.all(np.isfinite(c) & (c == np.trunc(c))):
+                raise PolicyError(f"member index not an integer at step {k}")
+        c = c.astype(int)
         ok, what = np.all((c >= 0) & (c < len(unc))), "member index out of range"
     else:
         c = np.asarray(choice, dtype=float)
@@ -320,6 +334,12 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
     reads and writes contiguous (P, ...) rows; the batch holds transposed
     views of them, and under a band ``trace`` is a read-only view of
     ``choices``.
+
+    A checked choice keeps its increment scale with its row: sqrt(c dt)
+    under a band, the gathered factors L_c under a covariance set.  While an
+    open-loop policy returns the same scalar object, both are reused and a
+    step only multiplies by the kept scale; a feedback choice is checked and
+    scaled afresh every step.
     """
     band = isinstance(unc, SigmaBand)
     if not (band or isinstance(unc, CovarianceSet)):
@@ -335,35 +355,43 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
     if band:
         tk = ck[:, :, None, None]
 
-        def increment(c, z, out):
-            np.multiply(np.sqrt(c * dt), z[:, 0], out=out[:, 0])
+        def scale_of(c):
+            return np.sqrt(c * dt)
+
+        def increment(scale, z, out):
+            np.multiply(scale, z[:, 0], out=out[:, 0])
     else:
         tk = np.empty((n_steps, n_paths, d, d))
         members = unc.member_stack()
         factors = np.stack([_sqrt_factor(m) for m in unc.members])
         sqdt = np.sqrt(dt)
 
-        def increment(c, z, out):
-            np.einsum("pij,pj->pi", factors[c], z, out=out)
+        def scale_of(c):
+            return factors[c]
+
+        def increment(scale, z, out):
+            np.einsum("pij,pj->pi", scale, z, out=out)
             np.multiply(sqdt, out, out=out)
 
     bang = isinstance(policy, BangBangPolicy)
     bk = np.zeros((n_steps + 1, n_paths, d))
     qk = np.zeros((n_steps + 1, n_paths, d, d))
     aux = policy.init_aux(n_paths)
-    # the last scalar choice, whose checked row c is reused while the policy
-    # returns that same (immutable) object, as open-loop policies do while a
-    # value holds; arrays may change in place, so they are checked every step
+    # the last scalar choice, whose checked row c and scale are reused while
+    # the policy returns that same (immutable) object, as open-loop policies
+    # do while a value holds; arrays may change in place, so they are
+    # checked and scaled every step
     last = _UNCHECKED
     for k in range(n_steps):
         choice = policy.choose(k, bk[k], aux)
         if choice is not last:
             c = _choice(choice, k, unc, n_paths, bang)
+            scale = scale_of(c)
             last = choice if isinstance(choice, (int, float, np.generic)) else _UNCHECKED
         ck[k] = c
         if not band:
             tk[k] = members[c]
-        increment(c, noise[:, k], bk[k + 1])
+        increment(scale, noise[:, k], bk[k + 1])
         np.add(bk[k], bk[k + 1], out=bk[k + 1])
         np.multiply(tk[k], dt, out=qk[k + 1])
         if k:

@@ -48,6 +48,8 @@ def duffing_cfg(tmp_path):
 
 SIM_OK = {"band": [1.0, 2.0], "grid": {"t_end": 1.0, "n_steps": 8},
           "policy": {"kind": "constant", "value": 1.5}, "n_paths": 2}
+SIM_SET = {"dim": 1, "members": [[[1.0]], [[2.0]]], "grid": {"t_end": 1.0, "n_steps": 8},
+           "policy": {"kind": "constant", "index": 1}, "n_paths": 2}
 UPPER_OK = {"band": [1.0, 2.0], "grid": {"t_end": 1.0, "n_steps": 8}, "payoff": "b1^2",
             "family": {"kind": "extreme_constants"}, "n_paths": 100}
 GHEAT_OK = {"band": [1.0, 2.0], "payoff": "x^2",
@@ -244,6 +246,17 @@ class TestExitCodes:
                                     "params": {"p": 2.0, "c1": 0.5, "c2": False}}, "/params/c2"),
         ("experiment", MOMENT_DECAY_OK | {"lambda": True}, "/lambda"),
         ("experiment", MOMENT_DECAY_OK | {"lambda": "0.5"}, "/lambda"),
+        ("simulate", SIM_SET | {"policy": {"kind": "constant", "value": 1.7}}, "/policy"),
+        ("simulate", SIM_SET | {"policy": {"kind": "piecewise", "schedule": [[0, 1.9], [2, 0.2]]}},
+         "/policy"),
+        ("simulate", SIM_OK | {"policy": {"kind": "piecewise", "schedule": [[0, 1.0], [2.7, 2.0]]}},
+         "/policy/schedule/1"),
+        ("simulate", SIM_OK | {"policy": {"kind": "piecewise", "schedule": [[0, "1.5"], [2, 2.0]]}},
+         "/policy/schedule/0"),
+        ("simulate", SIM_OK | {"policy": {"kind": "piecewise", "schedule": [[0, 1.5], [2, True]]}},
+         "/policy/schedule/1"),
+        ("simulate", SIM_OK | {"policy": {"kind": "piecewise", "schedule": [[0, 1.5], [2]]}},
+         "/policy/schedule/1"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -268,7 +281,10 @@ class TestExitCodes:
             "upper_family_n_float", "lyapunov_dv_sign", "lyapunov_dv_text",
             "lyapunov_lambda_bool", "lyapunov_lam_string", "lyapunov_c_ly_string",
             "lyapunov_p_bool", "lyapunov_c1_string", "lyapunov_c2_bool",
-            "experiment_lambda_bool", "experiment_lambda_string"])
+            "experiment_lambda_bool", "experiment_lambda_string", "simulate_member_fraction",
+            "simulate_schedule_member_fraction", "simulate_schedule_step_float",
+            "simulate_schedule_value_text", "simulate_schedule_value_bool",
+            "simulate_schedule_entry_short"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1

@@ -104,6 +104,25 @@ class TestNoise:
         block = batch_noise(3, 2**64 - 1, 2, 6, 1)
         assert np.array_equal(block[1], path_noise(3, 0, 6, 1))
 
+    # n_steps * d not a multiple of Philox's 4-word output: paths end with
+    # leftover buffer words, and over 1000 paths many take the ziggurat's
+    # slow path (extra words), so every path must start from a reset buffer
+    @pytest.mark.parametrize("n_steps,d", [(7, 1), (5, 3)])
+    def test_batch_matches_per_path_with_leftover_words(self, n_steps, d):
+        block = batch_noise(17, 5, 1000, n_steps, d)
+        for p in range(1000):
+            assert _same_bits(block[p], path_noise(17, 5 + p, n_steps, d)), p
+
+    def test_largest_seed(self):
+        seed = 2**64 - 1
+        block = batch_noise(seed, 2**64 - 3, 70, 9, 3)
+        for p in range(70):
+            assert _same_bits(block[p], path_noise(seed, 2**64 - 3 + p, 9, 3)), p
+
+    def test_no_paths(self):
+        block = batch_noise(3, 0, 0, 7, 2)
+        assert block.shape == (0, 7, 2)
+
 
 class TestSimulate:
     def test_zero_variance_rejected_at_band(self):
@@ -186,6 +205,26 @@ class TestSimulate:
         with pytest.raises(PolicyError, match="member index out of range at step 0"):
             one_path(ConstantPolicy(index=5), cs, grid, seed=0)
 
+    @pytest.mark.parametrize("policy,k", [
+        (ConstantPolicy(value=1.7), 0),
+        (ConstantPolicy(value=np.nan), 0),
+        (ConstantPolicy(value=-np.inf), 0),
+        (PiecewiseConstantPolicy([(0, 1.9), (2, 0.2)]), 0),
+        (PiecewiseConstantPolicy([(0, 1), (3, np.array([0.0, 0.5]))]), 3),
+        (BangBangPolicy(lambda k, b, aux: np.full(len(b), 1.0 if k < 2 else 0.5), name="frac"), 2),
+    ], ids=["constant", "nan", "inf", "piecewise", "per_path", "feedback"])
+    def test_fractional_member_index_rejected(self, policy, k):
+        cs = CovarianceSet(1, [np.array([[1.0]]), np.array([[2.0]])])
+        with pytest.raises(PolicyError, match=f"^member index not an integer at step {k}$"):
+            simulate_batch(policy, cs, TimeGrid(1.0, 6), seed=0, n_paths=2)
+
+    def test_integral_float_member_index_allowed(self):
+        cs = CovarianceSet(1, [np.array([[1.0]]), np.array([[2.0]])])
+        grid = TimeGrid(1.0, 6)
+        got = simulate_batch(ConstantPolicy(value=1.0), cs, grid, seed=0, n_paths=3)
+        want = simulate_batch(ConstantPolicy(index=1), cs, grid, seed=0, n_paths=3)
+        assert _same_bits(got.b, want.b) and _same_bits(got.choices, want.choices)
+
     def test_aux_state_feedback(self):
         # rule sees an auxiliary running maximum of |B| maintained by the policy
         def aux0(n_paths):
@@ -231,7 +270,10 @@ def reference_assemble(policy, unc, grid, noise):
         members = unc.member_stack()
         factors = np.stack([_sqrt_factor(m) for m in unc.members])
         for k in range(n_steps):
-            idx = np.broadcast_to(np.asarray(policy.choose(k, b[:, k, :], aux)), (n_paths,)).astype(int)
+            raw = np.broadcast_to(np.asarray(policy.choose(k, b[:, k, :], aux)), (n_paths,))
+            if not (np.all(np.isfinite(raw)) and np.all(raw.astype(int) == raw)):
+                raise PolicyError(f"member index not an integer at step {k}")
+            idx = raw.astype(int)
             if np.any((idx < 0) | (idx >= len(unc))):
                 raise PolicyError(f"member index out of range at step {k}")
             choices[:, k] = idx
@@ -248,6 +290,24 @@ class SignSwitchConstant(ConstantPolicy):
 
     def choose(self, k, b, aux):
         return np.where(b[:, 0] >= 0.0, self.value, BAND.sigma2_lo)
+
+
+class FreshFloatConstant(ConstantPolicy):
+    """Returns a new float object, equal to the value, at every step."""
+
+    def choose(self, k, b, aux):
+        return float(repr(self.value))
+
+
+def _in_place_feedback(n_paths):
+    # one array object, rewritten in place with a feedback choice every step
+    buf = np.empty(n_paths)
+
+    def rule(k, b, aux):
+        buf[:] = np.where(b[:, 0] >= 0.0, BAND.sigma2_hi, BAND.sigma2_lo)
+        return buf
+
+    return BangBangPolicy(rule, name="in-place")
 
 
 def _running_max_policy():
@@ -285,6 +345,8 @@ EQUIVALENCE_CASES = {
     "constant": (lambda n: ConstantPolicy(value=1.5), BAND),
     "piecewise": (lambda n: PiecewiseConstantPolicy([(0, 1.0), (3, 2.0), (5, 1.25)]), BAND),
     "piecewise_per_path": (_per_path_schedule, BAND),
+    "fresh_equal_float": (lambda n: FreshFloatConstant(value=1.25), BAND),
+    "feedback_in_place": (_in_place_feedback, BAND),
     "threshold": (lambda n: threshold_bangbang(BAND, 0.1), BAND),
     "aux": (lambda n: _running_max_policy(), BAND),
     "subclass": (lambda n: SignSwitchConstant(value=2.0), BAND),
@@ -339,8 +401,11 @@ class TestAssembleEquivalence:
         (PiecewiseConstantPolicy([(0, 1), (5, 0), (7, 2)]), CSET),
         (BangBangPolicy(lambda k, b, aux: 0 if k < 6 else np.where(b[:, 0] > 0.0, 1, -1),
                         name="sign(b1) from step 6"), CSET),
+        (PiecewiseConstantPolicy([(0, 1), (4, 0.5)]), CSET),
+        (BangBangPolicy(lambda k, b, aux: 1 if k < 7 else np.where(b[:, 0] > 0.0, 1, 9.5),
+                        name="sign(b1) from step 7"), CSET),
     ], ids=["piecewise", "constant", "bangbang", "subclass", "per_path", "set_piecewise",
-            "set_feedback"])
+            "set_feedback", "set_fraction", "set_fraction_out_of_range"])
     def test_same_policy_error(self, policy, unc):
         grid = TimeGrid(1.0, 12)
         noise = batch_noise(4, 0, 16, grid.n_steps, unc.dim)
@@ -372,8 +437,10 @@ class TestAssembleEquivalence:
 
     @pytest.mark.parametrize("policy,unc", [(ConstantPolicy(value=3.0), BAND),
                                             (threshold_bangbang(BAND, 0.0), BAND),
-                                            (ConstantPolicy(index=5), CSET)],
-                             ids=["off_band_constant", "feedback", "set_out_of_range"])
+                                            (ConstantPolicy(index=5), CSET),
+                                            (ConstantPolicy(value=1.7), CSET)],
+                             ids=["off_band_constant", "feedback", "set_out_of_range",
+                                  "set_fraction"])
     def test_empty_batch(self, policy, unc):
         # no path takes a choice, so none is checked
         grid = TimeGrid(1.0, 6)

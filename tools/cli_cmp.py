@@ -268,6 +268,13 @@ def cases() -> dict:
                                                   model={**model, "alpha": "x"})
     out["experiment_error_lambda_bool"] = variant("experiment_moment_decay", **{"lambda": True})
     out["experiment_error_lambda_string"] = variant("experiment_moment_decay", **{"lambda": "0.5"})
+    out["simulate_error_member_fraction"] = variant("simulate_cov",
+                                                    policy={"kind": "constant", "value": 1.7})
+    for name, schedule in (("step_float", [[0, 1.0], [2.7, 2.0]]),
+                           ("value_text", [[0, "1.5"], [2, 2.0]]),
+                           ("value_bool", [[0, 1.5], [2, True]])):
+        out[f"simulate_error_schedule_{name}"] = variant(
+            "simulate_band", policy={"kind": "piecewise", "schedule": schedule})
     return out
 
 
