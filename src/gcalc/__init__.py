@@ -6,6 +6,7 @@ stability certificates."""
 
 __version__ = "0.1.0"
 
+from .errors import ConfigError
 from .uncertainty import (
     CovarianceSet,
     DimensionMismatchError,
@@ -81,7 +82,6 @@ from .linstab import (
     search_p,
 )
 from .experiments import (
-    ConfigError,
     ExperimentConfig,
     GeometricModel,
     bt_over_t,

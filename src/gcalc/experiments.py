@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, integer
 from .gsde import CoefficientSet, closed_form_geometric, integrate_batch
 from .runio import config_hash, standard_comments, write_table
 # assemble and batch_noise are not called here: perfbench/layers.py
@@ -22,15 +23,6 @@ from .uncertainty import CovarianceSet, SigmaBand
 from .upper_expectation import PolicyFamily, bound_rows, evaluate_family
 
 LOG_FLOOR = 1e-300
-
-
-class ConfigError(ValueError):
-    """An experiment setting that cannot work; ``field`` names the setting
-    when the error concerns one."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
 
 
 def _family_config(family: PolicyFamily) -> dict:
@@ -101,12 +93,13 @@ class ExperimentConfig:
     slack: float = 0.05
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ConfigError("p must be > 0")
-        if self.n_paths < 100:
-            raise ConfigError("statistical assertions need n_paths >= 100")
-        if self.dt <= 0 or self.T <= 0:
-            raise ConfigError("need T, dt > 0")
+        if not self.p > 0:
+            raise ConfigError(f"p must be > 0, got {self.p!r}", "p")
+        # statistical assertions need at least 100 paths
+        object.__setattr__(self, "n_paths", integer(self.n_paths, "n_paths", 100))
+        for name in ("T", "dt"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}", name)
         outside = [t for t in self.times if not 0.0 <= t <= self.T]
         if outside:
             raise ConfigError(f"times {outside} lie outside [0, T] = [0, {self.T:g}]",
@@ -236,7 +229,10 @@ def bt_over_t(unc, family: PolicyFamily, t_values, n_paths: int, seed: int,
         raise ConfigError("the |B_t|/t table is defined for d = 1 bands")
     t_values = [float(t) for t in t_values]
     if sorted(t_values) != t_values:
-        raise ConfigError("t_values must increase")
+        raise ConfigError("t_values must increase", "t_values")
+    if not t_values or not t_values[0] > 0:
+        raise ConfigError("t_values must be a nonempty list of times > 0", "t_values")
+    n_paths = integer(n_paths, "n_paths", 1)
     rows = []
     highs = []
     for T in t_values:

@@ -23,14 +23,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
 
-class ExprError(ValueError):
+
+class ExprError(ConfigError):
     """Base class for parse and evaluation errors."""
 
 
@@ -293,7 +296,13 @@ class _Parser:
     def __init__(self, source, variables, constants):
         self.tok = _Tokenizer(source)
         self.variables = set(variables)
+        if not isinstance(constants, (dict, type(None))):
+            raise ConfigError("constants must map names to numbers", "constants")
         self.constants = dict(constants or {})
+        for name, value in self.constants.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"constant {name} must be a number, got {value!r}",
+                                  f"constants/{name}")
         self.cur = self.tok.next()
 
     def _advance(self):
@@ -381,9 +390,9 @@ class _Parser:
 def parse(source: str, variables, constants=None) -> Expression:
     """Parse ``source`` over the declared variables.
 
-    Identifiers found in ``constants`` are folded to numeric literals at
-    parse time; anything else that is neither a variable nor a function
-    raises ExprNameError with its byte offset.
+    Identifiers found in ``constants``, a dict of numbers, are folded to
+    numeric literals at parse time; anything else that is neither a
+    variable nor a function raises ExprNameError with its byte offset.
     """
     root = _Parser(str(source), variables, constants).parse()
     return Expression(root, variables)
@@ -517,15 +526,22 @@ class Table(tuple):
 
 def table(entries, dims, variables, constants=None, what="table"):
     """A Table indexed by ``dims``, parsed from sources (Expressions pass
-    through); every level must hold exactly its dim.  With no dims, the one
-    Expression."""
+    through); every level must hold a list or tuple of exactly its dim.
+    With no dims, the one Expression.  Errors are ConfigErrors whose field
+    is ``what``."""
     if not dims:
-        return entries if isinstance(entries, Expression) else parse(str(entries), variables, constants)
-    if isinstance(entries, (str, Expression)):
-        raise ValueError(f"{what} needs {dims[0]} entries, got one expression")
-    entries = list(entries)
+        if isinstance(entries, Expression):
+            return entries
+        try:
+            return parse(str(entries), variables, constants)
+        except ExprError as e:
+            e.field = what
+            raise
+    if not isinstance(entries, (list, tuple)):
+        got = "one expression" if isinstance(entries, (str, Expression)) else repr(entries)
+        raise ConfigError(f"{what} needs {dims[0]} entries, got {got}", what)
     if len(entries) != dims[0]:
-        raise ValueError(f"{what} needs {dims[0]} entries, got {len(entries)}")
+        raise ConfigError(f"{what} needs {dims[0]} entries, got {len(entries)}", what)
     return Table((table(e, dims[1:], variables, constants, what) for e in entries), dims)
 
 

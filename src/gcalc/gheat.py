@@ -34,14 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, integer
 from .runio import write_table
 from .uncertainty import SigmaBand, g_scalar
 
 
-class CFLError(ValueError):
+class CFLError(ConfigError):
     def __init__(self, nt: int, nt_min: int):
         super().__init__(
-            f"time resolution violates dt <= dx^2/sigma2_hi: nt={nt}, minimal admissible nt={nt_min}"
+            f"time resolution violates dt <= dx^2/sigma2_hi: nt={nt}, minimal admissible nt={nt_min}",
+            "nt",
         )
         self.nt_min = nt_min
 
@@ -56,18 +58,14 @@ class SpaceTimeGrid:
 
     def __post_init__(self):
         if not (self.x_lo < self.x_hi):
-            raise ValueError("need x_lo < x_hi")
-        if int(self.nx) < 3:
-            raise ValueError("nx must be >= 3")
+            raise ConfigError(f"need x_lo < x_hi, got [{self.x_lo!r}, {self.x_hi!r}]", "x_hi")
         if not (float(self.T) > 0.0):
-            raise ValueError("T must be > 0")
-        if int(self.nt) < 1:
-            raise ValueError("nt must be >= 1")
+            raise ConfigError(f"T must be > 0, got {self.T!r}", "T")
         object.__setattr__(self, "x_lo", float(self.x_lo))
         object.__setattr__(self, "x_hi", float(self.x_hi))
-        object.__setattr__(self, "nx", int(self.nx))
+        object.__setattr__(self, "nx", integer(self.nx, "nx", 3))
         object.__setattr__(self, "T", float(self.T))
-        object.__setattr__(self, "nt", int(self.nt))
+        object.__setattr__(self, "nt", integer(self.nt, "nt", 1))
 
     @property
     def dx(self) -> float:
@@ -168,9 +166,9 @@ def solve_terminal(band: SigmaBand, payoff, grid: SpaceTimeGrid) -> GHeatSolutio
     with np.errstate(all="ignore"):
         v = np.asarray(payoff(grid.x), dtype=float).copy()
     if v.shape != grid.x.shape:
-        raise ValueError("payoff must evaluate elementwise on the grid")
+        raise ConfigError("payoff must evaluate elementwise on the grid", "payoff")
     if not np.all(np.isfinite(v)):
-        raise ValueError("payoff is not finite on the grid")
+        raise ConfigError("payoff is not finite on the grid", "payoff")
     _march(v, band, grid.dt, grid.dx, grid.nt)
     return GHeatSolution(grid, v)
 

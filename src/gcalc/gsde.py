@@ -49,8 +49,9 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as expr_mod
+from .errors import ConfigError, integer
 from .scenario import PathBatch, TimeGrid
-from .uncertainty import SigmaBand
+from .uncertainty import SigmaBand, load_uncertainty
 from .upper_expectation import evaluate_family, family_sup
 
 
@@ -90,7 +91,7 @@ class CoefficientSet:
 
     def __post_init__(self):
         if self.lipschitz_tag not in ("global", "local"):
-            raise ValueError("lipschitz_tag must be 'global' or 'local'")
+            raise ConfigError("lipschitz_tag must be 'global' or 'local'", "lipschitz_tag")
 
     @property
     def variables(self):
@@ -149,33 +150,33 @@ def coefficients(n: int, d: int, f, h, g, constants=None, lipschitz_tag="global"
     def norm_g(entry):
         return [entry] if isinstance(entry, (str, expr_mod.Expression)) else entry
 
+    h = [norm_h(e) for e in h] if isinstance(h, (list, tuple)) else h
+    g = [norm_g(e) for e in g] if isinstance(g, (list, tuple)) else g
     return CoefficientSet(
         n=n,
         d=d,
         f=expr_mod.table(f, (n,), variables, constants, "f"),
-        h=expr_mod.table([norm_h(e) for e in h], (n, d, d), variables, constants, "h"),
-        g=expr_mod.table([norm_g(e) for e in g], (n, d), variables, constants, "g"),
+        h=expr_mod.table(h, (n, d, d), variables, constants, "h"),
+        g=expr_mod.table(g, (n, d), variables, constants, "g"),
         lipschitz_tag=lipschitz_tag,
     )
 
 
 def load_system(source):
     """System config {n, d, band|dim+members, f, h, g, constants} ->
-    (CoefficientSet, uncertainty)."""
+    (CoefficientSet, uncertainty); a ConfigError names the key at fault."""
     if isinstance(source, (str, Path)):
         obj = json.loads(Path(source).read_text())
     else:
         obj = source
-    n = int(obj["n"])
-    d = int(obj["d"])
+    n = integer(obj.get("n"), "n", 1)
+    d = integer(obj.get("d"), "d", 1)
     constants = obj.get("constants", {})
     tag = obj.get("lipschitz_tag", "global")
-    coeffs = coefficients(n, d, obj["f"], obj["h"], obj["g"], constants=constants, lipschitz_tag=tag)
-    from .uncertainty import load_uncertainty
-
+    coeffs = coefficients(n, d, *map(obj.get, "fhg"), constants=constants, lipschitz_tag=tag)
     unc = load_uncertainty({k: obj[k] for k in ("band", "dim", "members") if k in obj})
     if not isinstance(unc, SigmaBand) and unc.dim != d:
-        raise ValueError("uncertainty dimension does not match d")
+        raise ConfigError(f"uncertainty dimension {unc.dim} does not match d = {d}", "d")
     return coeffs, unc
 
 
@@ -188,9 +189,9 @@ class TruncationSchedule:
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
         if not radii:
-            raise ValueError("schedule must be nonempty")
+            raise ConfigError("schedule must be nonempty", "radii")
         if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing and positive")
+            raise ConfigError("radii must be strictly increasing and positive", "radii")
         object.__setattr__(self, "radii", radii)
 
     @classmethod
@@ -264,6 +265,8 @@ def _euler(coeffs: CoefficientSet, x0, b, trace, grid: TimeGrid):
     dt = grid.dt
     x0 = np.asarray(x0, dtype=float)
     if x0.shape not in ((coeffs.n,), (P, coeffs.n)):
+        if x0.size != coeffs.n:
+            raise ConfigError(f"x0 must hold n = {coeffs.n} numbers, got {x0.size}", "x0")
         x0 = x0.reshape(coeffs.n)
     x = np.empty((P, K + 1, coeffs.n))
     xk = np.empty((P, coeffs.n))  # the contiguous working state

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .uncertainty import SigmaBand, g_scalar
+from .errors import ConfigError, integer
+from .uncertainty import SigmaBand, g_scalar, square_matrix
 
 _SPD_TOL = 1e-10
 
 
-class NotSPDError(ValueError):
+class NotSPDError(ConfigError):
     pass
 
 
@@ -35,15 +36,13 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _check_spd(p: np.ndarray, n: int) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.shape != (n, n):
-        raise ValueError(f"P must be {n}x{n}")
+def _check_spd(p, n: int) -> np.ndarray:
+    p = square_matrix(p, n, "P")
     if np.max(np.abs(p - p.T)) > _SPD_TOL * max(1.0, np.max(np.abs(p))):
-        raise NotSPDError("P is not symmetric")
+        raise NotSPDError("P is not symmetric", "P")
     p = _sym(p)
     if np.min(np.linalg.eigvalsh(p)) <= 0.0:
-        raise NotSPDError("P is not positive definite")
+        raise NotSPDError("P is not positive definite", "P")
     return p
 
 
@@ -62,14 +61,21 @@ class LinearGSystem:
         n = F.shape[0]
         for name, m in (("F", F), ("H", H), ("C", C)):
             if m.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}")
+                raise ConfigError(f"{name} must be {n}x{n}", name)
             if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} has non-finite entries")
+                raise ConfigError(f"{name} has non-finite entries", name)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "band", band)
+
+    @classmethod
+    def from_rows(cls, n, F, H, C, band: SigmaBand):
+        """The system of n x n matrices F, H, C given row-major."""
+        n = integer(n, "n", 1)
+        F, H, C = (square_matrix(m, n, name) for name, m in (("F", F), ("H", H), ("C", C)))
+        return cls(F, H, C, band)
 
     def coupling_matrix(self, P: np.ndarray) -> np.ndarray:
         """sym(2PH + C'PC); linear in P."""

@@ -27,22 +27,24 @@ import math
 import numpy as np
 
 from . import expr as expr_mod
+from .errors import ConfigError, integer
 from .gsde import CoefficientSet, integrate_batch
 from .scenario import TimeGrid
 from .uncertainty import SigmaBand, g_matrix, g_scalar
 from .upper_expectation import bound_rows, evaluate_family
 
 
-class RegionError(ValueError):
-    pass
+class RegionError(ConfigError):
+    """A region that cannot work, or a V unfit for the check on it."""
 
 
-class SuppliedDerivativeError(ValueError):
+class SuppliedDerivativeError(ConfigError):
     """A supplied derivative entry disagrees with V's symbolic derivative;
-    ``entry`` names it as a path such as "dt", "grad/0" or "hess/0/1"."""
+    ``entry`` (also its ``field``) names it as a path such as "dt",
+    "grad/0" or "hess/0/1"."""
 
     def __init__(self, entry, message):
-        super().__init__(message)
+        super().__init__(message, entry)
         self.entry = entry
 
 
@@ -59,17 +61,18 @@ class LyapunovSpec:
     in ``supplied`` and never evaluated in place of the symbolic ones: every
     grid check compares them with their symbolic twins (check_supplied).
     ``mode`` must be "analytic" or "finite_difference", the names older
-    configs use; it changes nothing.
+    configs use; it changes nothing.  A ConfigError names the parameter at
+    fault ("v", "mode", "dt", "grad" or "hess").
     """
 
     def __init__(self, n, v, mode="finite_difference", dt=None, grad=None, hess=None,
                  constants=None, nonneg=True):
-        self.n = int(n)
+        self.n = integer(n, "n", 1)
         state = tuple(expr_mod.state_variables(self.n))
         variables = ("t",) + state
-        self.v = expr_mod.table(v, (), variables, constants)
+        self.v = expr_mod.table(v, (), variables, constants, "v")
         if mode not in ("analytic", "finite_difference"):
-            raise ValueError("mode must be 'analytic' or 'finite_difference'")
+            raise ConfigError("mode must be 'analytic' or 'finite_difference'", "mode")
         self.nonneg = bool(nonneg)
         d = expr_mod.differentiate_symbolic
         self.dt_expr = d(self.v, "t")
@@ -132,22 +135,24 @@ class CheckRegion:
 
     Its points pair every time value (``times``: ``nt`` >= 1 values from 0
     to ``t_end`` >= 0, or t = 0 alone when t_end is 0) with every state
-    (``states``: the box lattice outside the ball)."""
+    (``states``: the box lattice outside the ball).  The box holds one
+    [lo, hi, count] per axis, with lo < hi and an integer count >= 2."""
 
     def __init__(self, t_end, box, exclude_r0=0.0, nt=2):
         self.t_end = float(t_end)
         if not self.t_end >= 0.0:
-            raise RegionError("t_end must be >= 0")
-        self.box = tuple((float(lo), float(hi), int(count)) for lo, hi, count in box)
-        for lo, hi, count in self.box:
-            if count < 2:
-                raise RegionError("axis counts must be >= 2")
+            raise RegionError(f"t_end must be >= 0, got {t_end!r}", "t_end")
+        axes = []
+        for i, axis in enumerate(box):
+            if not isinstance(axis, (list, tuple)) or len(axis) != 3:
+                raise RegionError(f"box/{i} must be [lo, hi, count]", f"box/{i}")
+            lo, hi = float(axis[0]), float(axis[1])
             if not lo < hi:
-                raise RegionError("axis bounds need lo < hi")
+                raise RegionError(f"axis bounds need lo < hi, got [{lo!r}, {hi!r}]", f"box/{i}")
+            axes.append((lo, hi, integer(axis[2], f"box/{i}/2", 2, RegionError)))
+        self.box = tuple(axes)
         self.exclude_r0 = float(exclude_r0)
-        self.nt = int(nt)
-        if self.nt < 1:
-            raise RegionError("nt must be >= 1")
+        self.nt = integer(nt, "nt", 1, RegionError)
 
     @property
     def n(self) -> int:
@@ -165,7 +170,7 @@ class CheckRegion:
         if self.exclude_r0 > 0.0:
             pts = pts[np.linalg.norm(pts, axis=-1) >= self.exclude_r0]
         if len(pts) == 0:
-            raise RegionError("exclusion ball removed every grid point")
+            raise RegionError("exclusion ball removed every grid point", "exclude_r0")
         return pts
 
     def grid(self):
@@ -295,6 +300,8 @@ def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
     ``vet(T, X, v)`` rejects a V unfit for the check; then the supplied
     derivative tables, which count among the tables evaluated, are checked
     against the symbolic ones; then L V is formed."""
+    if region.n != spec.n:
+        raise RegionError(f"box has {region.n} axes but V has n={spec.n}", "box")
     tables = [spec.v, *spec.supplied.values()]
     if with_lv:
         tables += [spec.dt_expr, spec.grad_exprs, spec.hess_exprs, coeffs.f, coeffs.h, coeffs.g]
@@ -313,13 +320,13 @@ def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
                            region: CheckRegion, c_ly: float) -> CheckReport:
     """Grid max of L V - c_ly V; passes when finite and <= 1e-9*(1 + max|V|),
     the max over the finite values of V."""
-    if c_ly < 0:
-        raise ValueError("c_ly must be >= 0")
+    if not c_ly >= 0:
+        raise ConfigError(f"c_ly must be >= 0, got {c_ly!r}", "c_ly")
 
     def vet(T, X, v):
         if spec.nonneg and np.min(v) < -1e-12:
             i = int(np.argmin(v))
-            raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but the nonneg flag is set")
+            raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but nonneg is set", "v")
 
     T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
     violations = lv - c_ly * v
@@ -339,7 +346,7 @@ def find_cly_detailed(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: C
             i = int(np.argmin(v))
             raise RegionError(
                 f"V(t={T[i]}, x={X[i].tolist()}) = {v[i]:.3e} < v_min={v_min:g}; "
-                "exclude a ball around the origin or raise v_min"
+                "exclude a ball around the origin or raise v_min", "v"
             )
 
     T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
@@ -358,32 +365,37 @@ def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
 
     sandwich:      c1 |x|^p <= V <= c2 |x|^p
     nonpositive:   L V <= 0
-    exp_stable:    L V <= -lambda V
+    exp_stable:    L V <= -lambda V   (lambda, or lam, in params)
     exp_unstable:  L V >= +lambda V
+
+    A missing or nonpositive parameter is a ConfigError naming its key.
     """
     if which not in _CONDITIONS:
         raise ValueError(f"which must be one of {_CONDITIONS}")
     T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, with_lv=which != "sandwich")
     vscale = _finite_max_abs(v)
     if which == "sandwich":
-        p = float(params["p"])
-        c1, c2 = float(params["c1"]), float(params["c2"])
-        if p <= 0 or c1 <= 0 or c2 <= 0:
-            raise ValueError("need p, c1, c2 > 0")
+        p, c1, c2 = (_positive(params, name) for name in ("p", "c1", "c2"))
         xp = np.linalg.norm(X, axis=-1) ** p
         violations = np.maximum(c1 * xp - v, v - c2 * xp)
         return _report(f"{c1:g}|x|^{p:g} <= V <= {c2:g}|x|^{p:g}", violations, T, X,
                        n_states, max(vscale, _finite_max_abs(xp)), region)
     if which == "nonpositive":
         return _report("LV <= 0", lv, T, X, n_states, vscale, region)
-    lam = float(params["lam"] if "lam" in params and "lambda" not in params else params["lambda"])
-    if lam <= 0:
-        raise ValueError("need lambda > 0")
+    lam = _positive(params, "lam" if "lam" in params and "lambda" not in params else "lambda")
     if which == "exp_stable":
         violations = lv + lam * v
         return _report(f"LV <= -{lam:g} V", violations, T, X, n_states, vscale, region)
     violations = lam * v - lv
     return _report(f"LV >= {lam:g} V", violations, T, X, n_states, vscale, region)
+
+
+def _positive(params, name) -> float:
+    """params[name] as a float > 0."""
+    value = float(params[name]) if name in params else math.nan
+    if not value > 0:
+        raise ConfigError(f"params need {name} > 0, got {params.get(name)!r}", name)
+    return value
 
 
 class MomentBoundReport:

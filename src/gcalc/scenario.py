@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, integer
 from .uncertainty import CovarianceSet, SigmaBand, g_value
 
 _MASK64 = (1 << 64) - 1
@@ -30,8 +31,9 @@ _EIG_CLAMP = 1e-12
 _NOISE_BLOCK = 64  # paths drawn per block in batch_noise
 
 
-class PolicyError(ValueError):
-    """A policy produced a choice outside the uncertainty set."""
+class PolicyError(ConfigError):
+    """A policy produced a choice outside the uncertainty set; its field is
+    "policy"."""
 
 
 class UnsupportedDimensionError(ValueError):
@@ -47,11 +49,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (float(self.t_end) > 0.0):
-            raise ValueError("t_end must be > 0")
-        if int(self.n_steps) < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise ConfigError(f"t_end must be > 0, got {self.t_end!r}", "t_end")
         object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", integer(self.n_steps, "n_steps", 1))
 
     @property
     def dt(self) -> float:
@@ -93,13 +93,14 @@ class VolatilityPolicy:
 
 
 class ConstantPolicy(VolatilityPolicy):
-    """Fixed variance value (band) or fixed member index (finite set)."""
+    """Fixed variance value (band) or fixed member index (finite set); the
+    index must be an integer >= 0."""
 
     def __init__(self, value=None, index=None):
         if (value is None) == (index is None):
             raise ValueError("give exactly one of value= or index=")
         self.value = None if value is None else float(value)
-        self.index = None if index is None else int(index)
+        self.index = None if index is None else integer(index, "index", 0)
 
     def choose(self, k, b, aux):
         return self.value if self.index is None else self.index
@@ -112,15 +113,21 @@ class ConstantPolicy(VolatilityPolicy):
 
 class PiecewiseConstantPolicy(VolatilityPolicy):
     """Deterministic schedule [(step, choice), ...]; each choice holds from
-    its step until the next entry.  The first entry must cover step 0."""
+    its step until the next entry.  The first entry must cover step 0, and
+    every step must be an integer >= 0."""
 
     def __init__(self, schedule):
-        sched = sorted((int(k), c) for k, c in schedule)
+        schedule = list(schedule)
+        for i, entry in enumerate(schedule):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ConfigError(f"schedule/{i} must be a (step, choice) pair", f"schedule/{i}")
+        sched = sorted(((integer(k, f"schedule/{i}/0", 0), c) for i, (k, c) in enumerate(schedule)),
+                       key=lambda entry: entry[0])
         if not sched or sched[0][0] != 0:
-            raise ValueError("schedule must start at step 0")
+            raise ConfigError("schedule must start at step 0", "schedule")
         steps = [k for k, _ in sched]
         if len(set(steps)) != len(steps):
-            raise ValueError("duplicate step in schedule")
+            raise ConfigError("duplicate step in schedule", "schedule")
         self.schedule = sched
         self._steps = np.array(steps)
 
@@ -302,7 +309,7 @@ def _choice(choice, k, unc, n_paths, bang):
         if c.dtype.kind not in "biu":
             c = np.asarray(c, dtype=float)
             if n_paths and not np.all(np.isfinite(c) & (c == np.trunc(c))):
-                raise PolicyError(f"member index not an integer at step {k}")
+                raise PolicyError(f"member index not an integer at step {k}", "policy")
         c = c.astype(int)
         ok, what = np.all((c >= 0) & (c < len(unc))), "member index out of range"
     else:
@@ -315,7 +322,7 @@ def _choice(choice, k, unc, n_paths, bang):
     if c.shape != (n_paths,):
         c = np.broadcast_to(c, (n_paths,))
     if n_paths and not ok:
-        raise PolicyError(f"{what} at step {k}")
+        raise PolicyError(f"{what} at step {k}", "policy")
     return c
 
 
@@ -406,6 +413,7 @@ def assemble(policy: VolatilityPolicy, unc, grid: TimeGrid, noise: np.ndarray,
 
 
 def simulate_batch(policy, unc, grid, seed, n_paths, first_index=0) -> PathBatch:
+    n_paths = integer(n_paths, "n_paths", 0)
     noise = batch_noise(seed, first_index, n_paths, grid.n_steps, unc.dim)
     return assemble(policy, unc, grid, noise, seed=seed, first_index=first_index)
 
@@ -418,9 +426,9 @@ def restrict(batch: PathBatch, factor: int) -> PathBatch:
     result is a valid path batch of the same model at lower resolution.
     Useful for strong-convergence measurements with shared randomness.
     """
-    factor = int(factor)
-    if factor < 1 or batch.grid.n_steps % factor != 0:
-        raise ValueError("factor must divide n_steps")
+    factor = integer(factor, "factor", 1)
+    if batch.grid.n_steps % factor != 0:
+        raise ConfigError("factor must divide n_steps", "factor")
     if factor == 1:
         return batch
     grid = TimeGrid(batch.grid.t_end, batch.grid.n_steps // factor)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError, integer
+
 SYMMETRY_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-12
 
@@ -27,8 +29,9 @@ class SigmaBand:
     """Variance band [sigma2_lo, sigma2_hi] for scalar volatility uncertainty.
 
     sigma2_lo must be strictly positive: the stability criteria divide cases
-    on the lower variance, so degenerate bands are rejected at construction.
-    A zero-width band (lo == hi) is allowed and reduces to one measure.
+    on the lower variance, so degenerate bands are rejected at construction
+    (a ConfigError naming "band").  A zero-width band (lo == hi) is allowed
+    and reduces to one measure.
     """
 
     sigma2_lo: float
@@ -38,11 +41,11 @@ class SigmaBand:
         lo = float(self.sigma2_lo)
         hi = float(self.sigma2_hi)
         if not np.isfinite(lo) or not np.isfinite(hi):
-            raise ValueError("band endpoints must be finite")
+            raise ConfigError("band endpoints must be finite", "band")
         if lo <= 0.0:
-            raise ValueError(f"sigma2_lo must be > 0, got {lo}")
+            raise ConfigError(f"sigma2_lo must be > 0, got {lo}", "band")
         if lo > hi:
-            raise ValueError(f"need sigma2_lo <= sigma2_hi, got ({lo}, {hi})")
+            raise ConfigError(f"need sigma2_lo <= sigma2_hi, got ({lo}, {hi})", "band")
         object.__setattr__(self, "sigma2_lo", lo)
         object.__setattr__(self, "sigma2_hi", hi)
 
@@ -73,6 +76,19 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
+def square_matrix(m, n: int, field: str) -> np.ndarray:
+    """m as an n x n array: n*n finite numbers, row-major, flat or nested;
+    anything else is a ConfigError naming field."""
+    what = f"{field} must hold {n}x{n} finite numbers, row-major"
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):  # ragged rows
+        raise ConfigError(what, field) from None
+    if m.size != n * n or not np.all(np.isfinite(m)):
+        raise ConfigError(what, field)
+    return m.reshape(n, n)
+
+
 @dataclass(frozen=True)
 class CovarianceSet:
     """Finite set of symmetric PSD covariance scenarios in dimension d."""
@@ -81,27 +97,20 @@ class CovarianceSet:
     members: tuple
 
     def __init__(self, dim: int, members):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = integer(dim, "dim", 1)
         mats = []
         for idx, m in enumerate(members):
-            m = np.asarray(m, dtype=float)
-            if m.shape != (dim, dim):
-                raise DimensionMismatchError(
-                    f"member {idx} has shape {m.shape}, expected ({dim}, {dim})"
-                )
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"member {idx} has non-finite entries")
+            field = f"members/{idx}"
+            m = square_matrix(m, dim, field)
             if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
-                raise ValueError(f"member {idx} is not symmetric within tolerance")
+                raise ConfigError(f"member {idx} is not symmetric within tolerance", field)
             m = _symmetrize(m)
             if np.min(np.linalg.eigvalsh(m)) < PSD_EIG_FLOOR:
-                raise ValueError(f"member {idx} is not positive semidefinite")
+                raise ConfigError(f"member {idx} is not positive semidefinite", field)
             m.flags.writeable = False
             mats.append(m)
         if not mats:
-            raise ValueError("member list must be nonempty")
+            raise ConfigError("member list must be nonempty", "members")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "members", tuple(mats))
 
@@ -168,7 +177,8 @@ def load_uncertainty(source):
     """Build a SigmaBand or CovarianceSet from JSON.
 
     Accepts a dict, a JSON string, or a path to a JSON file with either
-    {"band": [lo, hi]} or {"dim": d, "members": [[row-major d*d reals], ...]}.
+    {"band": [lo, hi]} or {"dim": d, "members": [[row-major d*d reals], ...]};
+    a ConfigError names the field at fault.
     """
     if isinstance(source, (str, Path)):
         p = Path(source)
@@ -177,14 +187,12 @@ def load_uncertainty(source):
     else:
         obj = source
     if not isinstance(obj, dict):
-        raise ValueError("uncertainty config must be a JSON object")
+        raise ConfigError("uncertainty config must be a JSON object")
     if "band" in obj:
         band = obj["band"]
         if not isinstance(band, (list, tuple)) or len(band) != 2:
-            raise ValueError('"band" must be [lo, hi]')
+            raise ConfigError('"band" must be [lo, hi]', "band")
         return SigmaBand(float(band[0]), float(band[1]))
     if "dim" in obj and "members" in obj:
-        d = int(obj["dim"])
-        members = [np.asarray(m, dtype=float).reshape(d, d) for m in obj["members"]]
-        return CovarianceSet(d, members)
-    raise ValueError('uncertainty config needs either "band" or "dim"+"members"')
+        return CovarianceSet(obj["dim"], obj["members"])
+    raise ConfigError('uncertainty config needs either "band" or "dim"+"members"')

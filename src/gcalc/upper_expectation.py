@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError, integer
 from .scenario import (
     ConstantPolicy,
     PathBatch,
@@ -30,7 +31,7 @@ from .scenario import (
 from .uncertainty import CovarianceSet, SigmaBand
 
 
-class PayoffError(ValueError):
+class PayoffError(ConfigError):
     """Payoff evaluated to a non-finite value on a sampled path."""
 
 
@@ -51,9 +52,7 @@ class PolicyFamily:
 
     @classmethod
     def constants_only(cls, n: int = 5):
-        if n < 1:
-            raise ValueError("need at least one constant")
-        return cls(kind="constants_only", n_constants=int(n))
+        return cls(kind="constants_only", n_constants=integer(n, "n", 1))
 
     @classmethod
     def extreme_constants(cls):
@@ -63,7 +62,7 @@ class PolicyFamily:
     def bangbang_threshold(cls, thresholds):
         thetas = tuple(float(t) for t in thresholds)
         if not thetas:
-            raise ValueError("threshold grid must be nonempty")
+            raise ConfigError("threshold grid must be nonempty", "thresholds")
         return cls(kind="bangbang_threshold", thresholds=thetas)
 
     @classmethod
@@ -181,8 +180,7 @@ def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int)
     EstimateReports comes back.  All policies see the same noise block
     (common random numbers keyed by (seed, path index)).
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+    n_paths = integer(n_paths, "n_paths", 2)
 
     def checked(batch):
         vals = np.asarray(payoff(batch), dtype=float)
@@ -191,8 +189,8 @@ def estimate_upper(payoff, family, unc, grid: TimeGrid, n_paths: int, seed: int)
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.all(np.isfinite(vals.reshape(len(batch), -1)), axis=1)))
             raise PayoffError(
-                f"payoff non-finite on path seed={seed} index={bad} under {batch.policy_descriptor}"
-            )
+                f"payoff non-finite on path seed={seed} index={bad} under {batch.policy_descriptor}",
+                "payoff")
         return vals
 
     policies, all_vals = evaluate_family(checked, family, unc, grid, n_paths, seed)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcalc.cli import main
 
@@ -257,6 +258,24 @@ class TestExitCodes:
          "/policy/schedule/1"),
         ("simulate", SIM_OK | {"policy": {"kind": "piecewise", "schedule": [[0, 1.5], [2]]}},
          "/policy/schedule/1"),
+        ("upper", UPPER_OK | {"constants": [1.0]}, "/constants"),
+        ("gheat", GHEAT_OK | {"constants": "x"}, "/constants"),
+        ("gheat", GHEAT_OK | {"payoff": "a*x", "constants": {"a": "x"}}, "/constants/a"),
+        ("gsde", GSDE_OK | {"constants": 5}, "/constants"),
+        ("lyapunov", LYAPUNOV_OK | {"constants": [2.0]}, "/constants"),
+        ("lyapunov", LYAPUNOV_OK | {"system": LYAPUNOV_OK["system"] | {"constants": 3.0}},
+         "/system/constants"),
+        ("experiment", MOMENT_DECAY_OK | {"times": 5}, "/times"),
+        ("experiment", MOMENT_DECAY_OK | {"times": ["a"]}, "/times"),
+        ("experiment", {"kind": "bt_over_t", "band": [1.0, 2.0],
+                        "family": {"kind": "extreme_constants"},
+                        "t_values": [0.0, 10.0], "n_paths": 100}, "/t_values"),
+        ("lyapunov", LYAPUNOV_OK | {"region": {"t": [0, 1], "box": [[-5, 5, 11.5], [-5, 5, 11]]}},
+         "/region/box/0/2"),
+        ("gsde", GSDE_OK | {"n": 1.5}, "/n"),
+        ("gsde", GSDE_OK | {"n": "1"}, "/n"),
+        ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"nt": 2.5}}, "/grid/nt"),
+        ("simulate", SIM_OK | {"n_paths": True}, "/n_paths"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -284,7 +303,11 @@ class TestExitCodes:
             "experiment_lambda_bool", "experiment_lambda_string", "simulate_member_fraction",
             "simulate_schedule_member_fraction", "simulate_schedule_step_float",
             "simulate_schedule_value_text", "simulate_schedule_value_bool",
-            "simulate_schedule_entry_short"])
+            "simulate_schedule_entry_short", "upper_constants_type", "gheat_constants_type",
+            "gheat_constants_value", "gsde_constants_type", "lyapunov_constants_type",
+            "lyapunov_system_constants_type", "experiment_times_type", "experiment_times_text",
+            "bt_over_t_t_values_zero", "lyapunov_box_count_float", "gsde_n_float", "gsde_n_text",
+            "gheat_nt_float", "simulate_n_paths_bool"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
@@ -297,7 +320,7 @@ class TestExitCodes:
         # the supplied table used to decide the verdict: pass, exit 0
         assert main(["lyapunov", "--config", write_cfg(tmp_path, "w.json", WRONG_SIGN)]) == 1
         err = capsys.readouterr().err
-        assert err == ("gcalc lyapunov: error: /dV/grad/0 disagrees with /V: supplied grad/0 is "
+        assert err == ("gcalc lyapunov: error: /dV/grad/0: supplied grad/0 is "
                        "2.0 where V's symbolic derivative is -2.0, at t=0.0, x=[-1.0]\n")
         out = tmp_path / "rep.json"
         assert main(["lyapunov", "--config", write_cfg(tmp_path, "g.json", GROWING),
@@ -540,3 +563,177 @@ class TestSimulateAndGsde:
             "family": {"kind": "extreme_constants"}, "n_paths": 400,
         })
         assert main(["experiment", "--config", cfg]) == 2
+
+
+SIM_PIECEWISE = SIM_OK | {"policy": {"kind": "piecewise", "schedule": [[0, 1.0], [2, 2.0]]}}
+SIM_BANGBANG = SIM_OK | {"policy": {"kind": "bangbang_threshold", "theta": 0.0, "hi_above": True}}
+UPPER_CONSTANTS = UPPER_OK | {"payoff": "a*b1^2", "constants": {"a": 1.0},
+                              "family": {"kind": "constants_only", "n": 3}}
+UPPER_BANGBANG = UPPER_OK | {"family": {"kind": "bangbang_threshold", "thresholds": [0.0]}}
+GHEAT_NT = GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"nt": 400}}
+GSDE_LOCAL = GSDE_OK | {"lipschitz_tag": "local", "schedule": [2.0, 4.0, 8.0]}
+LYAPUNOV_DV = LYAPUNOV_OK | {
+    "mode": "analytic", "nonneg": True, "params": {"c_ly": 1.0},
+    "dV": {"dt": "0", "grad": ["x1 + x1^3", "x2"], "hess": [["1 + 3*x1^2", "0"], ["0", "1"]]},
+    "region": LYAPUNOV_OK["region"] | {"nt": 2, "exclude_r0": 0.0}}
+SANDWICH = LYAPUNOV_OK | {"condition": "sandwich", "params": {"p": 2.0, "c1": 0.5, "c2": 3.0}}
+EXP_STABLE = LYAPUNOV_OK | {"condition": "exp_stable", "params": {"lambda": 0.5}}
+LINSTAB_P = LINSTAB_OK | {"mode": "unstable", "F": [3.0]}
+DECAY = MOMENT_DECAY_OK | {"lambda": 1.0, "times": [0.5, 1.0]}
+BT_OVER_T = {"kind": "bt_over_t", "band": [1.0, 2.0], "family": {"kind": "extreme_constants"},
+             "t_values": [10.0, 100.0], "n_paths": 100}
+BAD_EXPRESSIONS = st.sampled_from(["x1 +", "(", "y9", "1 +* 2", "sin"])
+
+# Every field the CLI reads: (subcommand, a valid config, pointer, kind,
+# required, out-of-range values or None, the pointer those name if another).
+# kind is int, float, str, bool, list or dict: the JSON type the field takes.
+FIELD_TABLE = [
+    ("simulate", SIM_OK, "/band", list, True, st.sampled_from([[2.0, 1.0], [0.0, 1.0], [1.0]]),
+     None),
+    ("simulate", SIM_SET, "/dim", int, True, st.integers(-5, 0), None),
+    ("simulate", SIM_SET, "/members", list, True, st.sampled_from([[[[-1.0]]], [], [[1.0, 2.0]]]),
+     None),
+    ("simulate", SIM_OK, "/grid", dict, True, None, None),
+    ("simulate", SIM_OK, "/grid/t_end", float, True, st.floats(max_value=0.0), None),
+    ("simulate", SIM_OK, "/grid/n_steps", int, True, st.integers(-5, 0), None),
+    ("simulate", SIM_OK, "/n_paths", int, False, st.integers(-5, -1), None),
+    ("simulate", SIM_OK, "/policy", dict, True, None, None),
+    ("simulate", SIM_OK, "/policy/kind", str, True, st.sampled_from(["const", "feedback"]),
+     None),
+    ("simulate", SIM_OK, "/policy/value", float, False,
+     st.floats(allow_nan=False).filter(lambda v: not 1.0 <= v <= 2.0), "/policy"),
+    ("simulate", SIM_SET, "/policy/index", int, False, st.integers(-5, -1), None),
+    ("simulate", SIM_PIECEWISE, "/policy/schedule", list, True,
+     st.sampled_from([[], [[1, 1.0]], [[0, 1.0], [0, 2.0]], [[0, 5.0]]]), "/policy"),
+    ("simulate", SIM_BANGBANG, "/policy/theta", float, True, None, None),
+    ("simulate", SIM_BANGBANG, "/policy/hi_above", bool, False, None, None),
+    ("upper", UPPER_OK, "/payoff", str, True, BAD_EXPRESSIONS, None),
+    ("upper", UPPER_OK, "/n_paths", int, True, st.integers(-5, 1), None),
+    ("upper", UPPER_OK, "/family", dict, True, None, None),
+    ("upper", UPPER_OK, "/family/kind", str, True, st.sampled_from(["all", "custom"]), None),
+    ("upper", UPPER_CONSTANTS, "/family/n", int, False, st.integers(-5, 0), None),
+    ("upper", UPPER_CONSTANTS, "/constants", dict, False, None, None),
+    ("upper", UPPER_CONSTANTS, "/constants/a", float, False, None, None),
+    ("upper", UPPER_BANGBANG, "/family/thresholds", list, True, st.just([]), None),
+    ("gheat", GHEAT_NT, "/payoff", str, True, BAD_EXPRESSIONS, None),
+    ("gheat", GHEAT_NT, "/grid/x_lo", float, True, st.floats(min_value=4.0), "/grid/x_hi"),
+    ("gheat", GHEAT_NT, "/grid/x_hi", float, True, st.floats(max_value=-4.0), None),
+    ("gheat", GHEAT_NT, "/grid/nx", int, True, st.integers(-5, 2), None),
+    ("gheat", GHEAT_NT, "/grid/T", float, True, st.floats(max_value=0.0), None),
+    ("gheat", GHEAT_NT, "/grid/nt", int, False, st.integers(-5, -1) | st.integers(1, 5), None),
+    ("gsde", GSDE_LOCAL, "/n", int, True, st.integers(-5, 0), None),
+    ("gsde", GSDE_LOCAL, "/d", int, True, st.integers(-5, 0), None),
+    ("gsde", GSDE_LOCAL, "/f", list, True, st.sampled_from([[], ["0", "0"], ["y"]]), None),
+    ("gsde", GSDE_LOCAL, "/h", list, True, st.sampled_from([[], ["0", "0"], [[["0", "0"]]]]),
+     None),
+    ("gsde", GSDE_LOCAL, "/g", list, True, st.sampled_from([[], ["0", "0"], [["0", "0"]]]),
+     None),
+    ("gsde", GSDE_LOCAL, "/lipschitz_tag", str, False, st.sampled_from(["Global", "none"]),
+     None),
+    ("gsde", GSDE_LOCAL, "/x0", list, True, st.sampled_from([[], [1.0, 2.0]]), None),
+    ("gsde", GSDE_LOCAL, "/schedule", list, False,
+     st.sampled_from([[4.0, 2.0], [0.0, 1.0], [-1.0]]), None),
+    ("lyapunov", LYAPUNOV_DV, "/system", dict, True, None, None),
+    ("lyapunov", LYAPUNOV_DV, "/system/n", int, True, st.integers(-5, 0), None),
+    ("lyapunov", LYAPUNOV_DV, "/V", str, True, BAD_EXPRESSIONS, None),
+    ("lyapunov", LYAPUNOV_DV, "/mode", str, False, st.sampled_from(["symbolic", "fd"]), None),
+    ("lyapunov", LYAPUNOV_DV, "/dV", dict, False, None, None),
+    ("lyapunov", LYAPUNOV_DV, "/dV/dt", str, False, BAD_EXPRESSIONS | st.just("1"), None),
+    ("lyapunov", LYAPUNOV_DV, "/dV/grad", list, False,
+     st.sampled_from([["x1"], ["x1", "x2", "x1"], ["-x1", "x2"]]), None),
+    ("lyapunov", LYAPUNOV_DV, "/dV/hess", list, False,
+     st.sampled_from([[["1", "0"], ["0"]], [["0", "0"], ["0", "1"]]]), None),
+    ("lyapunov", LYAPUNOV_DV, "/nonneg", bool, False, None, None),
+    ("lyapunov", LYAPUNOV_DV, "/region", dict, True, None, None),
+    ("lyapunov", LYAPUNOV_DV, "/region/t", list, True,
+     st.sampled_from([[0], [0, -1], [1, 2], [0, 1, 2]]), None),
+    ("lyapunov", LYAPUNOV_DV, "/region/box", list, True,
+     st.sampled_from([[[-2, 2, 1], [-2, 2, 5]], [[-2, 2, 5]], [[2, -2, 5], [-2, 2, 5]],
+                      [[-2, 2], [-2, 2, 5]]]), None),
+    ("lyapunov", LYAPUNOV_DV, "/region/exclude_r0", float, False,
+     st.floats(min_value=3.0, allow_infinity=False), None),
+    ("lyapunov", LYAPUNOV_DV, "/region/nt", int, False, st.integers(-5, 0), None),
+    ("lyapunov", LYAPUNOV_DV, "/condition", str, True, st.sampled_from(["stable", "LV"]), None),
+    ("lyapunov", LYAPUNOV_DV, "/params", dict, False, None, None),
+    ("lyapunov", LYAPUNOV_DV, "/params/c_ly", float, False, st.floats(max_value=-1e-3), None),
+    ("lyapunov", SANDWICH, "/params/p", float, True, st.floats(max_value=0.0), None),
+    ("lyapunov", SANDWICH, "/params/c1", float, True, st.floats(max_value=0.0), None),
+    ("lyapunov", SANDWICH, "/params/c2", float, True, st.floats(max_value=0.0), None),
+    ("lyapunov", EXP_STABLE, "/params/lambda", float, True, st.floats(max_value=0.0), None),
+    ("linstab", LINSTAB_P, "/n", int, True, st.integers(-5, 0), None),
+    ("linstab", LINSTAB_P, "/F", list, True, st.sampled_from([[], [1.0, 2.0]]), None),
+    ("linstab", LINSTAB_P, "/H", list, True, st.sampled_from([[], [1.0, 2.0]]), None),
+    ("linstab", LINSTAB_P, "/C", list, True, st.sampled_from([[], [1.0, 2.0]]), None),
+    ("linstab", LINSTAB_P, "/P", list, False, st.sampled_from([[-1.0], [0.0], [1.0, 2.0]]),
+     None),
+    ("linstab", LINSTAB_P, "/mode", str, False, st.sampled_from(["stabl", "both"]), None),
+    ("experiment", DECAY, "/kind", str, True, st.sampled_from(["decay", "bt"]), None),
+    ("experiment", DECAY, "/model", dict, True, None, None),
+    ("experiment", DECAY, "/model/alpha", float, True, None, None),
+    ("experiment", DECAY, "/model/x0", float, True, None, None),
+    ("experiment", DECAY, "/p", float, True, st.floats(max_value=0.0), None),
+    ("experiment", DECAY, "/T", float, True, st.floats(max_value=0.0), None),
+    ("experiment", DECAY, "/dt", float, True, st.floats(max_value=0.0), None),
+    ("experiment", DECAY, "/n_paths", int, True, st.integers(-5, 99), None),
+    ("experiment", DECAY, "/lambda", float, False, None, None),
+    ("experiment", DECAY, "/times", list, False, st.sampled_from([[2.0], [-0.5]]), None),
+    ("experiment", DECAY, "/family", dict, True, None, None),
+    ("experiment", BT_OVER_T, "/t_values", list, True,
+     st.sampled_from([[], [100.0, 10.0], [0.0, 10.0], [-1.0]]), None),
+    ("experiment", BT_OVER_T, "/n_paths", int, True, st.integers(-5, 0), None),
+]
+
+WRONG_TYPES = {
+    int: st.text(max_size=3) | st.lists(st.integers(), max_size=2) | st.none(),
+    float: st.text(max_size=3) | st.lists(st.floats(), max_size=2) | st.none(),
+    str: st.integers() | st.lists(st.text(), max_size=2) | st.none(),
+    bool: st.integers() | st.text(max_size=3) | st.none(),
+    list: st.integers() | st.text(max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(),
+                                                                 max_size=2),
+    dict: st.integers() | st.text(max_size=3) | st.lists(st.integers(), max_size=2),
+}
+
+
+def substituted(cfg, pointer, value, omit=False):
+    """A copy of cfg with the value at pointer replaced, or removed."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = pointer.strip("/").split("/")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    if omit:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+class TestFieldTable:
+    @pytest.mark.parametrize("sub,cfg,pointer", [row[:3] for row in FIELD_TABLE],
+                             ids=[f"{row[0]}{row[2]}" for row in FIELD_TABLE])
+    def test_valid_configs_run(self, tmp_path, capsys, sub, cfg, pointer):
+        assert main([sub, "--config", write_cfg(tmp_path, "c.json", cfg)]) in (0, 2)
+
+    @pytest.mark.parametrize("sub,cfg,pointer,kind,required,out_of_range,out_pointer", FIELD_TABLE,
+                             ids=[f"{row[0]}{row[2]}" for row in FIELD_TABLE])
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bad_value_exits_one_naming_pointer(self, tmp_path, capsys, data, sub, cfg, pointer,
+                                                kind, required, out_of_range, out_pointer):
+        """A wrong JSON type, a bool, a fractional integer, an out-of-range
+        value or a missing required field: exit 1 on one line naming the
+        field, never a traceback."""
+        ways = ["type"] + ["bool"] * (kind is not bool) + ["fraction"] * (kind is int)
+        ways += ["range"] * (out_of_range is not None) + ["omit"] * required
+        way = data.draw(st.sampled_from(ways))
+        fractions = st.floats().filter(lambda v: not float(v).is_integer())
+        value = data.draw({"type": WRONG_TYPES[kind], "bool": st.booleans(), "fraction": fractions,
+                           "range": out_of_range, "omit": st.none()}[way])
+        bad = substituted(cfg, pointer, value, omit=way == "omit")
+        capsys.readouterr()
+        assert main([sub, "--config", write_cfg(tmp_path, "c.json", bad)]) == 1, (way, value)
+        err = capsys.readouterr().err
+        want = out_pointer if way == "range" and out_pointer else pointer
+        assert err.startswith(f"gcalc {sub}: error: ") and err.count("\n") == 1, err
+        assert want in err and "Traceback" not in err, (way, value, err)

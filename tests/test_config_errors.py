@@ -1,0 +1,82 @@
+"""Every constructor and loader that takes a count, a step or an index
+rejects a fractional or bool value with a ConfigError naming its field,
+instead of truncating it, and keeps taking integral values such as 3.0."""
+
+import numpy as np
+import pytest
+
+from gcalc import (
+    CFLError,
+    CheckRegion,
+    ConfigError,
+    ConstantPolicy,
+    NotSPDError,
+    PayoffError,
+    PiecewiseConstantPolicy,
+    PolicyError,
+    PolicyFamily,
+    SpaceTimeGrid,
+    TimeGrid,
+    experiments,
+    expr,
+    load_system,
+)
+from gcalc.lyapunov import RegionError, SuppliedDerivativeError
+
+
+# systems with every coefficient 0, of 3 states and of 3 noises
+SYSTEM_N = {"d": 1, "band": [1.0, 2.0], "f": ["0"] * 3, "h": ["0"] * 3, "g": ["0"] * 3}
+SYSTEM_D = {"n": 1, "band": [1.0, 2.0], "f": ["0"], "h": [[["0"] * 3] * 3], "g": [["0"] * 3]}
+
+
+# (constructor of the integral value, what reads it back, field, an out-of-range value)
+INTEGRAL = {
+    "time_grid": (lambda v: TimeGrid(1.0, v), lambda g: g.n_steps, "n_steps", 0),
+    "space_time_grid_nx": (lambda v: SpaceTimeGrid(-1.0, 1.0, v, 1.0, 2), lambda g: g.nx, "nx", 2),
+    "space_time_grid_nt": (lambda v: SpaceTimeGrid(-1.0, 1.0, 3, 1.0, v), lambda g: g.nt, "nt", 0),
+    "region_count": (lambda v: CheckRegion(1.0, [(-1.0, 1.0, 3), (-1.0, 1.0, v)]),
+                     lambda r: r.box[1][2], "box/1/2", 1),
+    "region_nt": (lambda v: CheckRegion(1.0, [(-1.0, 1.0, 3)], nt=v), lambda r: r.nt, "nt", 0),
+    "constant_index": (lambda v: ConstantPolicy(index=v), lambda p: p.index, "index", -1),
+    "schedule_step": (lambda v: PiecewiseConstantPolicy([(0, 1.0), (v, 2.0)]),
+                      lambda p: p.schedule[1][0], "schedule/1/0", -1),
+    "constants_only": (PolicyFamily.constants_only, lambda f: f.n_constants, "n", 0),
+    "system_n": (lambda v: load_system({**SYSTEM_N, "n": v}), lambda s: s[0].n, "n", 0),
+    "system_d": (lambda v: load_system({**SYSTEM_D, "d": v}), lambda s: s[0].d, "d", 0),
+}
+
+
+@pytest.mark.parametrize("build,read,field,out_of_range", INTEGRAL.values(), ids=INTEGRAL)
+def test_integral_fields(build, read, field, out_of_range):
+    for value in (3, 3.0):
+        got = read(build(value))
+        assert got == 3 and type(got) is int
+    for value in (2.7, True, out_of_range, float("nan"), "3"):
+        with pytest.raises(ConfigError) as err:
+            build(value)
+        assert err.value.field == field, value
+
+
+def test_region_errors_stay_region_errors():
+    for box in ([(-1.0, 1.0, 2.5)], [(-1.0, 1.0)], [(1.0, -1.0, 3)]):
+        with pytest.raises(RegionError):
+            CheckRegion(1.0, box)
+
+
+def test_schedule_entry_shape():
+    # array choices at one step are compared by step alone
+    same_step = [(0, np.array([1.0, 2.0])), (0, np.array([1.5, 2.0]))]
+    for schedule, field in (([(0, 1.0), (2,)], "schedule/1"), ([(0, 1.0), 2.0], "schedule/1"),
+                            ([(1, 1.0)], "schedule"), (same_step, "schedule")):
+        with pytest.raises(ConfigError) as err:
+            PiecewiseConstantPolicy(schedule)
+        assert err.value.field == field
+
+
+def test_one_error_class():
+    # the library's setting errors share one base, so one except clause
+    # catches them all, and the older names stay
+    assert experiments.ConfigError is ConfigError
+    for cls in (RegionError, PolicyError, CFLError, NotSPDError, SuppliedDerivativeError,
+                PayoffError, expr.ExprError):
+        assert issubclass(cls, ConfigError) and issubclass(cls, ValueError)

@@ -275,6 +275,25 @@ def cases() -> dict:
                            ("value_bool", [[0, 1.5], [2, True]])):
         out[f"simulate_error_schedule_{name}"] = variant(
             "simulate_band", policy={"kind": "piecewise", "schedule": schedule})
+    # constants of the wrong JSON type, times that are no list of numbers and
+    # a horizon <= 0 used to end in a traceback
+    for case in ("upper_band", "gheat_square", "gsde_global"):
+        out[f"{case.split('_')[0]}_error_constants_type"] = variant(case, constants=[1.0])
+    out["gheat_error_constants_value"] = variant("gheat_square", payoff="a*x^2",
+                                                 constants={"a": "x"})
+    out["lyapunov_error_constants_type"] = ("lyapunov", {**duffing_band, "constants": [2.0]})
+    out["lyapunov_error_system_constants_type"] = (
+        "lyapunov", {**duffing_band, "system": {**DUFFING, "constants": 3.0}})
+    out["experiment_error_times_type"] = variant("experiment_moment_decay", times=5)
+    out["experiment_error_times_text"] = variant("experiment_moment_decay", times=["a"])
+    out["experiment_error_t_values_zero"] = variant("experiment_bt_over_t", t_values=[0.0, 10.0])
+    # fractional counts used to be truncated, and true read as 1
+    out["lyapunov_error_box_count_float"] = ("lyapunov", {
+        **duffing_band, "region": {**duffing_band["region"], "box": [[-5, 5, 11.5]] * 2}})
+    out["gsde_error_n_float"] = variant("gsde_global", n=1.5)
+    out["gsde_error_n_text"] = variant("gsde_global", n="1")
+    out["gheat_error_nt_float"] = variant("gheat_square", grid={**square_grid, "nt": 2.5})
+    out["simulate_error_n_paths_bool"] = variant("simulate_band", n_paths=True)
     return out
 
 
