@@ -222,6 +222,10 @@ def _long_rows(header, rows):
 
 
 def _maybe_long(args, fh, comments, header, rows):
+    """rows, a 2-D float array or a list of rows, as CSV, long-format CSV
+    or JSON; the last two take Python values."""
+    if isinstance(rows, np.ndarray) and (args.format == "json" or args.emit_plot_data):
+        rows = rows.tolist()
     if args.format == "json":
         write_json(fh, {"header": list(header), "rows": [list(r) for r in rows]},
                    comments=comments)
@@ -250,7 +254,14 @@ def cmd_simulate(args, cfg, comments):
                                _fetch(cfg, "/n_paths", int, required=False, default=1))
     header, table = batch.table()
     header = ["path"] + header
-    rows = [(p, *row) for p, block in enumerate(table.tolist()) for row in block]
+    if args.format == "json":  # the path index stays a JSON integer
+        rows = [(p, *row) for p, block in enumerate(table.tolist()) for row in block]
+    else:  # %.17g of an integral float below 2**53 is its %d text
+        n_paths, n_times, width = table.shape
+        rows = np.empty((n_paths, n_times, 1 + width))
+        rows[:, :, 0] = np.arange(n_paths)[:, None]
+        rows[:, :, 1:] = table
+        rows = rows.reshape(n_paths * n_times, 1 + width)
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
     return 0
 
@@ -292,7 +303,7 @@ def cmd_gheat(args, cfg, comments):
         print(f"u(0, 0) = {sol.value_at(0.0):.6g}", file=sys.stderr)
     except ValueError as e:
         print(f"u(0, 0) not reported: {e}", file=sys.stderr)
-    rows = np.column_stack([sol.x, sol.u]).tolist()
+    rows = np.column_stack([sol.x, sol.u])
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, ["x", "u"], rows))
     return 0
 
@@ -317,7 +328,7 @@ def cmd_gsde(args, cfg, comments):
         except (gsde_mod.ExplosionSuspectedError, gsde_mod.BlowUpError) as e:
             raise CheckFailed(str(e))
     header = ["t"] + expr_mod.state_variables(coeffs.n)
-    rows = np.column_stack([sol.t, sol.x[0]]).tolist()
+    rows = np.column_stack([sol.t, sol.x[0]])
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
     return 0
 

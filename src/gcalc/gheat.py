@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, integer
 from .runio import write_table
-from .uncertainty import SigmaBand, g_scalar
+from .uncertainty import SigmaBand, g_scalar, require_band
 
 
 class CFLError(ConfigError):
@@ -80,7 +80,8 @@ class SpaceTimeGrid:
         return np.linspace(self.x_lo, self.x_hi, self.nx)
 
     def min_nt(self, band: SigmaBand) -> int:
-        return max(1, math.ceil(self.T * band.sigma2_hi / self.dx**2 * (1.0 + 1e-12)))
+        hi = require_band(band, "the G-heat solver").sigma2_hi
+        return max(1, math.ceil(self.T * hi / self.dx**2 * (1.0 + 1e-12)))
 
     def check_cfl(self, band: SigmaBand) -> None:
         nt_min = self.min_nt(band)
@@ -90,8 +91,9 @@ class SpaceTimeGrid:
     @classmethod
     def with_cfl(cls, x_lo, x_hi, nx, T, band: SigmaBand, safety: float = 0.9):
         """Grid with the smallest nt meeting the CFL bound scaled by safety."""
+        hi = require_band(band, "the G-heat solver").sigma2_hi
         tmp = cls(x_lo, x_hi, nx, T, 1)
-        nt = max(1, math.ceil(T * band.sigma2_hi / (safety * tmp.dx**2)))
+        nt = max(1, math.ceil(T * hi / (safety * tmp.dx**2)))
         return cls(x_lo, x_hi, nx, T, nt)
 
 

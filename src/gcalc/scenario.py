@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, integer
-from .uncertainty import CovarianceSet, SigmaBand, g_value
+from .uncertainty import CovarianceSet, SigmaBand, g_value, require_band
 
 _MASK64 = (1 << 64) - 1
 _EIG_CLAMP = 1e-12
@@ -172,6 +172,7 @@ class BangBangPolicy(VolatilityPolicy):
 
 def threshold_bangbang(band: SigmaBand, theta: float, hi_above: bool = True) -> BangBangPolicy:
     """d = 1 rule: take the upper extreme where B >= theta (or below it)."""
+    band = require_band(band, "a threshold bang-bang policy")
     hi, lo = band.sigma2_hi, band.sigma2_lo
     up, down = (hi, lo) if hi_above else (lo, hi)
 

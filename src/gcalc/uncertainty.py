@@ -122,6 +122,14 @@ class CovarianceSet:
         return np.stack(self.members)
 
 
+def require_band(unc, what: str) -> SigmaBand:
+    """unc when it is a SigmaBand, for what, which is defined on d = 1
+    bands only; anything else raises a ConfigError naming "band"."""
+    if not isinstance(unc, SigmaBand):
+        raise ConfigError(f"{what} needs a d = 1 band, got a {type(unc).__name__}", "band")
+    return unc
+
+
 def g_scalar(band: SigmaBand, a, out=None):
     """G(a) = 0.5 * (max(hi*a, lo*a) + 0.0), elementwise on arrays.
 

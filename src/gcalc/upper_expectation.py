@@ -28,7 +28,7 @@ from .scenario import (
     batch_noise,
     threshold_bangbang,
 )
-from .uncertainty import CovarianceSet, SigmaBand
+from .uncertainty import CovarianceSet, require_band
 
 
 class PayoffError(ConfigError):
@@ -75,11 +75,9 @@ class PolicyFamily:
     def policies(self, unc) -> list:
         if self.kind == "custom":
             return list(self.custom_policies)
-        if isinstance(unc, CovarianceSet):
-            if self.kind in ("constants_only", "extreme_constants"):
-                return [ConstantPolicy(index=i) for i in range(len(unc))]
-            raise ValueError(f"{self.kind} needs a SigmaBand")
-        band: SigmaBand = unc
+        if isinstance(unc, CovarianceSet) and self.kind in ("constants_only", "extreme_constants"):
+            return [ConstantPolicy(index=i) for i in range(len(unc))]
+        band = require_band(unc, f"the {self.kind} family")
         if self.kind == "extreme_constants":
             values = [band.sigma2_lo, band.sigma2_hi] if band.width > 0 else [band.sigma2_lo]
             return [ConstantPolicy(value=v) for v in values]
@@ -211,8 +209,7 @@ def optimize_bangbang(payoff, unc, grid: TimeGrid, thresholds, n_paths: int,
     """Grid search over threshold bang-bang rules (both orientations),
     with the two extreme constants included so constant optima are exact.
     The report's details carry the evaluation trajectory in search order."""
-    if not isinstance(unc, SigmaBand):
-        raise ValueError("bang-bang threshold search needs a d = 1 band")
+    unc = require_band(unc, "bang-bang threshold search")
     candidates = [ConstantPolicy(value=unc.sigma2_lo), ConstantPolicy(value=unc.sigma2_hi)]
     candidates += PolicyFamily.bangbang_threshold(thresholds).policies(unc)
     report = estimate_upper(payoff, PolicyFamily.custom(candidates), unc, grid, n_paths, seed)

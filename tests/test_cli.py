@@ -474,6 +474,21 @@ class TestSimulateAndGsde:
         assert lines[0] == "path,t,b_1,qvar_11,policy_choice"
         assert len(lines) == 1 + 2 * 17
 
+    def test_simulate_path_index_reads_as_an_integer(self, tmp_path):
+        """The CSV writes the path index from a float column; every format
+        still reads it as an integer."""
+        cfg = write_cfg(tmp_path, "sim.json", SIM_OK | {"n_paths": 3})
+        texts = []
+        for i, flags in enumerate([(), ("--emit-plot-data",), ("--format", "json")]):
+            out = tmp_path / f"out{i}"
+            assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 0
+            texts.append(out.read_text())
+        csv_rows, long_rows = ([l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+                               for text in texts[:2])
+        assert {r[0] for r in csv_rows} == {"0", "1", "2"}
+        assert {r[2] for r in long_rows if r[1] == "path"} == {"0", "1", "2"}
+        assert {type(r[0]) for r in json.loads(texts[2])["rows"]} == {int}
+
     def test_simulate_zero_paths_is_header_only(self, tmp_path):
         out = tmp_path / "none.csv"
         assert main(["simulate", "--config", write_cfg(tmp_path, "z.json", SIM_OK | {"n_paths": 0}),

@@ -9,6 +9,7 @@ from gcalc import (
     CFLError,
     CheckRegion,
     ConfigError,
+    CovarianceSet,
     ConstantPolicy,
     NotSPDError,
     PayoffError,
@@ -20,6 +21,10 @@ from gcalc import (
     experiments,
     expr,
     load_system,
+    optimize_bangbang,
+    solve_terminal,
+    solve_two_step,
+    threshold_bangbang,
 )
 from gcalc.lyapunov import RegionError, SuppliedDerivativeError
 
@@ -80,3 +85,25 @@ def test_one_error_class():
     for cls in (RegionError, PolicyError, CFLError, NotSPDError, SuppliedDerivativeError,
                 PayoffError, expr.ExprError):
         assert issubclass(cls, ConfigError) and issubclass(cls, ValueError)
+
+
+COV_SET = CovarianceSet(2, [np.eye(2), np.array([[2.0, 0.5], [0.5, 1.0]])])
+GRID = SpaceTimeGrid(-1.0, 1.0, 11, 0.5, 100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: threshold_bangbang(COV_SET, 0.0),
+    lambda: solve_terminal(COV_SET, lambda x: x * x, GRID),
+    lambda: solve_two_step(COV_SET, lambda a, b: a + b, 0.5, 1.0, GRID, GRID),
+    lambda: SpaceTimeGrid.with_cfl(-1.0, 1.0, 11, 1.0, COV_SET),
+    lambda: PolicyFamily.bangbang_threshold([0.0]).policies(COV_SET),
+    lambda: optimize_bangbang(lambda b: b.b[:, -1, 0], COV_SET, TimeGrid(1.0, 4), [0.0], 10, 0),
+], ids=["threshold_bangbang", "solve_terminal", "solve_two_step", "with_cfl",
+        "bangbang_family", "optimize_bangbang"])
+def test_band_only_calls_name_the_band(call):
+    """What is defined on d = 1 bands rejects a covariance set by name,
+    not with an AttributeError."""
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.field == "band"
+    assert "needs a d = 1 band, got a CovarianceSet" in str(err.value)

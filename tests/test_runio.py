@@ -2,6 +2,7 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +111,77 @@ class TestAgainstPerValueWriter:
     def test_bools_are_text_not_numbers(self):
         rows = [(True, np.bool_(False), 1, np.int8(-2))]
         assert _table(["a", "b", "c", "d"], rows) == "a,b,c,d\ntrue,false,1,-2\n"
+
+
+# NaNs of both signs, quiet and signalling, with different payloads
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+# a small pool, so that columns repeat values and share their texts
+POOL = EDGES + NANS.tolist() + [1.0, 2.0, -3.0, 2.0 ** 53 - 1]
+DTYPES = [np.float64, np.float32, np.float16, np.int64, np.int8, np.uint64, np.bool_]
+
+
+def _column(dtype, draws):
+    """POOL draws as a column of dtype; float64 keeps the NaN payloads."""
+    if np.dtype(dtype).kind == "f":
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.array([POOL[i] for i in draws], dtype=np.float64).astype(dtype)
+    if dtype is np.bool_:
+        return np.array([i % 3 == 0 for i in draws])
+    info = np.iinfo(dtype)
+    return np.array([(i * 7919) % 200 - 100 if info.min < 0 else i * 12345 for i in draws],
+                    dtype=dtype)
+
+
+class TestColumnarArrays:
+    """The 2-D ndarray path formats each distinct value of a block's column
+    once; its bytes must be those of the per-value writer on the same rows."""
+
+    @given(st.sampled_from(DTYPES), st.integers(0, 12), st.integers(1, 5),
+           st.integers(1, 8), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_arrays_bytewise(self, dtype, n_rows, n_cols, block_rows, data):
+        draws = data.draw(st.lists(st.integers(0, len(POOL) - 1),
+                                   min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+        table = _column(dtype, draws).reshape(n_rows, n_cols)
+        header = [f"c{j}" for j in range(n_cols)]
+        with mock.patch.object(runio, "_BLOCK_ROWS", block_rows):
+            got = _table(header, table, ["seed=1"])
+        _assert_same_text(got, _ref_table(header, table, ["seed=1"]))
+
+    def test_signed_zeros_and_nan_payloads_in_one_column(self):
+        col = np.concatenate([[0.0, -0.0, -0.0, 0.0], NANS, [-0.0, 5e-324, -5e-324, 0.0]])
+        table = np.stack([col, col[::-1]], axis=1)
+        got = _table(["a", "b"], table)
+        _assert_same_text(got, _ref_table(["a", "b"], table))
+        first = [line.split(",")[0] for line in got.splitlines()[1:]]
+        assert first == ["0", "-0", "-0", "0"] + ["nan"] * len(NANS) + [
+            "-0", "4.9406564584124654e-324", "-4.9406564584124654e-324", "0"]
+
+    @pytest.mark.parametrize("shape", [(0, 1), (0, 4), (1, 1), (1, 4), (7, 1)])
+    def test_small_shapes(self, shape):
+        table = np.arange(float(np.prod(shape))).reshape(shape) - 2.5
+        _assert_same_text(_table(["c"] * shape[1], table), _ref_table(["c"] * shape[1], table))
+
+    def test_no_columns(self):
+        assert _table([], np.empty((3, 0))) == "\n\n\n\n"
+
+    @pytest.mark.parametrize("n", [runio._BLOCK_ROWS - 1, runio._BLOCK_ROWS, runio._BLOCK_ROWS + 1,
+                                   2 * runio._BLOCK_ROWS + 1])
+    def test_row_counts_around_the_block_size(self, n):
+        # a time grid repeated per path, a path index and a draw per row
+        t = np.tile(np.linspace(0.0, 5.0, 1001), n // 1001 + 1)[:n]
+        table = np.column_stack([np.arange(n) // 1001, t, np.random.default_rng(n).standard_normal(n)])
+        text = _table(["path", "t", "b"], table)
+        _assert_same_text(text, _ref_table(["path", "t", "b"], table))
+        assert text.count("\n") == n + 1
+
+    @given(st.integers(-(2 ** 53 - 1), 2 ** 53 - 1) | st.sampled_from([0, 1, -1, 2 ** 53 - 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_integral_floats_print_as_integers(self, i):
+        """A path index written as a float reads as its integer text."""
+        assert "%.17g" % float(i) == "%d" % i
+        assert _table(["p"], np.array([[float(i)]])) == _table(["p"], [(i,)])
 
 
 def test_percent_g_matches_float_format_on_random_bit_patterns():

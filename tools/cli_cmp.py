@@ -14,11 +14,14 @@ rows).  Any difference in stdout, stderr or exit code is reported with the
 first differing lines.
 
 A change that alters some output on purpose names those cases, one per line,
-in ``tools/cli_cmp_expected.txt`` (``#`` starts a comment); their differences
-are reported but pass.  A listed case that no longer differs on any run, or
-that names no case, fails, so the list holds only the changes against
-BASE_REF and is emptied once they are in it.  Exits 0 when every unlisted
-run matches and every listed case differs, and 1 otherwise.
+in ``tools/cli_cmp_expected.txt`` (``#`` starts a comment), under a line
+``# base: <sha>`` that names the commit the list was written against.  When
+BASE_REF is that commit, the listed differences are reported but pass, and a
+listed case that no longer differs on any run, or that names no case, fails.
+When BASE_REF is another commit (or the file names no base), the list was
+written for a change that is now in the base: its entries are printed as
+skipped and every run must match.  Exits 0 when every run that is not listed
+for this base matches and every such listed case differs, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -332,12 +335,37 @@ def first_difference(a: bytes, b: bytes) -> str:
     return "same lines, different bytes (line endings?)"
 
 
-def expected_cases() -> set:
-    """Case names listed as differing on purpose."""
+def expected_cases() -> tuple:
+    """The base commit the list names (None if none) and the case names it
+    lists as differing on purpose."""
     if not EXPECTED.exists():
-        return set()
-    lines = (line.split("#", 1)[0].strip() for line in EXPECTED.read_text().splitlines())
-    return {line for line in lines if line}
+        return None, set()
+    base, names = None, set()
+    for line in EXPECTED.read_text().splitlines():
+        name, _, comment = (part.strip() for part in line.partition("#"))
+        if name:
+            names.add(name)
+        elif comment.startswith("base:"):
+            base = comment[len("base:"):].strip() or None
+    return base, names
+
+
+def resolve(ref: str) -> str:
+    """The full sha of the commit ref names."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{ref}^{{commit}}"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def listed_for(base_sha: str) -> set:
+    """The listed cases that apply against base_sha: all of them when the
+    list names that commit (a prefix of at least 7 hex digits will do),
+    none otherwise, each skipped one printed."""
+    base, names = expected_cases()
+    if base is not None and len(base) >= 7 and base_sha.startswith(base.lower()):
+        return names
+    for name in sorted(names):
+        print(f"SKIP  {name} (listed for base {base}, not {base_sha[:12]})")
+    return set()
 
 
 def main(argv=None) -> int:
@@ -345,7 +373,7 @@ def main(argv=None) -> int:
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    expected, all_cases = expected_cases(), cases()
+    expected, all_cases = listed_for(resolve(argv[0])), cases()
     failed = [f"{EXPECTED.name} names no case: {name}" for name in sorted(expected - set(all_cases))]
     with tempfile.TemporaryDirectory(prefix="cli_cmp_") as tmp:
         tmp = Path(tmp)
