@@ -27,7 +27,6 @@ from . import (
     LyapunovSpec,
     PiecewiseConstantPolicy,
     PolicyFamily,
-    SigmaBand,
     SpaceTimeGrid,
     TimeGrid,
     TruncationSchedule,
@@ -156,7 +155,7 @@ def _time_grid(cfg) -> TimeGrid:
 def _policy(cfg, unc, pointer="/policy"):
     spec = _fetch(cfg, pointer, dict)
     kind = _fetch(cfg, f"{pointer}/kind", str)
-    with _at(pointer):
+    with _at(pointer, band="/band"):
         if kind == "constant":
             if "value" in spec:
                 return ConstantPolicy(value=_fetch(cfg, f"{pointer}/value", float))
@@ -168,12 +167,10 @@ def _policy(cfg, unc, pointer="/policy"):
                 if not _is_number(value):
                     raise UsageError(f"config field {pointer}/schedule/{i} must be [int step, number]")
             return policy
-    if kind == "bangbang_threshold":
-        if not isinstance(unc, SigmaBand):
-            raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
-        return threshold_bangbang(unc, _fetch(cfg, f"{pointer}/theta", float),
-                                  hi_above=_fetch(cfg, f"{pointer}/hi_above", bool,
-                                                  required=False, default=True))
+        if kind == "bangbang_threshold":
+            return threshold_bangbang(unc, _fetch(cfg, f"{pointer}/theta", float),
+                                      hi_above=_fetch(cfg, f"{pointer}/hi_above", bool,
+                                                      required=False, default=True))
     raise UsageError(f"unknown policy kind at {pointer}/kind: {kind!r}")
 
 
@@ -183,7 +180,7 @@ def _expression(cfg, pointer, variables):
         return expr_mod.parse(_fetch(cfg, pointer, str), variables, cfg.get("constants"))
 
 
-def _family(cfg, unc, pointer="/family") -> PolicyFamily:
+def _family(cfg, pointer="/family") -> PolicyFamily:
     _fetch(cfg, pointer, dict)  # a family that is no object is a type error
     kind = _fetch(cfg, f"{pointer}/kind", str)
     if kind == "extreme_constants":
@@ -193,8 +190,6 @@ def _family(cfg, unc, pointer="/family") -> PolicyFamily:
             return PolicyFamily.constants_only(_fetch(cfg, f"{pointer}/n", int, required=False,
                                                       default=5))
         if kind == "bangbang_threshold":
-            if not isinstance(unc, SigmaBand):
-                raise UsageError(f"{pointer}/kind=bangbang_threshold needs a band")
             return PolicyFamily.bangbang_threshold(_numbers(cfg, f"{pointer}/thresholds"))
     raise UsageError(f"unknown family kind at {pointer}/kind: {kind!r}")
 
@@ -252,16 +247,10 @@ def cmd_simulate(args, cfg, comments):
     with _at():
         batch = simulate_batch(policy, unc, grid, args.seed,
                                _fetch(cfg, "/n_paths", int, required=False, default=1))
-    header, table = batch.table()
-    header = ["path"] + header
+    header, table = batch.table()  # %.17g of its float path index is the %d text
+    rows = table.reshape(-1, len(header))
     if args.format == "json":  # the path index stays a JSON integer
-        rows = [(p, *row) for p, block in enumerate(table.tolist()) for row in block]
-    else:  # %.17g of an integral float below 2**53 is its %d text
-        n_paths, n_times, width = table.shape
-        rows = np.empty((n_paths, n_times, 1 + width))
-        rows[:, :, 0] = np.arange(n_paths)[:, None]
-        rows[:, :, 1:] = table
-        rows = rows.reshape(n_paths * n_times, 1 + width)
+        rows = [(int(p), *row) for p, *row in rows.tolist()]
     _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
     return 0
 
@@ -269,7 +258,7 @@ def cmd_simulate(args, cfg, comments):
 def cmd_upper(args, cfg, comments):
     unc = _uncertainty(cfg)
     grid = _time_grid(cfg)
-    family = _family(cfg, unc)
+    family = _family(cfg)
     d = unc.dim
     payoff_expr = _expression(cfg, "/payoff", ["t"] + [f"b{i + 1}" for i in range(d)] + ["qv"])
 
@@ -289,13 +278,11 @@ def cmd_upper(args, cfg, comments):
 
 def cmd_gheat(args, cfg, comments):
     unc = _uncertainty(cfg)
-    if not isinstance(unc, SigmaBand):
-        raise UsageError("/band: the PDE solver is one-dimensional")
     payoff_expr = _expression(cfg, "/payoff", ["x"])
     x_lo, x_hi, T = (_fetch(cfg, f"/grid/{name}", float) for name in ("x_lo", "x_hi", "T"))
     nx = _fetch(cfg, "/grid/nx", int)
     nt = _fetch(cfg, "/grid/nt", int, required=False)  # 0 or absent: the CFL count
-    with _at("/grid", payoff="/payoff"):
+    with _at("/grid", payoff="/payoff", band="/band"):
         grid = (SpaceTimeGrid(x_lo, x_hi, nx, T, nt) if nt
                 else SpaceTimeGrid.with_cfl(x_lo, x_hi, nx, T, unc))
         sol = gheat_mod.solve_terminal(unc, lambda x: payoff_expr.eval({"x": x}), grid)
@@ -377,8 +364,6 @@ def cmd_lyapunov(args, cfg, comments):
 
 def cmd_linstab(args, cfg, comments):
     unc = _uncertainty(cfg)
-    if not isinstance(unc, SigmaBand):
-        raise UsageError("/band: linear certificates are for scalar-noise systems")
     mode = _fetch(cfg, "/mode", str, required=False, default="stable")
     with _at():
         sys_ = LinearGSystem.from_rows(_fetch(cfg, "/n", int),
@@ -401,10 +386,8 @@ def cmd_linstab(args, cfg, comments):
 def cmd_experiment(args, cfg, comments):
     kind = _fetch(cfg, "/kind", str)
     unc = _uncertainty(cfg)
-    family = _family(cfg, unc)
+    family = _family(cfg)
     if kind == "bt_over_t":
-        if not isinstance(unc, SigmaBand):
-            raise UsageError("/dim: the |B_t|/t table is defined for d = 1 bands")
         with _at():
             result = exp_mod.bt_over_t(unc, family, _numbers(cfg, "/t_values"),
                                        _fetch(cfg, "/n_paths", int), args.seed)

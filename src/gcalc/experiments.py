@@ -19,7 +19,7 @@ from .runio import config_hash, standard_comments, write_table
 # assemble and batch_noise are not called here: perfbench/layers.py
 # patches them in this namespace
 from .scenario import TimeGrid, assemble, batch_noise  # noqa: F401
-from .uncertainty import CovarianceSet, SigmaBand
+from .uncertainty import SigmaBand, require_band
 from .upper_expectation import PolicyFamily, bound_rows, evaluate_family
 
 LOG_FLOOR = 1e-300
@@ -53,6 +53,7 @@ class GeometricModel:
         bounded pathwise using the upper variance when the bracket is
         nonnegative and the lower variance otherwise; the remaining factor
         is a mean-one exponential martingale."""
+        band = require_band(band, "the geometric model's moment rate")
         bracket = 2.0 * self.beta + self.gamma**2 * (p - 1.0)
         sig2 = band.sigma2_hi if bracket >= 0.0 else band.sigma2_lo
         return -(p * self.alpha + 0.5 * p * bracket * sig2)
@@ -100,6 +101,9 @@ class ExperimentConfig:
         for name in ("T", "dt"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}", name)
+        d = 1 if isinstance(self.system, GeometricModel) else self.system[0].d
+        if self.unc.dim != d:
+            raise ConfigError(f"the system has d = {d} noises, the set dim = {self.unc.dim}", "dim")
         outside = [t for t in self.times if not 0.0 <= t <= self.T]
         if outside:
             raise ConfigError(f"times {outside} lie outside [0, T] = [0, {self.T:g}]",
@@ -225,8 +229,7 @@ def bt_over_t(unc, family: PolicyFamily, t_values, n_paths: int, seed: int,
 
     Passes when the high quantile decreases along t_values and the last
     one is <= 0.2 * sigma_hi (d = 1)."""
-    if not isinstance(unc, SigmaBand):
-        raise ConfigError("the |B_t|/t table is defined for d = 1 bands")
+    unc = require_band(unc, "the |B_t|/t table")
     t_values = [float(t) for t in t_values]
     if sorted(t_values) != t_values:
         raise ConfigError("t_values must increase", "t_values")

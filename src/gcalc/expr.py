@@ -1,9 +1,10 @@
 """Arithmetic expression language for coefficients, Lyapunov candidates and payoffs.
 
 Grammar (highest precedence first): ``^`` right-associative, unary minus,
-``* /``, ``+ -``.  Atoms are numbers, declared variables, parenthesised
-expressions and the function calls sin, cos, exp, log, tanh, abs, sqrt,
-pos (positive part), neg (negative part), min, max.
+``* /``, ``+ -``.  Atoms are numbers (decimal digits, whose exponent needs
+digits too: ``2.5e-3``), declared variables, parenthesised expressions and
+the function calls sin, cos, exp, log, tanh, abs, sqrt, pos (positive
+part), neg (negative part), min, max.
 
 Trees are immutable; evaluation broadcasts over numpy arrays bound to the
 variables, and non-finite values propagate (callers decide how to report
@@ -25,6 +26,7 @@ import itertools
 import math
 import numbers
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -238,63 +240,31 @@ def _print(node, parent_prec):
     return f"({s})" if parent_prec > p else s
 
 
-class _Tokenizer:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
+# one token after any whitespace: a number (whose exponent needs digits),
+# an identifier, an operator or punctuation, the end, or a stray character
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?) | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<comma>,) | (?P<end>\Z) | (?P<bad>.))""",
+                    re.VERBOSE)
 
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
 
-    def next(self):
-        """Return (kind, text, pos); kind in {num, ident, op, lparen, rparen, comma, end}."""
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            return ("end", "", self.pos)
-        start = self.pos
-        c = self.src[start]
-        if c.isdigit() or (c == "." and start + 1 < len(self.src) and self.src[start + 1].isdigit()):
-            i = start
-            seen_dot = seen_exp = False
-            while i < len(self.src):
-                ch = self.src[i]
-                if ch.isdigit():
-                    i += 1
-                elif ch == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif ch in "eE" and not seen_exp and i > start:
-                    if i + 1 < len(self.src) and (self.src[i + 1].isdigit() or self.src[i + 1] in "+-"):
-                        seen_exp = True
-                        i += 2 if self.src[i + 1] in "+-" else 1
-                    else:
-                        break
-                else:
-                    break
-            self.pos = i
-            return ("num", self.src[start:i], start)
-        if c.isalpha() or c == "_":
-            i = start
-            while i < len(self.src) and (self.src[i].isalnum() or self.src[i] == "_"):
-                i += 1
-            self.pos = i
-            return ("ident", self.src[start:i], start)
-        self.pos += 1
-        if c in "+-*/^":
-            return ("op", c, start)
-        if c == "(":
-            return ("lparen", c, start)
-        if c == ")":
-            return ("rparen", c, start)
-        if c == ",":
-            return ("comma", c, start)
-        raise ExprSyntaxError(f"unexpected character {c!r}", start)
+def _tokens(source: str):
+    """Yield (kind, text, offset) per token, lazily, then the end token for
+    ever; kind is num, ident, op, lparen, rparen, comma or end.  A stray
+    character raises ExprSyntaxError when it is reached."""
+    pos = 0
+    while True:
+        m = _TOKEN.match(source, pos)
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        yield kind, m[kind], m.start(kind)
+        pos = m.end()
 
 
 class _Parser:
     def __init__(self, source, variables, constants):
-        self.tok = _Tokenizer(source)
+        self.tokens = _tokens(source)
         self.variables = set(variables)
         if not isinstance(constants, (dict, type(None))):
             raise ConfigError("constants must map names to numbers", "constants")
@@ -303,10 +273,10 @@ class _Parser:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"constant {name} must be a number, got {value!r}",
                                   f"constants/{name}")
-        self.cur = self.tok.next()
+        self.cur = next(self.tokens)
 
     def _advance(self):
-        self.cur = self.tok.next()
+        self.cur = next(self.tokens)
 
     def _expect(self, kind, what):
         if self.cur[0] != kind:

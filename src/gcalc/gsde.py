@@ -51,7 +51,7 @@ import numpy as np
 from . import expr as expr_mod
 from .errors import ConfigError, integer
 from .scenario import PathBatch, TimeGrid
-from .uncertainty import SigmaBand, load_uncertainty
+from .uncertainty import load_uncertainty
 from .upper_expectation import evaluate_family, family_sup
 
 
@@ -175,7 +175,7 @@ def load_system(source):
     tag = obj.get("lipschitz_tag", "global")
     coeffs = coefficients(n, d, *map(obj.get, "fhg"), constants=constants, lipschitz_tag=tag)
     unc = load_uncertainty({k: obj[k] for k in ("band", "dim", "members") if k in obj})
-    if not isinstance(unc, SigmaBand) and unc.dim != d:
+    if unc.dim != d:
         raise ConfigError(f"uncertainty dimension {unc.dim} does not match d = {d}", "d")
     return coeffs, unc
 
@@ -347,6 +347,9 @@ def integrate(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
 
 
 def integrate_batch(coeffs: CoefficientSet, x0, batch: PathBatch) -> SolutionBatch:
+    if batch.d != coeffs.d:
+        raise ConfigError(f"the batch has d = {batch.d} noises, the coefficients d = {coeffs.d}",
+                          "d")
     x, running_max = _euler(coeffs, x0, batch.b, batch.trace, batch.grid)
     bad = _blowup_steps(x)
     diag = {"blowup_steps": bad} if bad else {}
@@ -412,7 +415,7 @@ def closed_form_geometric(alpha: float, beta: float, gamma: float, x0: float,
     """x0 * exp(alpha t + (beta - gamma^2/2) <B>_t + gamma B_t) on the grid
     (n = d = 1) of every path in the batch."""
     if batch.d != 1:
-        raise ValueError("closed form needs d = 1")
+        raise ConfigError(f"the closed form needs d = 1, got d = {batch.d}", "dim")
     t = batch.t
     expo = alpha * t + (beta - 0.5 * gamma * gamma) * batch.qv_scalar() + gamma * batch.b[:, :, 0]
     return SolutionBatch(batch.grid, (x0 * np.exp(expo))[..., None])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, integer
-from .uncertainty import SigmaBand, g_scalar, square_matrix
+from .uncertainty import SigmaBand, g_scalar, require_band, square_matrix
 
 _SPD_TOL = 1e-10
 
@@ -55,6 +55,7 @@ class LinearGSystem:
     band: SigmaBand
 
     def __init__(self, F, H, C, band: SigmaBand):
+        band = require_band(band, "a linear G-system")
         F = np.asarray(F, dtype=float)
         H = np.asarray(H, dtype=float)
         C = np.asarray(C, dtype=float)

@@ -224,6 +224,8 @@ def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x):
     """L V at (t, x); broadcasts over stacked points x of shape (..., n).
     A non-finite value (V not C^2 there, or a singular coefficient) raises
     ExprError naming the first such point."""
+    if unc.dim != coeffs.d:
+        raise ConfigError(f"uncertainty dimension {unc.dim} does not match d = {coeffs.d}", "d")
     x = np.asarray(x, dtype=float)
     vt, grad, hess = spec.derivatives(t, x)
     fv, hv, gv = coeffs._eval_fhg(t, x)

@@ -281,16 +281,18 @@ class PathBatch:
         return self.qvar[:, :, 0, 0]
 
     def table(self):
-        """Column names and a (P, K+1, columns) array of t, b_1..b_d,
-        qvar_11..qvar_dd and policy_choice (nan at the final time)."""
+        """Column names and a (P, K+1, columns) array of path (the path
+        index), t, b_1..b_d, qvar_11..qvar_dd and policy_choice (nan at the
+        final time)."""
         n_paths, n_times, d = self.b.shape
-        header = (["t"] + [f"b_{i + 1}" for i in range(d)]
+        header = (["path", "t"] + [f"b_{i + 1}" for i in range(d)]
                   + [f"qvar_{i + 1}{j + 1}" for i in range(d) for j in range(d)]
                   + ["policy_choice"])
         table = np.empty((n_paths, n_times, len(header)))
-        table[:, :, 0] = self.t
-        table[:, :, 1:1 + d] = self.b
-        table[:, :, 1 + d:-1] = self.qvar.reshape(n_paths, n_times, d * d)
+        table[:, :, 0] = self.first_index + np.arange(n_paths)[:, None]
+        table[:, :, 1] = self.t
+        table[:, :, 2:2 + d] = self.b
+        table[:, :, 2 + d:-1] = self.qvar.reshape(n_paths, n_times, d * d)
         table[:, :-1, -1] = self.choices
         table[:, -1, -1] = np.nan
         return header, table

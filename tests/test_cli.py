@@ -138,13 +138,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub,cfg,pointer", [
         ("experiment", {"kind": "bt_over_t", "dim": 2, "members": [[[1, 0], [0, 1]]],
                         "family": {"kind": "extreme_constants"},
-                        "t_values": [10.0, 100.0], "n_paths": 100}, "/dim"),
+                        "t_values": [10.0, 100.0], "n_paths": 100}, "/band"),
         ("experiment", {"kind": "bt_over_t", "band": [1.0, 2.0],
                         "family": {"kind": "extreme_constants"},
                         "t_values": [100.0, 10.0], "n_paths": 100}, "/t_values"),
         ("upper", {"dim": 2, "members": [[[1, 0], [0, 1]]], "payoff": "b1^2",
                    "family": {"kind": "bangbang_threshold", "thresholds": [0.0]},
-                   "grid": {"t_end": 1.0, "n_steps": 8}, "n_paths": 100}, "/family/kind"),
+                   "grid": {"t_end": 1.0, "n_steps": 8}, "n_paths": 100}, "/band"),
         ("lyapunov", LYAPUNOV_OK | {"region": {"t": [0, 1], "box": [[-1, 1, 1], [-1, 1, 3]]}},
          "/region/box"),
         ("lyapunov", LYAPUNOV_OK | {"region": {"t": [0, 1], "box": [[-1, 1, 3]]}},
@@ -752,3 +752,56 @@ class TestFieldTable:
         want = out_pointer if way == "range" and out_pointer else pointer
         assert err.startswith(f"gcalc {sub}: error: ") and err.count("\n") == 1, err
         assert want in err and "Traceback" not in err, (way, value, err)
+
+
+SET_1 = {"dim": 1, "members": [[[1.0]], [[2.0]]]}
+SET_2 = {"dim": 2, "members": [[1.0, 0.0, 0.0, 1.0], [2.0, 0.5, 0.5, 1.0]]}
+
+
+def under(cfg, unc):
+    """cfg with its band or covariance set replaced by unc."""
+    return {k: v for k, v in cfg.items() if k not in ("band", "dim", "members")} | unc
+
+
+BANGBANG_POLICY = {"policy": {"kind": "bangbang_threshold", "theta": 0.0}}
+BANGBANG_FAMILY = {"family": {"kind": "bangbang_threshold", "thresholds": [0.0]}}
+TWO_NOISE_SYSTEM = {"n": 1, "d": 2, "f": ["0"], "h": [[["0", "0"], ["0", "0"]]],
+                    "g": [["0", "2*x1"]]}
+# what is defined on d = 1 bands only, under a covariance set, and every
+# noise dimension that does not match the system's: (subcommand, config,
+# the pointer the error names)
+CROSS_FIELD = {
+    "simulate_bangbang_policy": ("simulate", under(SIM_BANGBANG, SET_1), "/band"),
+    "gsde_bangbang_policy": ("gsde", under(GSDE_OK | BANGBANG_POLICY, SET_1), "/band"),
+    "upper_bangbang_family": ("upper", under(UPPER_BANGBANG, SET_1), "/band"),
+    "experiment_bangbang_family": ("experiment", under(DECAY | BANGBANG_FAMILY, SET_1), "/band"),
+    "experiment_bt_over_t": ("experiment", under(BT_OVER_T, SET_1), "/band"),
+    "experiment_derived_rate": ("experiment", under(MOMENT_DECAY_OK, SET_1), "/band"),
+    "experiment_moment_decay_dim": ("experiment", under(DECAY, SET_2), "/dim"),
+    "experiment_lyapunov_exponent_dim": (
+        "experiment", under(DECAY | {"kind": "lyapunov_exponent"}, SET_2), "/dim"),
+    "gheat_cfl": ("gheat", under(GHEAT_OK, SET_1), "/band"),
+    "gheat_nt": ("gheat", under(GHEAT_NT, SET_1), "/band"),
+    "linstab_stable": ("linstab", under(LINSTAB_OK, SET_1), "/band"),
+    "linstab_unstable": ("linstab", under(LINSTAB_P, SET_1), "/band"),
+    "linstab_search": ("linstab", under(LINSTAB_OK | {"mode": "search"}, SET_1), "/band"),
+    "gsde_band_two_noises": ("gsde", GSDE_OK | TWO_NOISE_SYSTEM, "/d"),
+    "gsde_set_one_noise": ("gsde", under(GSDE_OK, SET_2) | {"policy": {"kind": "constant",
+                                                                      "index": 0}}, "/d"),
+    "gsde_set_two_noises": ("gsde", under(GSDE_OK | TWO_NOISE_SYSTEM, SET_1), "/d"),
+    "lyapunov_band_two_noises": (
+        "lyapunov", KINK_OK | {"system": KINK_OK["system"] | TWO_NOISE_SYSTEM, "V": "x1^2"},
+        "/system/d"),
+    "lyapunov_set_one_noise": ("lyapunov", LYAPUNOV_OK | {"system": under(LYAPUNOV_OK["system"],
+                                                                          SET_2)}, "/system/d"),
+}
+
+
+class TestCrossField:
+    @pytest.mark.parametrize("sub,cfg,pointer", CROSS_FIELD.values(), ids=CROSS_FIELD)
+    def test_exits_one_naming_the_pointer_before_any_output(self, tmp_path, capsys, sub, cfg,
+                                                            pointer):
+        assert main([sub, "--config", write_cfg(tmp_path, "c.json", cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"gcalc {sub}: error: {pointer}: ") and err.count("\n") == 1, err

@@ -11,17 +11,28 @@ from gcalc import (
     ConfigError,
     CovarianceSet,
     ConstantPolicy,
+    ExperimentConfig,
+    GeometricModel,
+    LinearGSystem,
+    LyapunovSpec,
     NotSPDError,
     PayoffError,
     PiecewiseConstantPolicy,
     PolicyError,
     PolicyFamily,
+    SigmaBand,
     SpaceTimeGrid,
     TimeGrid,
+    bt_over_t,
+    closed_form_geometric,
+    coefficients,
+    eval_L,
     experiments,
     expr,
+    integrate_batch,
     load_system,
     optimize_bangbang,
+    simulate_batch,
     solve_terminal,
     solve_two_step,
     threshold_bangbang,
@@ -31,7 +42,8 @@ from gcalc.lyapunov import RegionError, SuppliedDerivativeError
 
 # systems with every coefficient 0, of 3 states and of 3 noises
 SYSTEM_N = {"d": 1, "band": [1.0, 2.0], "f": ["0"] * 3, "h": ["0"] * 3, "g": ["0"] * 3}
-SYSTEM_D = {"n": 1, "band": [1.0, 2.0], "f": ["0"], "h": [[["0"] * 3] * 3], "g": [["0"] * 3]}
+SYSTEM_D = {"n": 1, "dim": 3, "members": [np.eye(3).tolist()], "f": ["0"],
+            "h": [[["0"] * 3] * 3], "g": [["0"] * 3]}
 
 
 # (constructor of the integral value, what reads it back, field, an out-of-range value)
@@ -98,8 +110,11 @@ GRID = SpaceTimeGrid(-1.0, 1.0, 11, 0.5, 100)
     lambda: SpaceTimeGrid.with_cfl(-1.0, 1.0, 11, 1.0, COV_SET),
     lambda: PolicyFamily.bangbang_threshold([0.0]).policies(COV_SET),
     lambda: optimize_bangbang(lambda b: b.b[:, -1, 0], COV_SET, TimeGrid(1.0, 4), [0.0], 10, 0),
+    lambda: LinearGSystem([[-1.0]], [[0.0]], [[1.0]], COV_SET),
+    lambda: GeometricModel(-1.0, 0.2, 0.5, 1.0).moment_rate(2.0, COV_SET),
+    lambda: bt_over_t(COV_SET, PolicyFamily.extreme_constants(), [1.0, 2.0], 10, 0),
 ], ids=["threshold_bangbang", "solve_terminal", "solve_two_step", "with_cfl",
-        "bangbang_family", "optimize_bangbang"])
+        "bangbang_family", "optimize_bangbang", "linear_system", "moment_rate", "bt_over_t"])
 def test_band_only_calls_name_the_band(call):
     """What is defined on d = 1 bands rejects a covariance set by name,
     not with an AttributeError."""
@@ -107,3 +122,37 @@ def test_band_only_calls_name_the_band(call):
         call()
     assert err.value.field == "band"
     assert "needs a d = 1 band, got a CovarianceSet" in str(err.value)
+
+
+BAND = SigmaBand(1.0, 2.0)
+ONE_NOISE = coefficients(1, 1, ["-x1"], ["0"], ["x1"])
+TWO_NOISES = coefficients(1, 2, ["-x1"], [[["0", "0"], ["0", "0"]]], [["x1", "0"]])
+
+
+def _batch(unc):
+    return simulate_batch(ConstantPolicy(index=0) if unc is COV_SET else ConstantPolicy(value=1.5),
+                          unc, TimeGrid(1.0, 4), 0, 3)
+
+
+@pytest.mark.parametrize("call,field", [
+    (lambda: load_system({"n": 1, "d": 2, "band": [1.0, 2.0], "f": ["0"],
+                          "h": [[["0", "0"], ["0", "0"]]], "g": [["0", "2*x1"]]}), "d"),
+    (lambda: load_system({"n": 1, "d": 1, "dim": 2, "members": [np.eye(2).tolist()],
+                          "f": ["0"], "h": ["0"], "g": ["x1"]}), "d"),
+    (lambda: integrate_batch(TWO_NOISES, [1.0], _batch(BAND)), "d"),
+    (lambda: integrate_batch(ONE_NOISE, [1.0], _batch(COV_SET)), "d"),
+    (lambda: eval_L(LyapunovSpec(1, "x1^2"), TWO_NOISES, BAND, 0.0, np.array([[1.0]])), "d"),
+    (lambda: eval_L(LyapunovSpec(1, "x1^2"), ONE_NOISE, COV_SET, 0.0, np.array([[1.0]])), "d"),
+    (lambda: ExperimentConfig(GeometricModel(-1.0, 0.2, 0.5, 1.0), COV_SET, 2.0, 1.0, 0.1,
+                              PolicyFamily.extreme_constants(), 100, 0, lam=1.0), "dim"),
+    (lambda: ExperimentConfig((ONE_NOISE, [1.0]), COV_SET, 2.0, 1.0, 0.1,
+                              PolicyFamily.extreme_constants(), 100, 0, lam=1.0), "dim"),
+    (lambda: closed_form_geometric(-1.0, 0.2, 0.5, 1.0, _batch(COV_SET)), "dim"),
+], ids=["load_system_band", "load_system_set", "integrate_band", "integrate_set", "eval_L_band",
+        "eval_L_set", "geometric_experiment", "coefficient_experiment", "closed_form"])
+def test_dimension_mismatches_name_the_field(call, field):
+    """A noise dimension that does not match the system's, band or set, is
+    a ConfigError naming it, not a broadcast of one noise into several."""
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.field == field

@@ -1,10 +1,12 @@
 import itertools
 import math
 import operator
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcalc import expr
 from gcalc.expr import ExprError, ExprNameError, ExprSyntaxError, parse
@@ -424,3 +426,138 @@ class TestPowerRule:
         simplified = expr._simplify(expr.Bin("^", expr.Num(base), exponent))
         for value in (folded.eval({}), simplified.value):
             assert np.asarray([value]).view(np.uint64) == runtime.view(np.uint64)
+
+
+class _OldTokenizer:
+    """The character-by-character lexer that the token regex replaced, kept
+    as the reference for it: (kind, text, pos) per next() call."""
+
+    def __init__(self, source: str):
+        self.src = source
+        self.pos = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+
+    def next(self):
+        self._skip_ws()
+        if self.pos >= len(self.src):
+            return ("end", "", self.pos)
+        start = self.pos
+        c = self.src[start]
+        if c.isdigit() or (c == "." and start + 1 < len(self.src) and self.src[start + 1].isdigit()):
+            i = start
+            seen_dot = seen_exp = False
+            while i < len(self.src):
+                ch = self.src[i]
+                if ch.isdigit():
+                    i += 1
+                elif ch == "." and not seen_dot and not seen_exp:
+                    seen_dot = True
+                    i += 1
+                elif ch in "eE" and not seen_exp and i > start:
+                    if i + 1 < len(self.src) and (self.src[i + 1].isdigit() or self.src[i + 1] in "+-"):
+                        seen_exp = True
+                        i += 2 if self.src[i + 1] in "+-" else 1
+                    else:
+                        break
+                else:
+                    break
+            self.pos = i
+            return ("num", self.src[start:i], start)
+        if c.isalpha() or c == "_":
+            i = start
+            while i < len(self.src) and (self.src[i].isalnum() or self.src[i] == "_"):
+                i += 1
+            self.pos = i
+            return ("ident", self.src[start:i], start)
+        self.pos += 1
+        if c in "+-*/^":
+            return ("op", c, start)
+        if c == "(":
+            return ("lparen", c, start)
+        if c == ")":
+            return ("rparen", c, start)
+        if c == ",":
+            return ("comma", c, start)
+        raise ExprSyntaxError(f"unexpected character {c!r}", start)
+
+
+def _old_tokens(source):
+    tok = _OldTokenizer(source)
+    while True:
+        yield tok.next()
+
+
+def _old_read_a_broken_exponent(source) -> bool:
+    """Whether the old lexer reads a number whose exponent has no digits,
+    such as '2e-', before the end or its first error."""
+    try:
+        for kind, text, _ in _old_tokens(source):
+            if kind == "end":
+                return False
+            if kind == "num" and text[-1] in "+-":
+                return True
+    except ExprSyntaxError:
+        return False
+
+
+LEXER_VARS = ["x", "y", "t", "x1", "b1"]
+LEXER_ALPHABET = string.digits + ".eE+-*/^()," + string.ascii_letters + " \t\n\u0663"
+# runs of the alphabet that meet at the lexer's edge cases
+LEXER_PIECES = ["2", "0.5", ".", "5.", ".25", "e", "E", "e-", "E+", "e3", "+", "-", "*", "/",
+                "^", "(", ")", ",", " ", "\t", "x", "x1", "b1", "a", "sin", "max", "\u0663", "_"]
+
+
+def _parse_outcome(source):
+    """("tree", root, to_source) or ("error", class, message)."""
+    try:
+        e = parse(source, LEXER_VARS, {"a": 2.0})
+    except ExprError as err:
+        return "error", type(err), str(err)
+    return "tree", e.root, e.to_source()
+
+
+class TestLexerAgainstOld:
+    @given(st.one_of(st.text(LEXER_ALPHABET, max_size=16),
+                     st.lists(st.sampled_from(LEXER_PIECES), max_size=10).map("".join)))
+    @example("2e-x")
+    @example("x 2e-")
+    @example("8E+ .")
+    @example("1.e5 + .5E-3*x1^\u06632")
+    @settings(max_examples=600, deadline=None)
+    def test_same_tree_and_message_or_a_crash_made_an_error(self, source):
+        """The regex lexer parses every input the old lexer parsed to the
+        same tree, and raises the same error for every other one, except
+        where the old lexer crashed (float() of '2e-') or read such a
+        broken exponent before its error; there it raises an ExprError."""
+        new = _parse_outcome(source)  # anything but an ExprError fails the test
+        with mock.patch.object(expr, "_tokens", _old_tokens):
+            try:
+                old = _parse_outcome(source)
+            except ValueError:  # a number float() cannot read
+                old = ("crash",)
+        if old[0] == "crash" or (old[0] == "error" and _old_read_a_broken_exponent(source)):
+            assert new[0] == "error"
+        else:
+            assert new == old
+
+    @pytest.mark.parametrize("source", ["2e-x", "2e-", "1E+", "3.e-*x", "2e-b1"])
+    def test_an_exponent_needs_digits(self, source):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source, ["x", "b1"])
+        assert err.value.pos == source.lower().index("e")  # the number ended before it
+
+    @pytest.mark.parametrize("source,value", [("2e-3", 2e-3), ("1.e5", 1e5), (".5E+2", 50.0),
+                                              ("\u0663.5", 3.5), ("12.", 12.0)])
+    def test_numbers(self, source, value):
+        assert parse(source, []).root == expr.Num(value)
+
+    def test_errors_arrive_in_parse_order(self):
+        # the lexer is lazy: the parser's error at 'y' comes before the
+        # stray character behind it
+        with pytest.raises(ExprNameError):
+            parse("y + $", ["x"])
+        with pytest.raises(ExprSyntaxError, match="unexpected character '\\$'"):
+            parse("x + $", ["x"])

@@ -635,11 +635,12 @@ class TestRestrict:
 
 
 def _path_csv(batch):
-    """The CSV of a one-path batch, as gcalc simulate writes a path: its
-    table row under the table header."""
+    """The CSV of a one-path batch, as gcalc simulate writes a path, less
+    the path column: its table row under the table header."""
     header, table = batch.table()
+    assert header[0] == "path" and np.all(table[..., 0] == batch.first_index)
     buf = io.StringIO()
-    write_table(buf, header, table[0])
+    write_table(buf, header[1:], table[0, :, 1:])
     return buf.getvalue()
 
 

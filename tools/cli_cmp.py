@@ -297,6 +297,25 @@ def cases() -> dict:
     out["gsde_error_n_text"] = variant("gsde_global", n="1")
     out["gheat_error_nt_float"] = variant("gheat_square", grid={**square_grid, "nt": 2.5})
     out["simulate_error_n_paths_bool"] = variant("simulate_band", n_paths=True)
+    # band-only kinds and subcommands and the geometric model under a set,
+    # and a band paired with d = 2 (gsde and lyapunov used to exit 0 on it)
+    def swapped(case, **unc):
+        sub, cfg = out[case]
+        return sub, {k: v for k, v in cfg.items() if k not in ("band", "dim", "members")} | unc
+
+    for case in ("simulate_bangbang", "upper_bangbang", "gheat_square", "linstab_stable",
+                 "experiment_bt_over_t"):
+        out[case.replace("_", "_error_", 1) + "_cov"] = swapped(case, **COV)
+    out["experiment_error_derived_rate_set"] = swapped("experiment_moment_decay", dim=1,
+                                                       members=[[1.0], [2.0]])
+    out["experiment_error_closed_form_cov"] = swapped("experiment_moment_decay", **COV,
+                                                      **{"lambda": 1.0})
+    out["gsde_error_band_two_noises"] = swapped("gsde_cov", band=BAND)
+    out["lyapunov_error_band_two_noises"] = ("lyapunov", {
+        "system": {"n": 1, "d": 2, "band": BAND, "f": ["0"], "h": [[["0", "0"], ["0", "0"]]],
+                   "g": [["0", "2*x1"]]},
+        "V": "x1^2", "region": {"t": [0, 1], "box": [[-1, 1, 5]]}, "condition": "nonpositive"})
+    out["upper_error_payoff_exponent"] = variant("upper_band", payoff="2e-b1")
     return out
 
 
