@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .errors import ConfigError
 from .uncertainty import (
     CovarianceSet,
-    DimensionMismatchError,
     SigmaBand,
     g_matrix,
     g_scalar,

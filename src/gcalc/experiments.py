@@ -25,18 +25,6 @@ from .upper_expectation import PolicyFamily, bound_rows, evaluate_family
 LOG_FLOOR = 1e-300
 
 
-def _family_config(family: PolicyFamily) -> dict:
-    """The family's kind with the parameters that choose its policies."""
-    out = {"kind": family.kind}
-    if family.kind == "constants_only":
-        out["n_constants"] = family.n_constants
-    elif family.kind == "bangbang_threshold":
-        out["thresholds"] = list(family.thresholds)
-    elif family.kind == "custom":
-        out["policies"] = [p.describe() for p in family.custom_policies]
-    return out
-
-
 @dataclass(frozen=True)
 class GeometricModel:
     """dX = alpha X dt + beta X d<B> + gamma X dB, solved in closed form."""
@@ -57,26 +45,6 @@ class GeometricModel:
         bracket = 2.0 * self.beta + self.gamma**2 * (p - 1.0)
         sig2 = band.sigma2_hi if bracket >= 0.0 else band.sigma2_lo
         return -(p * self.alpha + 0.5 * p * bracket * sig2)
-
-    def config_dict(self) -> dict:
-        return {"model": "geometric", "alpha": self.alpha, "beta": self.beta,
-                "gamma": self.gamma, "x0": self.x0}
-
-
-def _system_config(system) -> dict:
-    """A GeometricModel's parameters, or a (CoefficientSet, x0) system's
-    dimensions, coefficient sources, Lipschitz tag, radius and x0."""
-    if isinstance(system, GeometricModel):
-        return system.config_dict()
-    coeffs, x0 = system
-
-    def sources(table):
-        return [sources(e) for e in table] if isinstance(table, tuple) else table.to_source()
-
-    return {"model": "coefficients", "n": coeffs.n, "d": coeffs.d, "f": sources(coeffs.f),
-            "h": sources(coeffs.h), "g": sources(coeffs.g),
-            "lipschitz_tag": coeffs.lipschitz_tag, "radius": coeffs.radius,
-            "x0": list(np.atleast_1d(x0))}
 
 
 @dataclass(frozen=True)
@@ -129,17 +97,6 @@ class ExperimentConfig:
         _, x0 = self.system
         return float(np.linalg.norm(np.asarray(x0, dtype=float)))
 
-    def config_dict(self) -> dict:
-        unc_desc = ({"band": [self.unc.sigma2_lo, self.unc.sigma2_hi]}
-                    if isinstance(self.unc, SigmaBand)
-                    else {"dim": self.unc.dim, "members": [m.tolist() for m in self.unc.members]})
-        return {
-            "system": _system_config(self.system), "unc": unc_desc,
-            "p": self.p, "T": self.T, "dt": self.dt,
-            "family": _family_config(self.family), "n_paths": self.n_paths, "seed": self.seed,
-            "lam": self.lam, "times": list(self.times), "slack": self.slack,
-        }
-
 
 def _terminal_states(cfg: ExperimentConfig, grid: TimeGrid, take):
     """Policies and, per policy, take(|X|) for the (P, K+1) array of state
@@ -188,7 +145,7 @@ def moment_decay_curve(cfg: ExperimentConfig) -> ExperimentResult:
     rows, passed = bound_rows(times, vals, bounds, cfg.slack)
     return ExperimentResult(
         "moment_decay", ["t", "estimate", "std_error", "bound", "ok"], rows, passed,
-        config_hash(cfg.config_dict()), cfg.seed, details={"lambda": lam, "p": cfg.p},
+        config_hash(cfg), cfg.seed, details={"lambda": lam, "p": cfg.p},
     )
 
 
@@ -218,7 +175,7 @@ def lyapunov_exponent(cfg: ExperimentConfig) -> ExperimentResult:
     rows.append(("ALL", max_all, float(np.median(allexp))))
     return ExperimentResult(
         "lyapunov_exponent", ["policy", "max_exponent", "median_exponent"], rows, passed,
-        config_hash(cfg.config_dict()), cfg.seed,
+        config_hash(cfg), cfg.seed,
         details={"bound": bound, "slack": slack, "floored_paths": floored},
     )
 
@@ -249,10 +206,9 @@ def bt_over_t(unc, family: PolicyFamily, t_values, n_paths: int, seed: int,
         rows.append((T, med, hi))
     threshold = 0.2 * unc.sigma_hi
     passed = all(b < a for a, b in zip(highs, highs[1:])) and highs[-1] <= threshold
-    cfg = {"t_values": t_values, "n_paths": n_paths, "family": _family_config(family),
-           "band": [unc.sigma2_lo, unc.sigma2_hi], "quantile": quantile,
-           "steps_per_unit": steps_per_unit}
+    cfg = {"unc": unc, "family": family, "t_values": t_values, "n_paths": n_paths,
+           "seed": seed, "steps_per_unit": steps_per_unit, "quantile": quantile}
     return ExperimentResult(
-        "bt_over_t", ["T", "median", f"q{int(quantile * 100)}"], rows, passed,
+        "bt_over_t", ["T", "median", f"q{quantile * 100:g}"], rows, passed,
         config_hash(cfg), seed, details={"threshold": threshold},
     )

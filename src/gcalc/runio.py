@@ -2,6 +2,13 @@
 writers that embed the hash and seed, so identical (config, seed) runs
 produce byte-identical files.
 
+A config is hashed as the objects it holds.  Besides JSON's own types and
+numpy arrays and scalars, the encoder writes a dataclass as its type name
+and every field, an expression (anything with ``to_source``) as its source
+and a policy (anything with ``describe``) as its description, so a field
+added to a config or to an object it holds is hashed without being listed
+anywhere.  The CLI hashes its config's JSON as read.
+
 CSV values are written by type: strings as they are, bools (``bool`` and
 ``np.bool_``) as ``true``/``false``, integers (``int`` and ``np.integer``)
 as ``%d``, and every other value as ``float(v)`` in ``%.17g``, which
@@ -16,6 +23,7 @@ holds it."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -36,6 +44,12 @@ def _jsonable(v):
         return v.tolist()
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
+    if dataclasses.is_dataclass(v):
+        return {type(v).__name__: {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}}
+    if hasattr(v, "to_source"):
+        return v.to_source()
+    if hasattr(v, "describe"):
+        return v.describe()
     raise TypeError(f"not JSON-serializable: {type(v)}")
 
 

@@ -36,10 +36,6 @@ class PolicyError(ConfigError):
     "policy"."""
 
 
-class UnsupportedDimensionError(ValueError):
-    """Operation defined only for scalar (d = 1) paths."""
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, t_end] with n_steps steps."""
@@ -236,13 +232,14 @@ def batch_noise(seed: int, first_index: int, n_paths: int, n_steps: int, d: int)
 
 
 def _sqrt_factor(m: np.ndarray) -> np.ndarray:
-    """Matrix square root L with L @ L.T = m; Cholesky, eigen fallback."""
+    """Matrix square root L with L @ L.T = m, of one matrix or of each in a
+    stack; Cholesky, eigen fallback."""
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(m)
         w = np.where(w < _EIG_CLAMP, 0.0, w)
-        return v * np.sqrt(w)
+        return v * np.sqrt(w)[..., None, :]
 
 
 class PathBatch:
@@ -277,7 +274,7 @@ class PathBatch:
 
     def qv_scalar(self) -> np.ndarray:
         if self.d != 1:
-            raise UnsupportedDimensionError("scalar quadratic variation needs d = 1")
+            raise ConfigError("scalar quadratic variation needs d = 1", "dim")
         return self.qvar[:, :, 0, 0]
 
     def table(self):
@@ -448,8 +445,10 @@ def restrict(batch: PathBatch, factor: int) -> PathBatch:
         with np.errstate(invalid="ignore", divide="ignore"):
             noise = np.where(dqv > 0, db[:, :, 0] / np.sqrt(dqv), 0.0)[:, :, None]
     else:
-        factors = np.linalg.cholesky(trace * grid.dt)
-        noise = np.linalg.solve(factors, db[..., None])[..., 0]
+        # a singular coarse covariance (a PSD member can give one) has no
+        # Cholesky factor, and its factor has no inverse
+        factors = _sqrt_factor(trace * grid.dt)
+        noise = (np.linalg.pinv(factors) @ db[..., None])[..., 0]
     return PathBatch(grid, batch.unc, b, qvar, trace, choices, noise, batch.seed,
                      batch.first_index, f"{batch.policy_descriptor}/restricted x{factor}")
 
@@ -476,7 +475,7 @@ def qvar_bounds_check_batch(batch: PathBatch, band: SigmaBand) -> np.ndarray:
     Evaluated on the quadratic-variation increments gamma_k dt whose partial
     sums are the stored qvar; nonpositive on any simulated path."""
     if batch.d != 1:
-        raise UnsupportedDimensionError("qvar bounds are defined for d = 1")
+        raise ConfigError("qvar bounds are defined for d = 1", "dim")
     return _trace_violation(batch.trace[:, :, 0, 0], batch.grid.dt,
                             band.sigma2_lo, band.sigma2_hi)
 

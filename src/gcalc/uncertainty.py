@@ -20,10 +20,6 @@ SYMMETRY_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-12
 
 
-class DimensionMismatchError(ValueError):
-    """Matrix argument does not match the dimension of the scenario set."""
-
-
 @dataclass(frozen=True)
 class SigmaBand:
     """Variance band [sigma2_lo, sigma2_hi] for scalar volatility uncertainty.
@@ -163,7 +159,7 @@ def g_matrix(cov_set: CovarianceSet, a):
     a = np.asarray(a, dtype=float)
     d = cov_set.dim
     if a.shape[-2:] != (d, d):
-        raise DimensionMismatchError(f"matrix shape {a.shape} does not end in ({d}, {d})")
+        raise ConfigError(f"matrix shape {a.shape} does not end in ({d}, {d})", "dim")
     a = _symmetrize(a)
     # tr(gamma A) = sum_ij gamma_ij A_ij for symmetric gamma, A
     traces = np.einsum("mij,...ij->m...", cov_set.member_stack(), a)

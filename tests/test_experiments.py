@@ -1,9 +1,13 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from gcalc import (
     ConfigError,
+    CovarianceSet,
     ExperimentConfig,
     coefficients,
     truncate,
@@ -156,9 +160,45 @@ class TestBtOverT:
         res = bt_over_t(band, PolicyFamily.extreme_constants(), [10.0, 100.0], n_paths=500, seed=7)
         assert len(res.rows) == 2
 
+    @pytest.mark.parametrize("quantile, column", [(0.29, "q29"), (0.995, "q99.5"), (0.99, "q99")])
+    def test_quantile_column_names_the_quantile(self, quantile, column):
+        res = bt_over_t(BAND, family(), [10.0, 20.0], n_paths=50, seed=1, quantile=quantile)
+        assert res.header == ["T", "median", column]
+
     def test_needs_increasing_horizons(self):
         with pytest.raises(ConfigError):
             bt_over_t(BAND, family(), [100.0, 10.0], n_paths=200, seed=0)
+
+
+# changed values per ExperimentConfig field and per bt_over_t argument; the
+# tests run over the fields and parameters themselves, so one added without
+# a case here fails them
+CFG_CHANGES = {
+    "system": [GeometricModel(alpha=-1.0, beta=0.5, gamma=1.0, x0=2.0),
+               (coefficients(1, 1, ["-x1"], ["0.5*x1"], ["x1"]), [1.0])],
+    # a set with the band's endpoints as members
+    "unc": [SigmaBand(1.0, 3.0), CovarianceSet(1, [[1.0], [2.0]])],
+    "p": [1.0],
+    "T": [20.0],
+    "dt": [0.02],
+    "family": [PolicyFamily.extreme_constants()],
+    "n_paths": [501],
+    "seed": [6],
+    "lam": [0.1],
+    "times": [(1.0, 2.0)],
+    "slack": [0.1],
+}
+BT_ARGS = dict(unc=BAND, family=PolicyFamily.extreme_constants(), t_values=[10.0, 20.0],
+               n_paths=50, seed=1)
+BT_CHANGES = {
+    "unc": SigmaBand(1.0, 3.0),
+    "family": PolicyFamily.constants_only(3),
+    "t_values": [10.0, 30.0],
+    "n_paths": 60,
+    "seed": 2,
+    "steps_per_unit": 4.0,
+    "quantile": 0.9,
+}
 
 
 class TestEmission:
@@ -186,7 +226,7 @@ class TestEmission:
     ], ids=["thresholds", "n_constants", "custom"])
     def test_hash_covers_family_parameters(self, fam_a, fam_b):
         cfg_a, cfg_b = make_cfg(family=fam_a), make_cfg(family=fam_b)
-        assert config_hash(cfg_a.config_dict()) != config_hash(cfg_b.config_dict())
+        assert config_hash(cfg_a) != config_hash(cfg_b)
         bt_a = bt_over_t(BAND, fam_a, [10.0, 20.0], n_paths=50, seed=1)
         bt_b = bt_over_t(BAND, fam_b, [10.0, 20.0], n_paths=50, seed=1)
         assert bt_a.rows != bt_b.rows
@@ -206,8 +246,8 @@ class TestEmission:
         def cfg(system):
             return make_cfg(system=system, lam=0.1, n_paths=100, T=1.0, dt=0.05, times=(1.0,))
 
-        assert config_hash(cfg(base).config_dict()) == config_hash(cfg(same).config_dict())
-        assert config_hash(cfg(base).config_dict()) != config_hash(cfg(other()).config_dict())
+        assert config_hash(cfg(base)) == config_hash(cfg(same))
+        assert config_hash(cfg(base)) != config_hash(cfg(other()))
 
     def test_coefficient_hash_follows_rows(self):
         # two drifts once shared a hash while writing different rows
@@ -218,6 +258,28 @@ class TestEmission:
 
         a, b = run("-x1"), run("-3*x1")
         assert a.rows != b.rows and a.cfg_hash != b.cfg_hash
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_hash_moves_with_each_config_field(self, name):
+        base = make_cfg()
+        for value in CFG_CHANGES[name]:
+            assert config_hash(dataclasses.replace(base, **{name: value})) != config_hash(base)
+
+    @pytest.mark.parametrize("name", list(inspect.signature(bt_over_t).parameters))
+    def test_bt_hash_moves_with_each_argument(self, name):
+        changed = bt_over_t(**{**BT_ARGS, name: BT_CHANGES[name]})
+        assert changed.cfg_hash != bt_over_t(**BT_ARGS).cfg_hash
+
+    def test_equal_configs_built_apart_hash_equal(self):
+        def coefficient_cfg():
+            system = (coefficients(1, 1, ["-x1"], ["0.5*x1"], ["x1"]), np.array([1.0]))
+            return make_cfg(system=system, unc=CovarianceSet(1, [[1.0], [2.0]]), lam=0.1)
+
+        for make in (lambda: make_cfg(unc=SigmaBand(1.0, 2.0)), coefficient_cfg):
+            assert config_hash(make()) == config_hash(make())
+        a, b = (bt_over_t(SigmaBand(1.0, 2.0), family(), [10.0, 20.0], n_paths=50, seed=1)
+                for _ in range(2))
+        assert a.cfg_hash == b.cfg_hash
 
     def test_bt_hash_covers_steps_per_unit(self):
         a = bt_over_t(BAND, family(), [10.0, 20.0], n_paths=50, seed=1, steps_per_unit=1.0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcalc import (
     BangBangPolicy,
+    ConfigError,
     ConstantPolicy,
     CovarianceSet,
     ExperimentConfig,
@@ -28,8 +29,7 @@ from gcalc import (
 )
 from gcalc import upper_expectation
 from gcalc.runio import write_table
-from gcalc.scenario import (UnsupportedDimensionError, _gap_scan, _sqrt_factor, assemble,
-                            batch_noise)
+from gcalc.scenario import _gap_scan, _sqrt_factor, assemble, batch_noise
 
 BAND = SigmaBand(1.0, 2.0)
 
@@ -556,7 +556,7 @@ class TestQvarBounds:
     def test_dimension_guard(self):
         cs = CovarianceSet(2, [np.eye(2)])
         p = one_path(ConstantPolicy(index=0), cs, TimeGrid(1.0, 8), seed=0)
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(ConfigError):
             qvar_bounds_check_batch(p, BAND)
 
 
@@ -624,6 +624,22 @@ class TestRestrict:
         assert np.max(qvar_bounds_check_batch(coarse, BAND)) <= 1e-12
         rebuilt = coarse.noise[:, :, 0] * np.sqrt(np.diff(coarse.qvar[:, :, 0, 0], axis=1))
         assert np.allclose(np.diff(coarse.b, axis=1)[:, :, 0], rebuilt, atol=1e-14)
+
+    @pytest.mark.parametrize("members, policy", [
+        # a singular member: its coarse covariance has no Cholesky factor
+        ([[1, 0, 0, 0], [0, 0, 0, 1]], ConstantPolicy(index=0)),
+        ([np.eye(2), [[2, 0.5], [0.5, 1]]],
+         BangBangPolicy(lambda k, b, aux: (b[:, 0] >= 0.0).astype(int), name="sign(b1)")),
+    ], ids=["singular", "full_rank"])
+    def test_coarse_noise_reproduces_increments_in_d2(self, members, policy):
+        from gcalc import restrict
+
+        coarse = restrict(simulate_batch(policy, CovarianceSet(2, members), TimeGrid(1.0, 8),
+                                         seed=1, n_paths=4), 2)
+        factors = _sqrt_factor(coarse.trace * coarse.grid.dt)
+        rebuilt = (factors @ coarse.noise[..., None])[..., 0]
+        assert np.all(np.isfinite(coarse.noise))
+        assert np.allclose(np.diff(coarse.b, axis=1), rebuilt, rtol=0.0, atol=1e-14)
 
     def test_factor_must_divide(self):
         from gcalc import restrict
@@ -749,5 +765,5 @@ class TestSinglePathIsBatchRow:
 
     def test_qvar_check_dimension_guard(self):
         path = one_path(ConstantPolicy(index=0), CSET, TimeGrid(1.0, 8), seed=0)
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(ConfigError):
             path.qv_scalar()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcalc import CovarianceSet, DimensionMismatchError, SigmaBand, g_matrix, g_scalar, g_value, load_uncertainty
+from gcalc import ConfigError, CovarianceSet, SigmaBand, g_matrix, g_scalar, g_value, load_uncertainty
 
 
 def brute_force_g_band(lo, hi, a, n=101):
@@ -155,7 +155,7 @@ class TestGMatrix:
 
     def test_dimension_mismatch(self):
         cs = CovarianceSet(2, [np.eye(2)])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError):
             g_matrix(cs, np.eye(3))
 
     def test_stacked_input(self):
