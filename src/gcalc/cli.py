@@ -20,21 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import (
-    CheckRegion,
     ConfigError,
     ConstantPolicy,
     LinearGSystem,
-    LyapunovSpec,
     PiecewiseConstantPolicy,
     PolicyFamily,
     SpaceTimeGrid,
     TimeGrid,
     TruncationSchedule,
     __version__,
-    check_growth_condition,
-    check_stability_conditions,
     estimate_upper,
-    find_cly_detailed,
     lmi_stable,
     lmi_unstable,
     load_system,
@@ -48,16 +43,16 @@ from . import experiments as exp_mod
 from . import expr as expr_mod
 from . import gheat as gheat_mod
 from . import gsde as gsde_mod
+from .lyapunov import (CONDITIONS, CheckRegion, LyapunovSpec, check_stability_conditions,
+                       check_growth_condition, find_cly_detailed)  # noqa: F401 (for perfbench)
 from .runio import config_hash, standard_comments, write_json, write_table
 
 SUBCOMMANDS = ("simulate", "upper", "gheat", "gsde", "lyapunov", "linstab", "experiment")
-# the numeric /params of gcalc lyapunov, read as float fields; others are ignored
-_CHECK_PARAMS = ("c_ly", "p", "c1", "c2", "lambda", "lam")
-# where gcalc lyapunov keeps the settings its library errors name; the
-# others are check parameters, under /params
+# the pointers of the library fields gcalc lyapunov sets; the others are under /params
 _LYAPUNOV_FIELDS = {"v": "/V", "constants": "/constants", "mode": "/mode", "dt": "/dV/dt",
                     "grad": "/dV/grad", "hess": "/dV/hess", "t_end": "/region/t",
-                    "box": "/region/box", "exclude_r0": "/region/exclude_r0", "nt": "/region/nt"}
+                    "box": "/region/box", "exclude_r0": "/region/exclude_r0", "nt": "/region/nt",
+                    "condition": "/condition"}
 
 
 class UsageError(Exception):
@@ -328,9 +323,7 @@ def cmd_lyapunov(args, cfg, comments):
     if len(t) != 2 or t[0] != 0:
         raise UsageError("config field /region/t must be [0, t_end]")
     condition = _fetch(cfg, "/condition", str)
-    params = {name: _fetch(cfg, f"/params/{name}", float)
-              for name in _fetch(cfg, "/params", dict, required=False, default={})
-              if name in _CHECK_PARAMS}
+    params = _fetch(cfg, "/params", dict, required=False, default={})
     with _at("/params", **_LYAPUNOV_FIELDS):
         spec = LyapunovSpec(coeffs.n, _fetch(cfg, "/V", str),
                             mode=_fetch(cfg, "/mode", str, required=False, default="finite_difference"),
@@ -343,20 +336,12 @@ def cmd_lyapunov(args, cfg, comments):
                              _fetch(cfg, "/region/exclude_r0", float, required=False, default=0.0),
                              _fetch(cfg, "/region/nt", int, required=False, default=2))
         try:
-            if condition == "growth":
-                report = check_growth_condition(spec, coeffs, unc, region,
-                                                params.get("c_ly", 0.0))
-            elif condition == "find_cly":
-                report = find_cly_detailed(spec, coeffs, unc, region)
-            elif condition in ("sandwich", "nonpositive", "exp_stable", "exp_unstable"):
-                report = check_stability_conditions(spec, coeffs, unc, region, params, condition)
-            else:
-                raise UsageError(f"unknown value at /condition: {condition!r}")
+            report = check_stability_conditions(spec, coeffs, unc, region, params, condition)
         except expr_mod.ExprError as e:  # a kink of V or a singularity on the grid
             raise UsageError(f"/V on /region: {e}; keep it off the grid, "
                              "e.g. exclude a ball around 0 with /region/exclude_r0")
     _emit(args, comments, lambda fh, c: _report_out(args, fh, c, report.to_json_dict()))
-    if condition != "find_cly" and not report.passed:
+    if CONDITIONS[condition].verdict and not report.passed:
         raise CheckFailed(f"{report.condition}: max violation {report.max_violation:.3e} "
                           f"> tolerance {report.tolerance:.3e}")
     return 0

@@ -8,13 +8,8 @@ The differential operator evaluated here is
 
 with G the sublinear function of the uncertainty set and V's derivatives
 symbolic; hand-written derivative tables are only compared with them.
-Conditions of the form "for all (t, x)" are certified on finite grids:
-every time value of the region paired with every state of its box.  A check
-in which t appears in no table it evaluates (V and the supplied derivative
-tables, and for L V also dV/dt, the gradient, the Hessian, f, h and g)
-repeats the t = 0 slice bit for bit at every other time, so it evaluates
-each state once, at t = 0; its report still counts every (t, x) point in
-``grid_size``.  Reports carry a crude Lipschitz slack estimated from
+The conditions are the rows of CONDITIONS, checked on finite (t, x) grids by
+check_stability_conditions; reports carry a crude Lipschitz slack from
 adjacent grid differences so refinement behaviour can be judged.
 Candidates like |x|^p with p < 2 are not twice differentiable at the
 origin, so L V is not finite there: exclude a ball around 0 via the region.
@@ -23,6 +18,9 @@ origin, so L V is not finite there: exclude a ball around 0 via the region.
 from __future__ import annotations
 
 import math
+from numbers import Real
+from sys import float_info
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,21 +246,20 @@ def eval_L(spec: LyapunovSpec, coeffs: CoefficientSet, unc, t, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _lipschitz_slack(values, region: CheckRegion, n_states: int):
-    """Half-cell bound on how much a grid max can move under refinement;
-    ``values`` holds one or more time slices of ``n_states`` states each."""
+def _lipschitz_slack(values, region: CheckRegion, n_states: int) -> dict:
+    """The half-cell bound on how much a grid max can move under refinement,
+    as diagnostics; ``values`` holds time slices of ``n_states`` states."""
     shape = tuple(count for _, _, count in region.box)
     if n_states != int(np.prod(shape)):
-        return None  # exclusion ball broke the lattice; skip the estimate
+        return {}  # exclusion ball broke the lattice; skip the estimate
     grid_vals = values.reshape((-1,) + shape)
     slack = 0.0
-    for axis in range(1, grid_vals.ndim):
-        if grid_vals.shape[axis] > 1:
-            # two adjacent infinite values of one sign differ by nan
-            with np.errstate(invalid="ignore"):
-                step = np.diff(grid_vals, axis=axis)
-            slack = max(slack, 0.5 * float(np.max(np.abs(step))))
-    return slack
+    for axis in range(1, grid_vals.ndim):  # every axis has count >= 2
+        # two adjacent infinite values of one sign differ by nan
+        with np.errstate(invalid="ignore"):
+            step = np.diff(grid_vals, axis=axis)
+        slack = max(slack, 0.5 * float(np.max(np.abs(step))))
+    return {"lipschitz_slack": slack}
 
 
 def _finite_max_abs(values) -> float:
@@ -274,34 +271,16 @@ def _finite_max_abs(values) -> float:
     return float(np.max(np.abs(values[np.isfinite(values)]), initial=0.0))
 
 
-def _report(condition, violations, T, X, n_states, vscale, region, extra=None):
-    """The report of the largest violation, with tolerance 1e-9 (1 + vscale);
-    the grid size counts every (t, x) point of the region, including time
-    slices left unevaluated."""
-    idx = int(np.argmax(violations))
-    tol = 1e-9 * (1.0 + vscale)
-    diag = dict(extra or {})
-    slack = _lipschitz_slack(violations, region, n_states)
-    if slack is not None:
-        diag["lipschitz_slack"] = slack
-    grid_size = len(region.times()) * n_states
-    return CheckReport(condition, violations[idx], T[idx], X[idx], tol, grid_size, diag)
-
-
-def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
+def _grid_v_lv(spec, coeffs, unc, region, check_v=None, with_lv=True):
     """Points T, X of the region's grid, V there, (if with_lv) L V there, and
-    the number of distinct states.
-
-    When t is free in no table the check evaluates (V; with L V also dV/dt,
-    the gradient, the Hessian, f, h and g), every time slice repeats the
-    t = 0 slice bit for bit, since elementwise ufuncs and einsum treat each
-    point on its own.  T and X then hold that slice alone, each state once;
-    otherwise they hold every (t, x) point, time-major.  Either way argmax
-    finds the same first point and an error names the same point.
-
-    ``vet(T, X, v)`` rejects a V unfit for the check; then the supplied
-    derivative tables, which count among the tables evaluated, are checked
-    against the symbolic ones; then L V is formed."""
+    the number of distinct states.  When t is free in no table the check
+    evaluates (V; with L V also dV/dt, the gradient, the Hessian, f, h and
+    g), every time slice repeats the t = 0 slice bit for bit (elementwise
+    ufuncs and einsum treat each point on its own), so T and X hold that
+    slice alone; otherwise every (t, x) point, time-major.  Either way argmax
+    and errors name the same point.  ``check_v(spec, T, X, v)`` rejects a V
+    unfit for the check before the supplied derivative tables are compared
+    and L V is formed."""
     if region.n != spec.n:
         raise RegionError(f"box has {region.n} axes but V has n={spec.n}", "box")
     tables = [spec.v, *spec.supplied.values()]
@@ -312,92 +291,127 @@ def _grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
         tvals = tvals[:1]
     T, X = np.repeat(tvals, len(states)), np.tile(states, (len(tvals), 1))
     v = spec.value(T, X)
-    if vet is not None:
-        vet(T, X, v)
+    if check_v is not None:
+        check_v(spec, T, X, v)
     spec.check_supplied(T, X)
     return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None), len(states)
 
 
-def check_growth_condition(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
-                           region: CheckRegion, c_ly: float) -> CheckReport:
-    """Grid max of L V - c_ly V; passes when finite and <= 1e-9*(1 + max|V|),
-    the max over the finite values of V."""
-    if not c_ly >= 0:
-        raise ConfigError(f"c_ly must be >= 0, got {c_ly!r}", "c_ly")
-
-    def vet(T, X, v):
-        if spec.nonneg and np.min(v) < -1e-12:
-            i = int(np.argmin(v))
-            raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but nonneg is set", "v")
-
-    T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
-    violations = lv - c_ly * v
-    return _report(f"LV <= {c_ly:g} V", violations, T, X, n_states, _finite_max_abs(v), region)
+def _nonneg(spec, T, X, v):
+    if spec.nonneg and np.min(v) < -1e-12:
+        i = int(np.argmin(v))
+        raise RegionError(f"V is negative at t={T[i]}, x={X[i].tolist()} but nonneg is set", "v")
 
 
-def find_cly(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: CheckRegion,
-             v_min: float = 1e-8) -> float:
-    """Smallest grid-certified constant c with L V <= c V, clipped at 0."""
-    return find_cly_detailed(spec, coeffs, unc, region, v_min).diagnostics["clipped"]
+def _bounded_below(spec, T, X, v):
+    if np.min(v) < 1e-8:  # else L V / V is unbounded
+        i = int(np.argmin(v))
+        raise RegionError(f"V(t={T[i]}, x={X[i].tolist()}) = {v[i]:.3e} < 1e-08; "
+                          "exclude a ball around the origin", "v")
 
 
-def find_cly_detailed(spec: LyapunovSpec, coeffs: CoefficientSet, unc, region: CheckRegion,
-                      v_min: float = 1e-8) -> CheckReport:
-    def vet(T, X, v):
-        if np.min(v) < v_min:
-            i = int(np.argmin(v))
-            raise RegionError(
-                f"V(t={T[i]}, x={X[i].tolist()}) = {v[i]:.3e} < v_min={v_min:g}; "
-                "exclude a ball around the origin or raise v_min", "v"
-            )
-
-    T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, vet)
-    ratios = lv / v
-    raw = float(np.max(ratios))
-    return _report("min c with LV <= c V", ratios, T, X, n_states, _finite_max_abs(v),
-                   region, extra={"raw": raw, "clipped": max(raw, 0.0)})
+def _xp(X, p):
+    return np.linalg.norm(X, axis=-1) ** p["p"]
 
 
-_CONDITIONS = ("sandwich", "nonpositive", "exp_stable", "exp_unstable")
+class Condition(NamedTuple):
+    """A row of CONDITIONS.  ``params`` maps a parameter to (default, strict):
+    no default (None) makes it required; strict bounds it > 0, else >= 0."""
+
+    params: dict
+    check_v: object  # None, or check_v(spec, T, X, v) rejecting an unfit V
+    violation: object
+    label: str
+    needs_lv: bool = True
+    scale: object = lambda X, v, p: _finite_max_abs(v)  # the tolerance is 1e-9 (1 + scale)
+    verdict: bool = True  # False: the result is a number, and a failure no verdict
+
+
+CONDITIONS = {
+    "growth": Condition({"c_ly": (0.0, False)}, _nonneg,
+                        lambda X, v, lv, p: lv - p["c_ly"] * v, "LV <= {c_ly:g} V"),
+    "find_cly": Condition({}, _bounded_below, lambda X, v, lv, p: lv / v,
+                          "min c with LV <= c V", verdict=False),
+    "sandwich": Condition(
+        dict.fromkeys(("p", "c1", "c2"), (None, True)), None,
+        lambda X, v, lv, p: np.maximum(p["c1"] * _xp(X, p) - v, v - p["c2"] * _xp(X, p)),
+        "{c1:g}|x|^{p:g} <= V <= {c2:g}|x|^{p:g}", needs_lv=False,
+        scale=lambda X, v, p: max(_finite_max_abs(v), _finite_max_abs(_xp(X, p)))),
+    "nonpositive": Condition({}, None, lambda X, v, lv, p: lv, "LV <= 0"),
+    "exp_stable": Condition({"lambda": (None, True)}, None,
+                            lambda X, v, lv, p: lv + p["lambda"] * v, "LV <= -{lambda:g} V"),
+    "exp_unstable": Condition({"lambda": (None, True)}, None,
+                              lambda X, v, lv, p: p["lambda"] * v - lv, "LV >= {lambda:g} V"),
+}
+_PARAM_NAMES = {name for row in CONDITIONS.values() for name in row.params} | {"lam"}
+
+
+def _read_params(params: dict, row: Condition) -> dict:
+    """The row's parameters, as floats within their bounds.  Every entry of
+    params that some row reads, or lam (which stands for an absent lambda),
+    must be a real number, not a bool, that a float holds finitely."""
+    given = {name: value for name, value in params.items() if name in _PARAM_NAMES}
+    for name, x in given.items():
+        if isinstance(x, bool) or not isinstance(x, Real) or not abs(x) <= float_info.max:
+            raise ConfigError(f"{name} must be a finite number, got {x!r}", name)
+    out = {}
+    for name, (default, strict) in row.params.items():
+        key = "lam" if name == "lambda" and "lam" in given and "lambda" not in given else name
+        out[name] = value = float(given[key]) if key in given else default
+        if value is None or not (value > 0 if strict else value >= 0):
+            raise ConfigError(f"params need {key} {'>' if strict else '>='} 0, got {value!r}", key)
+    return out
 
 
 def check_stability_conditions(spec: LyapunovSpec, coeffs: CoefficientSet, unc,
                                region: CheckRegion, params: dict, which: str) -> CheckReport:
-    """Signed grid violation of one stability hypothesis.
+    """Signed grid violation of the condition CONDITIONS[which]:
 
-    sandwich:      c1 |x|^p <= V <= c2 |x|^p
-    nonpositive:   L V <= 0
-    exp_stable:    L V <= -lambda V   (lambda, or lam, in params)
-    exp_unstable:  L V >= +lambda V
+        growth        L V <= c_ly V               c_ly >= 0, default 0
+        find_cly      min c with L V <= c V       needs V >= 1e-8; no verdict
+        sandwich      c1 |x|^p <= V <= c2 |x|^p   p, c1, c2 > 0
+        nonpositive   L V <= 0
+        exp_stable    L V <= -lambda V            lambda > 0 (lam if lambda is absent)
+        exp_unstable  L V >= lambda V             lambda > 0 (lam if lambda is absent)
 
-    A missing or nonpositive parameter is a ConfigError naming its key.
-    """
-    if which not in _CONDITIONS:
-        raise ValueError(f"which must be one of {_CONDITIONS}")
-    T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, with_lv=which != "sandwich")
-    vscale = _finite_max_abs(v)
-    if which == "sandwich":
-        p, c1, c2 = (_positive(params, name) for name in ("p", "c1", "c2"))
-        xp = np.linalg.norm(X, axis=-1) ** p
-        violations = np.maximum(c1 * xp - v, v - c2 * xp)
-        return _report(f"{c1:g}|x|^{p:g} <= V <= {c2:g}|x|^{p:g}", violations, T, X,
-                       n_states, max(vscale, _finite_max_abs(xp)), region)
-    if which == "nonpositive":
-        return _report("LV <= 0", lv, T, X, n_states, vscale, region)
-    lam = _positive(params, "lam" if "lam" in params and "lambda" not in params else "lambda")
-    if which == "exp_stable":
-        violations = lv + lam * v
-        return _report(f"LV <= -{lam:g} V", violations, T, X, n_states, vscale, region)
-    violations = lam * v - lv
-    return _report(f"LV >= {lam:g} V", violations, T, X, n_states, vscale, region)
+    A pass holds at the grid points, with L V the upper generator.  growth
+    (V >= 0 unless nonneg is off) bounds E^[V(t, X_t)] by e^{c_ly t} V(0, x0)
+    while X stays in the region, the localization hypothesis; find_cly
+    reports the smallest such c.  sandwich ties V to |x|^p, so a bound on
+    E^[V] bounds the p-th moment; nonpositive makes E^[V(t, X_t)]
+    nonincreasing, exp_stable bounds it by e^{-lambda t} V(0, x0).
+    exp_unstable shows only that E^[V(X_t)] grows under some scenario:
+    dX = -0.75X dt + X dB, band [1, 2], V = x^2 passes it at lambda = 0.4,
+    yet linstab's unstable mode reads inconclusive.  An unknown condition, or
+    a parameter missing, out of bounds or not finite, is a ConfigError naming
+    "condition" or the parameter."""
+    if which not in CONDITIONS:
+        raise ConfigError(f"{which!r} is not one of {', '.join(CONDITIONS)}", "condition")
+    row = CONDITIONS[which]
+    p = _read_params(params, row)
+    T, X, v, lv, n_states = _grid_v_lv(spec, coeffs, unc, region, row.check_v, row.needs_lv)
+    violations = row.violation(X, v, lv, p)
+    i = int(np.argmax(violations))
+    raw = float(violations[i])
+    diag = {} if row.verdict else {"raw": raw, "clipped": max(raw, 0.0)}
+    return CheckReport(row.label.format(**p), raw, T[i], X[i], 1e-9 * (1.0 + row.scale(X, v, p)),
+                       len(region.times()) * n_states,
+                       diag | _lipschitz_slack(violations, region, n_states))
 
 
-def _positive(params, name) -> float:
-    """params[name] as a float > 0."""
-    value = float(params[name]) if name in params else math.nan
-    if not value > 0:
-        raise ConfigError(f"params need {name} > 0, got {params.get(name)!r}", name)
-    return value
+def check_growth_condition(spec, coeffs, unc, region, c_ly) -> CheckReport:
+    """The growth condition L V <= c_ly V (check_stability_conditions)."""
+    return check_stability_conditions(spec, coeffs, unc, region, {"c_ly": c_ly}, "growth")
+
+
+def find_cly_detailed(spec, coeffs, unc, region) -> CheckReport:
+    """The find_cly report, with diagnostics raw and raw clipped at 0."""
+    return check_stability_conditions(spec, coeffs, unc, region, {}, "find_cly")
+
+
+def find_cly(spec, coeffs, unc, region) -> float:
+    """Smallest grid-certified constant c with L V <= c V, clipped at 0."""
+    return find_cly_detailed(spec, coeffs, unc, region).diagnostics["clipped"]
 
 
 class MomentBoundReport:

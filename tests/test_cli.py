@@ -114,6 +114,23 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "exact.json", EXACT_RATE | {"params": {"lambda": lam}})
         assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "rep.json")]) == code
 
+    @pytest.mark.parametrize("params,code", [
+        ({"lam": 2.0}, 0), ({"lam": 2.5}, 2), ({"lambda": 2.0, "lam": 2.5}, 0),
+        ({"lambda": 2.0, "mu": "x"}, 0),
+    ], ids=["lam", "lam_fails", "lambda_first", "unread_key"])
+    def test_lam_alias_and_unread_keys(self, tmp_path, params, code):
+        cfg = write_cfg(tmp_path, "exact.json", EXACT_RATE | {"params": params})
+        assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "rep.json")]) == code
+
+    def test_infinite_parameter_is_a_config_error(self, tmp_path, capsys):
+        # inf * V at V = 0 used to give max_violation NaN, a RuntimeWarning and exit 2
+        cfg = write_cfg(tmp_path, "c.json", GROWING | {"condition": "growth",
+                                                       "params": {"c_ly": float("inf")}})
+        assert main(["lyapunov", "--config", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("gcalc lyapunov: error: /params/c_ly: c_ly must be a "
+                                     "finite number, got inf\n")
+
     def test_kink_on_the_grid_names_the_point(self, tmp_path, capsys):
         assert main(["lyapunov", "--config", write_cfg(tmp_path, "k.json", KINK_OK)]) == 1
         err = capsys.readouterr().err
@@ -276,6 +293,11 @@ class TestExitCodes:
         ("gsde", GSDE_OK | {"n": "1"}, "/n"),
         ("gheat", GHEAT_OK | {"grid": GHEAT_OK["grid"] | {"nt": 2.5}}, "/grid/nt"),
         ("simulate", SIM_OK | {"n_paths": True}, "/n_paths"),
+        ("lyapunov", LYAPUNOV_OK | {"params": {"c_ly": float("inf")}}, "/params/c_ly"),
+        ("lyapunov", GROWING | {"params": {"lambda": float("inf")}}, "/params/lambda"),
+        ("lyapunov", GROWING | {"params": {"lam": float("nan")}}, "/params/lam"),
+        ("lyapunov", LYAPUNOV_OK | {"params": {"c_ly": 1.0, "lambda": "x"}}, "/params/lambda"),
+        ("lyapunov", LYAPUNOV_OK | {"condition": "bogus"}, "/condition"),
     ], ids=["bt_over_t_covariance_set", "bt_over_t_decreasing", "bangbang_family_covariance_set",
             "lyapunov_axis_count", "lyapunov_axis_number", "lyapunov_v_min",
             "lyapunov_negative_v", "lyapunov_grad_shape", "lyapunov_hess_shape",
@@ -307,7 +329,9 @@ class TestExitCodes:
             "gheat_constants_value", "gsde_constants_type", "lyapunov_constants_type",
             "lyapunov_system_constants_type", "experiment_times_type", "experiment_times_text",
             "bt_over_t_t_values_zero", "lyapunov_box_count_float", "gsde_n_float", "gsde_n_text",
-            "gheat_nt_float", "simulate_n_paths_bool"])
+            "gheat_nt_float", "simulate_n_paths_bool", "lyapunov_c_ly_infinite",
+            "lyapunov_lambda_infinite", "lyapunov_lam_nan", "lyapunov_unread_param_text",
+            "lyapunov_condition_unknown"])
     def test_config_errors_exit_one_naming_pointer(self, tmp_path, capsys, sub, cfg, pointer):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert main([sub, "--config", path]) == 1
@@ -593,6 +617,7 @@ LYAPUNOV_DV = LYAPUNOV_OK | {
     "region": LYAPUNOV_OK["region"] | {"nt": 2, "exclude_r0": 0.0}}
 SANDWICH = LYAPUNOV_OK | {"condition": "sandwich", "params": {"p": 2.0, "c1": 0.5, "c2": 3.0}}
 EXP_STABLE = LYAPUNOV_OK | {"condition": "exp_stable", "params": {"lambda": 0.5}}
+EXP_STABLE_LAM = LYAPUNOV_OK | {"condition": "exp_stable", "params": {"lam": 0.5}}
 LINSTAB_P = LINSTAB_OK | {"mode": "unstable", "F": [3.0]}
 DECAY = MOMENT_DECAY_OK | {"lambda": 1.0, "times": [0.5, 1.0]}
 BT_OVER_T = {"kind": "bt_over_t", "band": [1.0, 2.0], "family": {"kind": "extreme_constants"},
@@ -675,6 +700,7 @@ FIELD_TABLE = [
     ("lyapunov", SANDWICH, "/params/c1", float, True, st.floats(max_value=0.0), None),
     ("lyapunov", SANDWICH, "/params/c2", float, True, st.floats(max_value=0.0), None),
     ("lyapunov", EXP_STABLE, "/params/lambda", float, True, st.floats(max_value=0.0), None),
+    ("lyapunov", EXP_STABLE_LAM, "/params/lam", float, True, st.floats(max_value=0.0), None),
     ("linstab", LINSTAB_P, "/n", int, True, st.integers(-5, 0), None),
     ("linstab", LINSTAB_P, "/F", list, True, st.sampled_from([[], [1.0, 2.0]]), None),
     ("linstab", LINSTAB_P, "/H", list, True, st.sampled_from([[], [1.0, 2.0]]), None),

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import gcalc.lyapunov
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_cmp.py"
 BASE = "989a2998c4ec199a143a268aa300fdd35c5cccca"
 OTHER = "4446a59fd11495e456745457b7908850b6df22fd"
@@ -50,3 +52,8 @@ def test_entries_apply_only_against_their_base(cli_cmp, capsys, text, base_sha, 
 def test_no_list_lists_nothing(cli_cmp):
     assert cli_cmp.expected_cases() == (None, set())
     assert cli_cmp.listed_for(BASE) == set()
+
+
+def test_every_lyapunov_condition_has_byte_compare_cases():
+    # a condition added to the library needs its own cli_cmp cases
+    assert set(_load().CONDITIONS) == set(gcalc.lyapunov.CONDITIONS)

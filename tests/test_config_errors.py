@@ -2,6 +2,8 @@
 rejects a fractional or bool value with a ConfigError naming its field,
 instead of truncating it, and keeps taking integral values such as 3.0."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ from gcalc import (
     SpaceTimeGrid,
     TimeGrid,
     bt_over_t,
+    check_growth_condition,
+    check_stability_conditions,
     closed_form_geometric,
     coefficients,
     eval_L,
@@ -37,7 +41,7 @@ from gcalc import (
     solve_two_step,
     threshold_bangbang,
 )
-from gcalc.lyapunov import RegionError, SuppliedDerivativeError
+from gcalc.lyapunov import CONDITIONS, RegionError, SuppliedDerivativeError
 
 
 # systems with every coefficient 0, of 3 states and of 3 noises
@@ -156,3 +160,65 @@ def test_dimension_mismatches_name_the_field(call, field):
     with pytest.raises(ConfigError) as err:
         call()
     assert err.value.field == field
+
+
+# (condition, a parameter it reads, a value out of the parameter's bound)
+LYAPUNOV_PARAMS = {
+    "growth_c_ly": ("growth", "c_ly", -1.0),
+    "sandwich_p": ("sandwich", "p", 0.0),
+    "sandwich_c1": ("sandwich", "c1", -2.0),
+    "sandwich_c2": ("sandwich", "c2", 0.0),
+    "exp_stable_lambda": ("exp_stable", "lambda", 0.0),
+    "exp_stable_lam": ("exp_stable", "lam", -1.0),
+    "exp_unstable_lambda": ("exp_unstable", "lambda", -0.5),
+    "exp_unstable_lam": ("exp_unstable", "lam", 0.0),
+}
+# what every row reads, all valid; lam only ever replaces lambda
+LYAPUNOV_VALID = {"c_ly": 1.0, "p": 2.0, "c1": 0.5, "c2": 3.0, "lambda": 0.5}
+LYAPUNOV_CHECK = (LyapunovSpec(1, "1 + x1^2"), ONE_NOISE, BAND, CheckRegion(1.0, [(-1.0, 1.0, 3)]))
+
+
+def _lyapunov(condition, name, value):
+    """The check with name set to value, and lambda left out for lam."""
+    drop = "lambda" if name == "lam" else name
+    params = {k: v for k, v in LYAPUNOV_VALID.items() if k != drop} | {name: value}
+    return check_stability_conditions(*LYAPUNOV_CHECK, params, condition)
+
+
+@pytest.mark.parametrize("condition,name,out_of_range", LYAPUNOV_PARAMS.values(),
+                         ids=LYAPUNOV_PARAMS)
+def test_lyapunov_parameters_are_finite_reals(condition, name, out_of_range):
+    """One reader takes every condition parameter: a finite real number,
+    never a bool or a numeric string, within its bound; a parameter of
+    another row is read the same way."""
+    assert _lyapunov(condition, name, 3).to_json_dict() == \
+        _lyapunov(condition, name, 3.0).to_json_dict()
+    for value in (True, False, "2", None, [1.0], math.inf, -math.inf, math.nan, 10 ** 400,
+                  out_of_range):
+        with pytest.raises(ConfigError) as err:
+            _lyapunov(condition, name, value)
+        assert err.value.field == name, value
+    other = "lambda" if name == "c_ly" else "c_ly"
+    for value in (True, "1", math.inf):
+        with pytest.raises(ConfigError) as err:
+            check_stability_conditions(*LYAPUNOV_CHECK, LYAPUNOV_VALID | {other: value}, condition)
+        assert err.value.field == other
+
+
+def test_lyapunov_required_parameters_and_unread_keys():
+    for condition, name in (("sandwich", "c2"), ("exp_stable", "lambda"),
+                            ("exp_unstable", "lambda")):
+        with pytest.raises(ConfigError) as err:
+            check_stability_conditions(*LYAPUNOV_CHECK, {k: v for k, v in LYAPUNOV_VALID.items()
+                                                         if k != name}, condition)
+        assert err.value.field == name and str(err.value).endswith("> 0, got None")
+    # a key that no row reads is ignored, whatever its value
+    for condition in CONDITIONS:
+        check_stability_conditions(*LYAPUNOV_CHECK, LYAPUNOV_VALID | {"mu": "x"}, condition)
+
+
+def test_named_lyapunov_checks_read_the_same_way():
+    for c_ly in (True, "1", math.inf):
+        with pytest.raises(ConfigError) as err:
+            check_growth_condition(*LYAPUNOV_CHECK, c_ly)
+        assert err.value.field == "c_ly"

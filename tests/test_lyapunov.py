@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcalc import (
     CheckRegion,
+    ConfigError,
     CovarianceSet,
     LyapunovSpec,
     PolicyFamily,
@@ -248,8 +249,45 @@ class TestStabilityConditions:
         coeffs, spec, region = self.linear_system(-3.0)
         with pytest.raises(ValueError):
             check_stability_conditions(spec, coeffs, BAND, region, {"lambda": -1.0}, "exp_stable")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as err:  # a ValueError
             check_stability_conditions(spec, coeffs, BAND, region, {}, "weird")
+        assert err.value.field == "condition"
+        assert str(err.value) == ("'weird' is not one of growth, find_cly, sandwich, "
+                                  "nonpositive, exp_stable, exp_unstable")
+
+    def test_named_checks_are_the_entry_point(self):
+        # check_growth_condition, find_cly_detailed and find_cly report what
+        # the entry point reports for their rows
+        coeffs, spec = duffing()
+        region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)], exclude_r0=0.5)
+
+        def report(rep):
+            return json.dumps(rep.to_json_dict())
+
+        entry = check_stability_conditions(spec, coeffs, BAND, region, {"c_ly": 0.5}, "growth")
+        assert report(check_growth_condition(spec, coeffs, BAND, region, 0.5)) == report(entry)
+        entry = check_stability_conditions(spec, coeffs, BAND, region, {}, "find_cly")
+        assert report(find_cly_detailed(spec, coeffs, BAND, region)) == report(entry)
+        assert find_cly(spec, coeffs, BAND, region) == max(entry.max_violation, 0.0)
+        assert entry.diagnostics["raw"] == entry.max_violation
+
+    def test_growth_defaults_to_c_ly_zero(self):
+        coeffs, spec = duffing()
+        region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)])
+        default = check_stability_conditions(spec, coeffs, BAND, region, {}, "growth")
+        assert default.condition == "LV <= 0 V"
+        assert default.to_json_dict() == check_growth_condition(spec, coeffs, BAND, region,
+                                                                0.0).to_json_dict()
+
+    def test_lam_stands_for_an_absent_lambda(self):
+        coeffs, spec, region = self.linear_system(-3.0)
+        for params, label in (({"lam": 7.5}, "LV <= -7.5 V"),
+                              ({"lambda": 7.0, "lam": 7.5}, "LV <= -7 V")):
+            rep = check_stability_conditions(spec, coeffs, BAND, region, params, "exp_stable")
+            assert rep.condition == label
+        with pytest.raises(ConfigError) as err:
+            check_stability_conditions(spec, coeffs, BAND, region, {"lam": 0.0}, "exp_stable")
+        assert err.value.field == "lam" and str(err.value) == "params need lam > 0, got 0.0"
 
 
 class TestRegion:
@@ -468,7 +506,7 @@ class TestOneVPass:
         check_growth_condition(spec, coeffs, BAND, region, c_ly=1.0)
         assert sum(calls) == 1
 
-    @pytest.mark.parametrize("condition", ["growth", "find_cly", "exp_stable", "sandwich"])
+    @pytest.mark.parametrize("condition", list(lyapunov_mod.CONDITIONS))
     def test_default_mode_checks_evaluate_v_once(self, monkeypatch, condition):
         # a spec without supplied tables evaluates V once on the grid and its
         # derivative tables once each, and reports what a spec with agreeing
@@ -478,15 +516,10 @@ class TestOneVPass:
         coeffs, analytic = duffing()
         spec = LyapunovSpec(2, "1 + 0.5*x2^2 + 0.5*x1^2 + 0.25*x1^4", mode="finite_difference")
         region = CheckRegion(1.0, [(-2, 2, 5), (-2, 2, 5)])
-        params = {"lambda": 0.5, "p": 2.0, "c1": 0.1, "c2": 10.0}
+        params = {"c_ly": 1.0, "lambda": 0.5, "p": 2.0, "c1": 0.1, "c2": 10.0}
 
         def run(s):
-            if condition == "growth":
-                rep = check_growth_condition(s, coeffs, BAND, region, 1.0)
-            elif condition == "find_cly":
-                rep = find_cly_detailed(s, coeffs, BAND, region)
-            else:
-                rep = check_stability_conditions(s, coeffs, BAND, region, params, condition)
+            rep = check_stability_conditions(s, coeffs, BAND, region, params, condition)
             return json.dumps(rep.to_json_dict())
 
         want = run(analytic)
@@ -604,12 +637,12 @@ class TestSuppliedDerivatives:
 # --- reference: the full (t, x) grid that time-free checks no longer evaluate
 
 
-def full_grid_v_lv(spec, coeffs, unc, region, vet=None, with_lv=True):
+def full_grid_v_lv(spec, coeffs, unc, region, check_v=None, with_lv=True):
     """T, X, V, L V on every (t, x) point, whether or not t appears."""
     T, X = region.grid()
     v = spec.value(T, X)
-    if vet is not None:
-        vet(T, X, v)
+    if check_v is not None:
+        check_v(spec, T, X, v)
     spec.check_supplied(T, X)
     return T, X, v, (eval_L(spec, coeffs, unc, T, X) if with_lv else None), len(region.states())
 

@@ -63,6 +63,7 @@ CANDIDATES = {
               "hess": [["2*exp(-t)", "0"], ["0", "2*exp(-t)"]]},
              {"t": [0, 2], "box": [[-2, 2, 9], [-2, 2, 9]], "nt": 3}),
 }
+# every condition of gcalc.lyapunov.CONDITIONS, with its parameters
 CONDITIONS = {"growth": {"c_ly": 1.0}, "find_cly": {}, "sandwich": {"p": 2.0, "c1": 0.5, "c2": 3.0},
               "nonpositive": {}, "exp_stable": {"lambda": 0.5}, "exp_unstable": {"lambda": 0.5}}
 
@@ -87,6 +88,9 @@ def cases() -> dict:
     out["lyapunov_exact_fd"] = ("lyapunov", {
         "system": EXACT, "V": "x1^2", "region": {"t": [0, 1], "box": [[-50, 50, 101]]},
         "condition": "exp_stable", "params": {"lambda": 2.0}})
+    # lam stands for lambda when lambda is absent
+    out["lyapunov_exact_lam"] = ("lyapunov", {
+        **out["lyapunov_exact_fd"][1], "params": {"lam": 2.0}})
     # V = |x| has no second derivative at x = 0, a grid point unless excluded
     kink = {"system": {**EXACT, "f": ["-x1"], "h": ["0"], "g": ["1"]}, "V": "abs(x1)",
             "region": {"t": [0, 1], "box": [[-1, 1, 5]]}, "condition": "nonpositive"}
@@ -123,6 +127,10 @@ def cases() -> dict:
         "lambda_bool": {"condition": "exp_stable", "params": {"lambda": True}},
         "c_ly_string": {"params": {"c_ly": "1.0"}},
         "p_string": {"condition": "sandwich", "params": {"p": "2", "c1": 0.5, "c2": 3.0}},
+        # an infinite parameter used to run: a non-finite violation and exit 2
+        "c_ly_infinite": {"params": {"c_ly": float("inf")}},
+        "lambda_infinite": {"condition": "exp_stable", "params": {"lambda": float("inf")}},
+        "condition_unknown": {"condition": "bogus"},
     }
     for name, override in errors.items():
         out[f"lyapunov_error_{name}"] = ("lyapunov", {**duffing_band, **override})
