@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,6 @@ from .lyapunov import (CONDITIONS, CheckRegion, LyapunovSpec, check_stability_co
                        check_growth_condition, find_cly_detailed)  # noqa: F401 (for perfbench)
 from .runio import config_hash, standard_comments, write_json, write_table
 
-SUBCOMMANDS = ("simulate", "upper", "gheat", "gsde", "lyapunov", "linstab", "experiment")
 # the pointers of the library fields gcalc lyapunov sets; the others are under /params
 _LYAPUNOV_FIELDS = {"v": "/V", "constants": "/constants", "mode": "/mode", "dt": "/dV/dt",
                     "grad": "/dV/grad", "hess": "/dV/hess", "t_end": "/region/t",
@@ -59,10 +59,6 @@ class UsageError(Exception):
     """Bad flags, an unreadable config, or a value of the wrong JSON type (exit 1)."""
 
     field = None  # the pointer, if any, is in the message
-
-
-class CheckFailed(Exception):
-    """The requested certification did not hold (exit 2)."""
 
 
 def _fetch(cfg, pointer: str, kind, required=True, default=None):
@@ -119,17 +115,33 @@ def _at(section="", **fields):
         raise
 
 
+_OVERFLOW = object()  # json.loads's value of a number literal no float holds, like 1e400
+
+
+def _number(kind):
+    return lambda text: _OVERFLOW if math.isinf(float(text)) else kind(text)
+
+
+def _reject_overflow(node, pointer=""):
+    if node is _OVERFLOW:
+        raise UsageError(f"config field {pointer} is a number too large for a float")
+    for key, value in (node.items() if isinstance(node, dict)
+                       else enumerate(node) if isinstance(node, list) else ()):
+        _reject_overflow(value, f"{pointer}/{key}")
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise UsageError(f"cannot read config {path}: {e}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_int=_number(int), parse_float=_number(float))
     except json.JSONDecodeError as e:
         raise UsageError(f"config {path} is not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise UsageError("config root must be a JSON object")
+    _reject_overflow(cfg)
     return cfg
 
 
@@ -189,53 +201,7 @@ def _family(cfg, pointer="/family") -> PolicyFamily:
     raise UsageError(f"unknown family kind at {pointer}/kind: {kind!r}")
 
 
-def _open_out(args):
-    if args.out is None:
-        return sys.stdout, False
-    out = Path(args.out)
-    if out.exists() and not args.force:
-        raise UsageError(f"output path {out} exists; pass --force to overwrite")
-    return open(out, "w", newline=""), True
-
-
-def _emit(args, comments, writer):
-    fh, close = _open_out(args)
-    try:
-        writer(fh, comments)
-    finally:
-        if close:
-            fh.close()
-
-
-def _long_rows(header, rows):
-    return ((i, name, value) for i, row in enumerate(rows) for name, value in zip(header, row))
-
-
-def _maybe_long(args, fh, comments, header, rows):
-    """rows, a 2-D float array or a list of rows, as CSV, long-format CSV
-    or JSON; the last two take Python values."""
-    if isinstance(rows, np.ndarray) and (args.format == "json" or args.emit_plot_data):
-        rows = rows.tolist()
-    if args.format == "json":
-        write_json(fh, {"header": list(header), "rows": [list(r) for r in rows]},
-                   comments=comments)
-    elif args.emit_plot_data:
-        write_table(fh, ["row", "variable", "value"], _long_rows(header, rows), comments)
-    else:
-        write_table(fh, header, rows, comments)
-
-
-def _report_out(args, fh, comments, doc):
-    """JSON report, or a key,value CSV when --format csv is forced."""
-    if args.format == "csv":
-        rows = [(k, json.dumps(v) if isinstance(v, (dict, list)) else v)
-                for k, v in doc.items()]
-        write_table(fh, ["key", "value"], rows, comments)
-    else:
-        write_json(fh, doc, comments=comments)
-
-
-def cmd_simulate(args, cfg, comments):
+def cmd_simulate(args, cfg):
     unc = _uncertainty(cfg)
     grid = _time_grid(cfg)
     policy = _policy(cfg, unc)
@@ -246,11 +212,10 @@ def cmd_simulate(args, cfg, comments):
     rows = table.reshape(-1, len(header))
     if args.format == "json":  # the path index stays a JSON integer
         rows = [(int(p), *row) for p, *row in rows.tolist()]
-    _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
-    return 0
+    return (header, rows), None
 
 
-def cmd_upper(args, cfg, comments):
+def cmd_upper(args, cfg):
     unc = _uncertainty(cfg)
     grid = _time_grid(cfg)
     family = _family(cfg)
@@ -267,11 +232,10 @@ def cmd_upper(args, cfg, comments):
 
     with _at():
         report = estimate_upper(payoff, family, unc, grid, _fetch(cfg, "/n_paths", int), args.seed)
-    _emit(args, comments, lambda fh, c: _report_out(args, fh, c, report.to_json_dict()))
-    return 0
+    return report.to_json_dict(), None
 
 
-def cmd_gheat(args, cfg, comments):
+def cmd_gheat(args, cfg):
     unc = _uncertainty(cfg)
     payoff_expr = _expression(cfg, "/payoff", ["x"])
     x_lo, x_hi, T = (_fetch(cfg, f"/grid/{name}", float) for name in ("x_lo", "x_hi", "T"))
@@ -285,12 +249,10 @@ def cmd_gheat(args, cfg, comments):
         print(f"u(0, 0) = {sol.value_at(0.0):.6g}", file=sys.stderr)
     except ValueError as e:
         print(f"u(0, 0) not reported: {e}", file=sys.stderr)
-    rows = np.column_stack([sol.x, sol.u])
-    _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, ["x", "u"], rows))
-    return 0
+    return (["x", "u"], np.column_stack([sol.x, sol.u])), None
 
 
-def cmd_gsde(args, cfg, comments):
+def cmd_gsde(args, cfg):
     with _at():
         coeffs, unc = load_system(cfg)
     grid = _time_grid(cfg)
@@ -308,14 +270,11 @@ def cmd_gsde(args, cfg, comments):
             else:
                 sol = gsde_mod.integrate(coeffs, x0, batch)
         except (gsde_mod.ExplosionSuspectedError, gsde_mod.BlowUpError) as e:
-            raise CheckFailed(str(e))
-    header = ["t"] + expr_mod.state_variables(coeffs.n)
-    rows = np.column_stack([sol.t, sol.x[0]])
-    _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, header, rows))
-    return 0
+            return None, str(e)
+    return (["t"] + expr_mod.state_variables(coeffs.n), np.column_stack([sol.t, sol.x[0]])), None
 
 
-def cmd_lyapunov(args, cfg, comments):
+def cmd_lyapunov(args, cfg):
     with _at("/system"):
         coeffs, unc = load_system(_fetch(cfg, "/system", dict))
     _fetch(cfg, "/dV", dict, required=False)  # a /dV that is no object is a type error
@@ -340,14 +299,12 @@ def cmd_lyapunov(args, cfg, comments):
         except expr_mod.ExprError as e:  # a kink of V or a singularity on the grid
             raise UsageError(f"/V on /region: {e}; keep it off the grid, "
                              "e.g. exclude a ball around 0 with /region/exclude_r0")
-    _emit(args, comments, lambda fh, c: _report_out(args, fh, c, report.to_json_dict()))
-    if CONDITIONS[condition].verdict and not report.passed:
-        raise CheckFailed(f"{report.condition}: max violation {report.max_violation:.3e} "
-                          f"> tolerance {report.tolerance:.3e}")
-    return 0
+    return report.to_json_dict(), CONDITIONS[condition].verdict and not report.passed and (
+        f"{report.condition}: max violation {report.max_violation:.3e} "
+        f"> tolerance {report.tolerance:.3e}")
 
 
-def cmd_linstab(args, cfg, comments):
+def cmd_linstab(args, cfg):
     unc = _uncertainty(cfg)
     mode = _fetch(cfg, "/mode", str, required=False, default="stable")
     with _at():
@@ -355,20 +312,17 @@ def cmd_linstab(args, cfg, comments):
                                        *(_numbers(cfg, f"/{name}", depth=2) for name in "FHC"),
                                        unc)
         if mode == "search":
-            cert, wanted = search_p(sys_, seed=args.seed), "ms_stable"
+            cert = search_p(sys_, seed=args.seed)
         elif mode in ("stable", "unstable"):
-            certify, wanted = {"stable": (lmi_stable, "ms_stable"),
-                               "unstable": (lmi_unstable, "ms_unstable")}[mode]
+            certify = lmi_stable if mode == "stable" else lmi_unstable
             cert = certify(sys_, _numbers(cfg, "/P", depth=2) if "P" in cfg else np.eye(sys_.n))
         else:
             raise UsageError(f"unknown value at /mode: {mode!r}")
-    _emit(args, comments, lambda fh, c: _report_out(args, fh, c, cert.to_json_dict()))
-    if cert.kind != wanted:
-        raise CheckFailed(f"certificate inconclusive (margin {cert.margin:.3e})")
-    return 0
+    return cert.to_json_dict(), cert.kind == "inconclusive" and (
+        f"certificate inconclusive (margin {cert.margin:.3e})")
 
 
-def cmd_experiment(args, cfg, comments):
+def cmd_experiment(args, cfg):
     kind = _fetch(cfg, "/kind", str)
     unc = _uncertainty(cfg)
     family = _family(cfg)
@@ -391,10 +345,8 @@ def cmd_experiment(args, cfg, comments):
             ))
     else:
         raise UsageError(f"unknown value at /kind: {kind!r}")
-    _emit(args, comments, lambda fh, c: _maybe_long(args, fh, c, result.header, result.rows))
-    if not result.passed:
-        raise CheckFailed(f"experiment {result.name} bound violated")
-    return 0
+    return (result.header, result.rows), not result.passed and (
+        f"experiment {result.name} bound violated")
 
 
 _HANDLERS = {
@@ -408,12 +360,47 @@ _HANDLERS = {
 }
 
 
+def _write(args, comments, output) -> None:
+    """Write a handler's output to --out, or to stdout without --out.
+
+    A report (a dict) is JSON, or key,value CSV under --format csv.  A table
+    ((header, rows), rows a 2-D float array or a list of rows) is CSV, or
+    JSON under --format json, or long-format CSV under --emit-plot-data.
+    None (a gsde blow-up) writes nothing and creates no file.  An --out
+    that exists without --force, or that cannot be opened, is a UsageError."""
+    if output is None:
+        return
+    if args.out is not None and Path(args.out).exists() and not args.force:
+        raise UsageError(f"output path {args.out} exists; pass --force to overwrite")
+    try:
+        target = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", newline="")
+    except OSError as e:
+        raise UsageError(f"cannot write {args.out}: {e.strerror}")
+    with target as fh:
+        if isinstance(output, dict) and args.format != "csv":
+            write_json(fh, output, comments=comments)
+        elif isinstance(output, dict):
+            write_table(fh, ["key", "value"], [(k, json.dumps(v) if isinstance(v, (dict, list))
+                                                else v) for k, v in output.items()], comments)
+        elif args.format == "json" or args.emit_plot_data:  # both take Python values
+            header, rows = output
+            rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+            if args.format == "json":
+                write_json(fh, {"header": list(header), "rows": [list(r) for r in rows]},
+                           comments=comments)
+            else:
+                write_table(fh, ["row", "variable", "value"], ((i, name, value) for i, row
+                            in enumerate(rows) for name, value in zip(header, row)), comments)
+        else:
+            write_table(fh, *output, comments)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gcalc", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"gcalc {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", metavar="|".join(SUBCOMMANDS))
-    for name in SUBCOMMANDS:
+    sub = parser.add_subparsers(dest="subcommand", metavar="|".join(_HANDLERS))
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
@@ -426,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_FORMAT = {"simulate": "csv", "gheat": "csv", "gsde": "csv", "experiment": "csv",
-                   "upper": "json", "lyapunov": "json", "linstab": "json"}
-
-
 def main(argv=None) -> int:
+    """Run one subcommand.  Its handler returns (output, failure), failure
+    false or the message of a failed check; _write writes the output, and a
+    failure then prints one line and returns 2.  A usage or config error (a
+    number no float holds, an --out that cannot be opened) returns 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -439,19 +426,19 @@ def main(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 1
-    if args.format is None:
-        args.format = _DEFAULT_FORMAT[args.subcommand]
     try:
         cfg = _load_config(args.config)
         comments = standard_comments(config_hash(cfg), args.seed)
-        return _HANDLERS[args.subcommand](args, cfg, comments)
+        output, failure = _HANDLERS[args.subcommand](args, cfg)
+        _write(args, comments, output)
     except (UsageError, ConfigError) as e:  # a library error's field is now a JSON pointer
         where = f"{e.field}: " if e.field else ""
         print(f"gcalc {args.subcommand}: error: {where}{e}", file=sys.stderr)
         return 1
-    except CheckFailed as e:
-        print(f"gcalc {args.subcommand}: check failed: {e}", file=sys.stderr)
+    if failure:
+        print(f"gcalc {args.subcommand}: check failed: {failure}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

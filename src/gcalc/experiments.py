@@ -69,6 +69,10 @@ class ExperimentConfig:
         for name in ("T", "dt"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)!r}", name)
+        # as floats, so that T=1 and T=1.0 hash alike
+        for name in ("p", "T", "dt", "slack", "lam"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         d = 1 if isinstance(self.system, GeometricModel) else self.system[0].d
         if self.unc.dim != d:
             raise ConfigError(f"the system has d = {d} noises, the set dim = {self.unc.dim}", "dim")
@@ -82,7 +86,7 @@ class ExperimentConfig:
 
     def rate(self) -> float:
         if self.lam is not None:
-            return float(self.lam)
+            return self.lam
         if isinstance(self.system, GeometricModel):
             lam = self.system.moment_rate(self.p, self.unc)
             if lam <= 0:

@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -484,6 +485,18 @@ class TestOutputs:
         assert len(doc["rows"]) == 401
 
 
+# a gsde state that blows up: (config, the step it turns non-finite at)
+GSDE_BLOWUPS = {
+    "global": (GSDE_OK | {"f": ["x1^3"], "g": ["0"], "x0": [2.0],
+                          "grid": {"t_end": 2.0, "n_steps": 200}}, 22),
+    # x2 turns NaN once x1 > 1.5, before |X| reaches the first radius
+    "localized": (GSDE_OK | {"n": 2, "f": ["1", "0*sqrt(1.5 - x1)"], "h": ["0", "0"],
+                             "g": ["0", "0"], "lipschitz_tag": "local", "x0": [0.0, 0.0],
+                             "schedule": [2.0, 4.0, 8.0], "grid": {"t_end": 5.0, "n_steps": 500}},
+                  151),
+}
+
+
 class TestSimulateAndGsde:
     def test_simulate_csv_shape(self, tmp_path):
         cfg = write_cfg(tmp_path, "sim.json", {
@@ -536,14 +549,7 @@ class TestSimulateAndGsde:
         assert len(lines) == 502
         assert "localization settled" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg,step", [
-        (GSDE_OK | {"f": ["x1^3"], "g": ["0"], "x0": [2.0], "grid": {"t_end": 2.0, "n_steps": 200}},
-         22),
-        # x2 turns NaN once x1 > 1.5, before |X| reaches the first radius
-        (GSDE_OK | {"n": 2, "f": ["1", "0*sqrt(1.5 - x1)"], "h": ["0", "0"], "g": ["0", "0"],
-                    "lipschitz_tag": "local", "x0": [0.0, 0.0], "schedule": [2.0, 4.0, 8.0],
-                    "grid": {"t_end": 5.0, "n_steps": 500}}, 151),
-    ], ids=["global", "localized"])
+    @pytest.mark.parametrize("cfg,step", GSDE_BLOWUPS.values(), ids=GSDE_BLOWUPS)
     def test_gsde_blowup_is_one_line_exit_two(self, tmp_path, capsys, cfg, step):
         assert main(["gsde", "--config", write_cfg(tmp_path, "blow.json", cfg)]) == 2
         captured = capsys.readouterr()
@@ -831,3 +837,123 @@ class TestCrossField:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"gcalc {sub}: error: {pointer}: ") and err.count("\n") == 1, err
+
+
+# one run of each subcommand that passes, and of each that fails its check
+PASSING = {"simulate": SIM_OK, "upper": UPPER_OK, "gheat": GHEAT_OK, "gsde": GSDE_OK,
+           "lyapunov": LYAPUNOV_OK, "linstab": LINSTAB_OK, "experiment": MOMENT_DECAY_OK}
+FAILING = {
+    "lyapunov_exp_stable": ("lyapunov", EXACT_RATE | {"params": {"lambda": 2.5}}),
+    # under sigma^2 = 2 the second moment grows at rate +1: no P certifies it
+    "linstab_search": ("linstab", {"n": 1, "F": [-1.0], "H": [0.0], "C": [1.5 ** 0.5],
+                                   "band": [1.0, 2.0], "mode": "search"}),
+    "experiment_moment_decay": ("experiment", MOMENT_DECAY_OK | {
+        "model": {"alpha": -0.1, "beta": 0.5, "gamma": 1.0, "x0": 1.0},
+        "p": 0.5, "T": 4.0, "dt": 0.01, "lambda": 2.0, "n_paths": 400}),
+}
+
+
+class TestOutContract:
+    """--out writes what stdout would get, once, and only what a run
+    produced: an existing file needs --force, a failed check still writes
+    its output, and a gsde blow-up writes nothing."""
+
+    @staticmethod
+    def stdout_and_file(tmp_path, capsys, sub, cfg):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        rc = main([sub, "--config", path])
+        stdout, err = capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([sub, "--config", path, "--out", str(out)]) == rc
+        assert capsys.readouterr() == ("", err)
+        assert out.read_bytes() == stdout.encode()
+        return rc, err
+
+    @pytest.mark.parametrize("sub", PASSING)
+    def test_out_holds_the_stdout_bytes(self, tmp_path, capsys, sub):
+        assert self.stdout_and_file(tmp_path, capsys, sub, PASSING[sub])[0] == 0
+
+    @pytest.mark.parametrize("sub", PASSING)
+    def test_existing_out_needs_force(self, tmp_path, capsys, sub):
+        out = tmp_path / "out"
+        out.write_bytes(b"kept\n")
+        assert main([sub, "--config", write_cfg(tmp_path, "c.json", PASSING[sub]),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()[-1:]
+        assert err == [f"gcalc {sub}: error: output path {out} exists; pass --force to overwrite"]
+        assert out.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("sub,cfg", FAILING.values(), ids=FAILING)
+    def test_failed_check_writes_then_exits_two(self, tmp_path, capsys, sub, cfg):
+        rc, err = self.stdout_and_file(tmp_path, capsys, sub, cfg)
+        assert rc == 2
+        assert err.startswith(f"gcalc {sub}: check failed: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cfg", [cfg for cfg, _ in GSDE_BLOWUPS.values()], ids=GSDE_BLOWUPS)
+    def test_gsde_blowup_writes_no_file(self, tmp_path, capsys, cfg):
+        out = tmp_path / "out"
+        assert main(["gsde", "--config", write_cfg(tmp_path, "c.json", cfg), "--out", str(out),
+                     "--force"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("gcalc gsde: check failed: ")
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_out_that_cannot_be_opened_is_one_line(self, tmp_path, capsys, where):
+        out = tmp_path if where == "directory" else tmp_path / "nodir" / "x.csv"
+        assert main(["gheat", "--config", write_cfg(tmp_path, "c.json", GHEAT_OK),
+                     "--out", str(out), "--force"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()[-1]
+        assert err.startswith(f"gcalc gheat: error: cannot write {out}: "), err
+        assert "Traceback" not in captured.err
+
+
+def huge(value, number):
+    """value with number in place of its last JSON number, or None if it
+    holds none."""
+    if isinstance(value, list):
+        for i in reversed(range(len(value))):
+            swapped = huge(value[i], number)
+            if swapped is not None:
+                return value[:i] + [swapped] + value[i + 1:]
+        return None
+    return number if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+
+
+def at(cfg, pointer):
+    node = cfg
+    for part in pointer.strip("/").split("/"):
+        node = node[part]
+    return node
+
+
+NUMERIC_ROWS = [row for row in FIELD_TABLE if huge(at(row[1], row[2]), 0) is not None]
+
+
+class TestHugeNumbers:
+    @pytest.mark.parametrize("sub,cfg,pointer", [row[:3] for row in NUMERIC_ROWS],
+                             ids=[f"{row[0]}{row[2]}" for row in NUMERIC_ROWS])
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-1e400"], ids=["integer", "float"])
+    def test_number_no_float_holds_exits_one_naming_pointer(self, tmp_path, capsys, sub, cfg,
+                                                            pointer, literal):
+        """A JSON number no float holds, as an integer or a float literal,
+        in any numeric field: one line naming the field, never a traceback."""
+        marker = 123456789.125
+        text = json.dumps(substituted(cfg, pointer, huge(at(cfg, pointer), marker)))
+        path = tmp_path / "c.json"
+        path.write_text(text.replace(repr(marker), literal))
+        assert main([sub, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcalc {sub}: error: config field {pointer}")
+        assert err.endswith(" is a number too large for a float\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sub,cfg,pointer", [row[:3] for row in FIELD_TABLE if row[3] is int],
+                             ids=[f"{row[0]}{row[2]}" for row in FIELD_TABLE if row[3] is int])
+    def test_count_beyond_maxsize_exits_one_naming_pointer(self, tmp_path, capsys, sub, cfg,
+                                                            pointer):
+        bad = substituted(cfg, pointer, sys.maxsize + 1)
+        assert main([sub, "--config", write_cfg(tmp_path, "c.json", bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcalc {sub}: error: ") and err.count("\n") == 1, err
+        assert pointer in err and "Traceback" not in err, err

@@ -3,6 +3,7 @@ rejects a fractional or bool value with a ConfigError naming its field,
 instead of truncating it, and keeps taking integral values such as 3.0."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,7 +73,9 @@ def test_integral_fields(build, read, field, out_of_range):
     for value in (3, 3.0):
         got = read(build(value))
         assert got == 3 and type(got) is int
-    for value in (2.7, True, out_of_range, float("nan"), "3"):
+    # a count above sys.maxsize, which no array could hold, is rejected too
+    for value in (2.7, True, out_of_range, float("nan"), "3", sys.maxsize + 1, float(2 ** 64),
+                  10 ** 400):
         with pytest.raises(ConfigError) as err:
             build(value)
         assert err.value.field == field, value

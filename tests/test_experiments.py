@@ -281,6 +281,18 @@ class TestEmission:
                 for _ in range(2))
         assert a.cfg_hash == b.cfg_hash
 
+    def test_integral_numbers_hash_as_their_floats(self):
+        """T=1 and T=1.0 run the same experiment, so they share a hash; the
+        numeric fields are stored as floats, times as given."""
+        def run(p, T, dt, lam, slack):
+            cfg = make_cfg(p=p, T=T, dt=dt, lam=lam, slack=slack, n_paths=100, times=(1,))
+            return cfg, moment_decay_curve(cfg)
+
+        (ints, a), (floats, b) = run(1, 1, 1, 1, 1), run(1.0, 1.0, 1.0, 1.0, 1.0)
+        assert {type(getattr(ints, name)) for name in ("p", "T", "dt", "lam", "slack")} == {float}
+        assert ints.times == (1,) and type(ints.times[0]) is int
+        assert a.rows == b.rows and a.cfg_hash == b.cfg_hash
+
     def test_bt_hash_covers_steps_per_unit(self):
         a = bt_over_t(BAND, family(), [10.0, 20.0], n_paths=50, seed=1, steps_per_unit=1.0)
         b = bt_over_t(BAND, family(), [10.0, 20.0], n_paths=50, seed=1, steps_per_unit=4.0)

@@ -10,7 +10,9 @@ working tree's, writing to stdout; ``upper`` cases run once more with
 runs in its other output formats, so that every writer path is compared: the
 CSV subcommands with ``--emit-plot-data`` (long-format rows) and with
 ``--format json``, the JSON subcommands with ``--format csv`` (key/value
-rows).  Any difference in stdout, stderr or exit code is reported with the
+rows).  Every case also runs once with seed 1 and ``--out FILE``, which
+compares the bytes of the file written, or that none was written, as well.
+Any difference in stdout, stderr, exit code or file is reported with the
 first differing lines.
 
 A change that alters some output on purpose names those cases, one per line,
@@ -324,6 +326,13 @@ def cases() -> dict:
                    "g": [["0", "2*x1"]]},
         "V": "x1^2", "region": {"t": [0, 1], "box": [[-1, 1, 5]]}, "condition": "nonpositive"})
     out["upper_error_payoff_exponent"] = variant("upper_band", payoff="2e-b1")
+    # a number no float holds used to end in a traceback
+    huge = 10 ** 400
+    out["gheat_error_t_huge"] = variant("gheat_square", grid={**square_grid, "T": huge})
+    out["lyapunov_error_nt_huge"] = ("lyapunov", {
+        **duffing_band, "region": {**duffing_band["region"], "nt": huge}})
+    out["upper_error_constant_huge"] = variant("upper_band", payoff="a*b1^2",
+                                               constants={"a": huge})
     return out
 
 
@@ -345,11 +354,18 @@ def extract(ref: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(src: Path, sub: str, config: Path, seed: int, cwd: Path, flags=()):
+def run(src: Path, sub: str, config: Path, seed: int, cwd: Path, flags=(), out=None):
+    """stdout, stderr, exit code and the bytes written to out (None when
+    out is None or no file was written, which is then removed)."""
     env = {**os.environ, "PYTHONPATH": str(src)}
+    flags = (*flags, "--out", str(out)) if out is not None else flags
     p = subprocess.run([sys.executable, "-m", "gcalc.cli", sub, "--config", str(config),
                         "--seed", str(seed), *flags], capture_output=True, env=env, cwd=cwd)
-    return p.stdout, p.stderr, p.returncode
+    written = None
+    if out is not None and out.exists():
+        written = out.read_bytes()
+        out.unlink()
+    return p.stdout, p.stderr, p.returncode, written
 
 
 def first_difference(a: bytes, b: bytes) -> str:
@@ -411,11 +427,12 @@ def main(argv=None) -> int:
         for name, (sub, cfg) in all_cases.items():
             config = tmp / "configs" / f"{name}.json"
             config.write_text(json.dumps(cfg))
-            for flags, seed in [(f, s) for f in variants(name, sub) for s in SEEDS]:
-                case = " ".join([name, f"seed={seed}", *flags])
+            for flags, seed, out in [(f, s, None) for f in variants(name, sub) for s in SEEDS] + [
+                    ((), SEEDS[0], tmp / "out")]:
+                case = " ".join([name, f"seed={seed}", *flags] + ["--out FILE"] * (out is not None))
                 runs += 1
-                base = run(tmp / "base" / "src", sub, config, seed, tmp, flags)
-                tree = run(ROOT / "src", sub, config, seed, tmp, flags)
+                base = run(tmp / "base" / "src", sub, config, seed, tmp, flags, out)
+                tree = run(ROOT / "src", sub, config, seed, tmp, flags, out)
                 if base == tree:
                     print(f"same  {case} exit={tree[2]}")
                     continue
@@ -424,8 +441,11 @@ def main(argv=None) -> int:
                 print(f"{'EXPECTED DIFF' if name in expected else 'DIFF'}  {case}")
                 if base[2] != tree[2]:
                     print(f"    exit code: base {base[2]}, tree {tree[2]}")
-                for label, a, b in (("stdout", base[0], tree[0]), ("stderr", base[1], tree[1])):
-                    if a != b:
+                for label, a, b in (("stdout", base[0], tree[0]), ("stderr", base[1], tree[1]),
+                                    ("file", base[3], tree[3])):
+                    if None in (a, b) and a != b:
+                        print(f"    {label}: {'tree' if b is None else 'base'} wrote none")
+                    elif a != b:
                         print(f"    {label} {first_difference(a, b)}")
         print(f"{runs - differ} of {runs} runs identical, {differ} differ ({argv[0]} vs working tree)")
     failed += [f"differs but is not in {EXPECTED.name}: {name}" for name in sorted(differing - expected)]
